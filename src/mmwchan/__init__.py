@@ -19,7 +19,6 @@ from .capacity import (
 from .cirgen import (
     CirFileError,
     CirGenConfig,
-    SpatialLobe,
     TimeCluster,
     check_void_intervals,
     export_cir,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .core import (
 )
 
 NS = 1e-9
+#: Lobe centre elevations are uniform on [-pi/4, pi/4).
+_LOBE_EL_LOW = -math.pi / 4
+_LOBE_EL_SPAN = math.pi / 4 - _LOBE_EL_LOW
 
 
 class CirFileError(ValueError):
@@ -56,6 +60,10 @@ class CirGenConfig:
                 raise ValueError(f"{name} bounds must be integers")
             if lo < 1 or hi < lo:
                 raise ValueError(f"{name} must be a nonempty range of positive ints, got ({lo}, {hi})")
+        for name in ("intercluster_void_ns", "cluster_decay_ns", "intracluster_decay_ns",
+                     "lobe_angular_spread_deg"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.intercluster_void_ns < 0:
             raise ValueError("intercluster_void_ns must be >= 0")
         if not self.cluster_decay_ns > 0:
@@ -64,14 +72,6 @@ class CirGenConfig:
             raise ValueError("intracluster_decay_ns must be > 0")
         if not self.lobe_angular_spread_deg >= 0:
             raise ValueError("lobe_angular_spread_deg must be >= 0")
-
-
-@dataclass(frozen=True)
-class SpatialLobe:
-    """A contiguous direction of departure or arrival."""
-
-    center: tuple[float, float]  # (azimuth, elevation) radians
-    side: str  # "departure" | "arrival"
 
 
 @dataclass(frozen=True)
@@ -86,22 +86,105 @@ class TimeCluster:
         return self.subpaths[-1].delay
 
 
-def _draw_lobes(rng: np.random.Generator, count: int, side: str) -> list[SpatialLobe]:
-    lobes = []
-    for _ in range(count):
-        az = rng.uniform(0.0, TWO_PI)
-        el = rng.uniform(-math.pi / 4, math.pi / 4)
-        lobes.append(SpatialLobe(center=(az, el), side=side))
-    return lobes
+class CirDraw(NamedTuple):
+    """One drawn CIR in struct-of-arrays form, one entry per component in
+    delay order; powers sum to 1.
+
+    Cluster c holds ``cluster_sizes[c]`` consecutive components, starts at
+    ``cluster_starts[c]`` and departs/arrives through the lobes indexed by
+    ``cluster_lobes[c]``. Component angles are the lobe centre plus
+    ``angle_spread`` times the component's four standard normal
+    ``offsets`` (departure azimuth, departure elevation, arrival azimuth,
+    arrival elevation).
+    """
+
+    delays: list[float]  # seconds
+    powers: list[float]
+    phases: list[float]
+    offsets: list[np.ndarray]
+    cluster_starts: list[float]
+    cluster_sizes: list[int]
+    cluster_lobes: list[tuple[int, int]]
+    lobes: list[tuple[float, float]]  # (azimuth, elevation) radians
+    angle_spread: float  # radians
 
 
-def _offset_angles(
-    rng: np.random.Generator, lobe: SpatialLobe, spread_rad: float
-) -> tuple[float, float]:
-    az = (lobe.center[0] + rng.normal(0.0, spread_rad)) % TWO_PI
-    el = lobe.center[1] + rng.normal(0.0, spread_rad)
-    el = min(max(el, -math.pi / 2), math.pi / 2)
-    return az, el
+def _draw_int(rng: np.random.Generator, lo: int, hi: int) -> int:
+    """``rng.integers(lo, hi + 1)``; a one-value range draws no bits, so
+    the call is skipped."""
+    return lo if lo == hi else int(rng.integers(lo, hi + 1))
+
+
+def draw_cir(config: CirGenConfig, rng: np.random.Generator) -> CirDraw:
+    """Draw one CIR from ``rng`` without validating ``config``.
+
+    The draw order is fixed: cluster and lobe counts, lobe centres
+    (departure lobes first, azimuth then elevation), then per cluster its
+    inter-cluster gap, lobe choices and path count, and per path its
+    intra-cluster gap, phase and four angle offsets. Uniform draws are taken
+    as ``low + (high - low) * rng.random()`` and the angle offsets as one
+    ``standard_normal(4)`` call; both consume the same bits and give the
+    same values as scalar ``uniform`` and ``normal`` calls.
+    """
+    void_s = config.intercluster_void_ns * NS
+    cluster_decay_s = config.cluster_decay_ns * NS
+    intra_decay_s = config.intracluster_decay_ns * NS
+    n_clusters = _draw_int(rng, *config.num_clusters_range)
+    n_dep_lobes = _draw_int(rng, *config.num_lobes_range)
+    n_arr_lobes = _draw_int(rng, *config.num_lobes_range)
+    u = rng.random(2 * (n_dep_lobes + n_arr_lobes)).tolist()
+    lobes = [(TWO_PI * az, _LOBE_EL_LOW + _LOBE_EL_SPAN * el) for az, el in zip(u[0::2], u[1::2])]
+
+    delays, weights, phases, offsets = [], [], [], []
+    starts, sizes, cluster_lobes = [], [], []
+    t = 0.0
+    for c in range(n_clusters):
+        start = 0.0 if c == 0 else t + void_s + rng.exponential(cluster_decay_s)
+        cluster_weight = math.exp(-start / cluster_decay_s)
+        dep = _draw_int(rng, 0, n_dep_lobes - 1)
+        arr = n_dep_lobes + _draw_int(rng, 0, n_arr_lobes - 1)
+        n_paths = _draw_int(rng, *config.paths_per_cluster_range)
+        t = start
+        for p in range(n_paths):
+            if p > 0:
+                t += rng.exponential(intra_decay_s)
+            delays.append(t)
+            weights.append(cluster_weight * math.exp(-(t - start) / intra_decay_s))
+            phases.append(TWO_PI * rng.random())
+            offsets.append(rng.standard_normal(4))
+        starts.append(start)
+        sizes.append(n_paths)
+        cluster_lobes.append((dep, arr))
+
+    total = sum(weights)
+    powers = [w / total for w in weights]
+    spread = math.radians(config.lobe_angular_spread_deg)
+    return CirDraw(delays, powers, phases, offsets, starts, sizes, cluster_lobes, lobes, spread)
+
+
+def _component_angles(draw: CirDraw) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+    """(aod, aoa) of each component: lobe centre plus spread times offset,
+    azimuth wrapped to [0, 2pi) and elevation clamped to [-pi/2, pi/2]."""
+    angles = []
+    for size, lobe_pair in zip(draw.cluster_sizes, draw.cluster_lobes):
+        for _ in range(size):
+            z = draw.offsets[len(angles)].tolist()
+            pair = []
+            for lobe, d_az, d_el in zip(lobe_pair, z[0::2], z[1::2]):
+                az, el = draw.lobes[lobe]
+                el = min(max(el + draw.angle_spread * d_el, -math.pi / 2), math.pi / 2)
+                pair.append(((az + draw.angle_spread * d_az) % TWO_PI, el))
+            angles.append(tuple(pair))
+    return angles
+
+
+def _components(draw: CirDraw) -> list[MultipathComponent]:
+    return [
+        MultipathComponent(power_gain=power, phase=phase, delay=delay, aod=aod, aoa=aoa)
+        for power, phase, delay, (aod, aoa) in zip(
+            draw.powers, draw.phases, draw.delays, _component_angles(draw)
+        )
+    ]
 
 
 def generate_initial_cir(
@@ -110,9 +193,10 @@ def generate_initial_cir(
     rng: np.random.Generator | None = None,
 ) -> ChannelImpulseResponse:
     """Generate one initial CIR; deterministic for a fixed config seed."""
-    clusters = generate_clusters(config, scenario, rng)
-    comps = [sp for cl in clusters for sp in cl.subpaths]
-    return ChannelImpulseResponse.from_components(comps, scenario)
+    config.validate()
+    if rng is None:
+        rng = np.random.default_rng(config.rng_seed)
+    return ChannelImpulseResponse.from_components(_components(draw_cir(config, rng)), scenario)
 
 
 def generate_clusters(
@@ -128,56 +212,13 @@ def generate_clusters(
     config.validate()
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
-
-    void_s = config.intercluster_void_ns * NS
-    cluster_decay_s = config.cluster_decay_ns * NS
-    intra_decay_s = config.intracluster_decay_ns * NS
-    spread_rad = math.radians(config.lobe_angular_spread_deg)
-
-    n_clusters = int(rng.integers(config.num_clusters_range[0], config.num_clusters_range[1] + 1))
-    n_dep_lobes = int(rng.integers(config.num_lobes_range[0], config.num_lobes_range[1] + 1))
-    n_arr_lobes = int(rng.integers(config.num_lobes_range[0], config.num_lobes_range[1] + 1))
-    dep_lobes = _draw_lobes(rng, n_dep_lobes, "departure")
-    arr_lobes = _draw_lobes(rng, n_arr_lobes, "arrival")
-
-    raw = []  # (cluster start, [(delay, weight, phase, aod, aoa), ...])
-    prev_end = 0.0
-    for c in range(n_clusters):
-        if c == 0:
-            start = 0.0
-        else:
-            start = prev_end + void_s + rng.exponential(cluster_decay_s)
-        cluster_weight = math.exp(-start / cluster_decay_s)
-        dep = dep_lobes[int(rng.integers(0, n_dep_lobes))]
-        arr = arr_lobes[int(rng.integers(0, n_arr_lobes))]
-        n_paths = int(rng.integers(config.paths_per_cluster_range[0], config.paths_per_cluster_range[1] + 1))
-        subs = []
-        t = start
-        for p in range(n_paths):
-            if p > 0:
-                t += rng.exponential(intra_decay_s)
-            weight = cluster_weight * math.exp(-(t - start) / intra_decay_s)
-            phase = rng.uniform(0.0, TWO_PI)
-            aod = _offset_angles(rng, dep, spread_rad)
-            aoa = _offset_angles(rng, arr, spread_rad)
-            subs.append((t, weight, phase, aod, aoa))
-        prev_end = t
-        raw.append((start, subs))
-
-    total = sum(w for _, subs in raw for _, w, _, _, _ in subs)
+    draw = draw_cir(config, rng)
+    comps = _components(draw)
     clusters = []
-    for start, subs in raw:
-        comps = tuple(
-            MultipathComponent(
-                power_gain=w / total,
-                phase=phase,
-                delay=t,
-                aod=aod,
-                aoa=aoa,
-            )
-            for t, w, phase, aod, aoa in subs
-        )
-        clusters.append(TimeCluster(excess_delay=start, subpaths=comps))
+    first = 0
+    for start, size in zip(draw.cluster_starts, draw.cluster_sizes):
+        clusters.append(TimeCluster(excess_delay=start, subpaths=tuple(comps[first : first + size])))
+        first += size
     return clusters
 
 

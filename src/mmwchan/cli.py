@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -36,7 +38,7 @@ from .estimators import (
     read_track,
     write_track,
 )
-from .spatial import simulate_amplitude_track
+from .spatial import build_amplitude_matched_corr, simulate_amplitude_track
 
 
 class ConfigError(ValueError):
@@ -87,6 +89,13 @@ def _parse_int_pair(value: str, key: str) -> tuple[int, int]:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _parse_finite(value: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {value!r}")
+    return x
+
+
 def _parse_bool(value: str) -> bool:
     low = value.strip().lower()
     if low in ("true", "yes", "1"):
@@ -116,6 +125,11 @@ def _parse_fading(value: str) -> list[FadingModel]:
     return models
 
 
+#: A comment starts with '#' at the start of a line or after whitespace, so
+#: values such as paths may contain '#'.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def read_config_lines(path) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -124,7 +138,7 @@ def read_config_lines(path) -> dict[str, str]:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -162,10 +176,10 @@ def parse_config(path) -> ScenarioConfig:
                 lambda v: _parse_int_pair(v, "cir.paths_per_cluster_range"),
                 CirGenConfig().paths_per_cluster_range,
             ),
-            intercluster_void_ns=take("cir.intercluster_void_ns", float, 25.0),
-            cluster_decay_ns=take("cir.cluster_decay_ns", float, CirGenConfig().cluster_decay_ns),
+            intercluster_void_ns=take("cir.intercluster_void_ns", _parse_finite, 25.0),
+            cluster_decay_ns=take("cir.cluster_decay_ns", _parse_finite, CirGenConfig().cluster_decay_ns),
             intracluster_decay_ns=take(
-                "cir.intracluster_decay_ns", float, CirGenConfig().intracluster_decay_ns
+                "cir.intracluster_decay_ns", _parse_finite, CirGenConfig().intracluster_decay_ns
             ),
             num_lobes_range=take(
                 "cir.num_lobes_range",
@@ -173,17 +187,17 @@ def parse_config(path) -> ScenarioConfig:
                 CirGenConfig().num_lobes_range,
             ),
             lobe_angular_spread_deg=take(
-                "cir.lobe_angular_spread_deg", float, CirGenConfig().lobe_angular_spread_deg
+                "cir.lobe_angular_spread_deg", _parse_finite, CirGenConfig().lobe_angular_spread_deg
             ),
         )
         cfg.cir_import_path = take("cir.import_path", str, None)
         cfg.rx_array = ArrayGeometry(
             num_elements=take("rx_array.num_elements", int, 20),
-            spacing=take("rx_array.spacing", float, 0.5),
+            spacing=take("rx_array.spacing", _parse_finite, 0.5),
         )
         cfg.tx_array = ArrayGeometry(
             num_elements=take("tx_array.num_elements", int, 1),
-            spacing=take("tx_array.spacing", float, 0.5),
+            spacing=take("tx_array.spacing", _parse_finite, 0.5),
         )
         cfg.fading_models = take("fading.models", _parse_fading, cfg.fading_models)
         autocorr_txt = pairs.pop("autocorr", "table-default")
@@ -192,14 +206,15 @@ def parse_config(path) -> ScenarioConfig:
             if len(vals) != 3:
                 raise ConfigError("autocorr: expected 'table-default' or three numbers 'A B C'")
             try:
-                cfg.autocorr = AutocorrParams(a=float(vals[0]), b=float(vals[1]), c=float(vals[2]))
+                a, b, c = (_parse_finite(v) for v in vals)
+                cfg.autocorr = AutocorrParams(a=a, b=b, c=c)
             except ValueError as exc:
                 raise ConfigError(f"autocorr: {exc}") from exc
         cfg.capacity = CapacityConfig(
-            bandwidth_hz=take("capacity.bandwidth_hz", float, 800e6),
+            bandwidth_hz=take("capacity.bandwidth_hz", _parse_finite, 800e6),
             num_subcarriers=take("capacity.num_subcarriers", int, 100),
-            snr_db=take("capacity.snr_db", float, 10.0),
-            center_frequency_hz=take("capacity.center_frequency_hz", float, 28e9),
+            snr_db=take("capacity.snr_db", _parse_finite, 10.0),
+            center_frequency_hz=take("capacity.center_frequency_hz", _parse_finite, 28e9),
         )
         cfg.num_drops = take("run.num_drops", int, 2000)
         cfg.master_seed = take("run.master_seed", int, 1)
@@ -207,8 +222,8 @@ def parse_config(path) -> ScenarioConfig:
         cfg.share_initial_cir = take("run.share_initial_cir", _parse_bool, False)
         cfg.output_dir = take("run.output_dir", str, "out")
         cfg.track_positions = take("track.num_positions", int, 11)
-        cfg.track_delta_x = take("track.delta_x", float, 0.5)
-        cfg.track_delay_bin_ns = take("track.delay_bin_ns", float, 2.5)
+        cfg.track_delta_x = take("track.delta_x", _parse_finite, 0.5)
+        cfg.track_delay_bin_ns = take("track.delay_bin_ns", _parse_finite, 2.5)
         cfg.cir_gen = CirGenConfig(rng_seed=cfg.master_seed, **gen_kwargs)
         cfg.cir_gen.validate()
         if cfg.num_drops < 1:
@@ -299,10 +314,7 @@ def cmd_simulate_capacity(cfg: ScenarioConfig, out_dir: str, dump_corr: bool = F
     os.makedirs(out_dir, exist_ok=True)
     params = cfg.resolved_autocorr()
     if dump_corr:
-        from .core import FadingModel as _FM
-        from .spatial import build_amplitude_matched_corr
-
-        baseline = _FM.rayleigh()
+        baseline = FadingModel.rayleigh()
         rr = build_amplitude_matched_corr(params, cfg.rx_array, baseline, side="receive")
         rt = build_amplitude_matched_corr(params, cfg.tx_array, baseline, side="transmit")
         write_corr_matrix_csv(rr.entries, os.path.join(out_dir, "corr_rx.csv"))
@@ -456,12 +468,9 @@ def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
             raise ConfigError("--drops must be >= 1")
         cfg.num_drops = args.drops
     if args.snr_db is not None:
-        cfg.capacity = CapacityConfig(
-            bandwidth_hz=cfg.capacity.bandwidth_hz,
-            num_subcarriers=cfg.capacity.num_subcarriers,
-            snr_db=args.snr_db,
-            center_frequency_hz=cfg.capacity.center_frequency_hz,
-        )
+        if not math.isfinite(args.snr_db):
+            raise ConfigError(f"--snr-db: must be finite, got {args.snr_db}")
+        cfg.capacity = dataclasses.replace(cfg.capacity, snr_db=args.snr_db)
     if args.out is not None:
         cfg.output_dir = args.out
     return cfg

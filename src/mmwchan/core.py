@@ -163,8 +163,8 @@ class ArrayGeometry:
             raise ValueError(f"unsupported array kind {self.kind!r}")
         if self.num_elements < 1:
             raise ValueError("num_elements must be >= 1")
-        if not self.spacing > 0:
-            raise ValueError("spacing must be > 0")
+        if not (self.spacing > 0 and math.isfinite(self.spacing)):
+            raise ValueError(f"spacing must be finite and > 0, got {self.spacing}")
 
 
 @dataclass(frozen=True)

@@ -285,6 +285,54 @@ def build_amplitude_matched_corr(
     return repair_to_correlation(mag.astype(complex), side=side)
 
 
+def draw_tap_noise(
+    rng: np.random.Generator, num_taps: int, n_r: int, n_t: int, rician: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The fading draws of ``num_taps`` local-area taps, in tap order.
+
+    Each tap takes the real then the imaginary standard normals of its
+    N_r x N_t white matrix, then (Rician only) the dominant-term phase,
+    uniform on [0, 2pi) and drawn as ``2pi * rng.random()``, which gives the
+    same value as ``rng.uniform(0, 2pi)``. Returns the white draws, shape
+    (num_taps, 2, N_r, N_t), and the phases (num_taps,), or None for
+    Rayleigh.
+    """
+    if not rician:
+        return rng.standard_normal((num_taps, 2, n_r, n_t)), None
+    white = np.empty((num_taps, 2, n_r, n_t))
+    psi = np.empty(num_taps)
+    for l in range(num_taps):
+        rng.standard_normal(out=white[l])
+        psi[l] = TWO_PI * rng.random()
+    return white, psi
+
+
+def tap_matrices(
+    white: np.ndarray,
+    psi: np.ndarray | None,
+    powers: np.ndarray,
+    r_r_sqrt: np.ndarray,
+    r_t_sqrt: np.ndarray,
+    fading: FadingModel,
+) -> np.ndarray:
+    """Local-area tap matrices from fading draws, for any stack of taps.
+
+    ``sqrt(p) * R_r^(1/2) G R_t^(1/2)`` with ``G = (re + j*im)/sqrt(2)``
+    from ``white`` (..., 2, N_r, N_t); Rician taps become
+    ``sqrt(p) * (sqrt(K/(K+1)) e^(j*psi) 1 + sqrt(1/(K+1)) R_r^(1/2) G R_t^(1/2))``.
+    ``psi`` and ``powers`` have the leading shape of ``white``; the result
+    has shape (..., N_r, N_t). Each tap sees the same operations whatever
+    the stack it sits in, so its matrix does not depend on the stack.
+    """
+    g = (white[..., 0, :, :] + 1j * white[..., 1, :, :]) / math.sqrt(2.0)
+    h = r_r_sqrt @ g @ r_t_sqrt
+    if fading.is_rician:
+        k = _clamped_k(fading)
+        dominant = math.sqrt(k / (k + 1.0)) * np.exp(1j * psi)
+        h = dominant[..., None, None] + math.sqrt(1.0 / (k + 1.0)) * h
+    return np.sqrt(powers)[..., None, None] * h
+
+
 def realize_taps(
     cir: ChannelImpulseResponse,
     r_r_sqrt: np.ndarray,
@@ -298,29 +346,18 @@ def realize_taps(
     a rank-one dominant term, constant across the array with one random
     phase per component, carrying K/(K+1) of the power; the diffuse
     remainder is Kronecker-shaped. Ensemble-mean entry power equals the
-    component power for every K.
+    component power for every K. Draws come from :func:`draw_tap_noise`
+    and matrices from :func:`tap_matrices`.
     """
-    n_r = r_r_sqrt.shape[0]
-    n_t = r_t_sqrt.shape[1]
-    ones = np.ones((n_r, n_t))
-    taps = []
-    for comp in cir.components:
-        g = (rng.standard_normal((n_r, n_t)) + 1j * rng.standard_normal((n_r, n_t))) / math.sqrt(2.0)
-        diffuse = r_r_sqrt @ g @ r_t_sqrt
-        if fading.is_rician:
-            k = _clamped_k(fading)
-            psi = rng.uniform(0.0, TWO_PI)
-            h = math.sqrt(k / (k + 1.0)) * np.exp(1j * psi) * ones + math.sqrt(1.0 / (k + 1.0)) * diffuse
-        else:
-            h = diffuse
-        taps.append(
-            CorrelatedTap(
-                matrix=math.sqrt(comp.power_gain) * h,
-                delay=comp.delay,
-                mean_power=comp.power_gain,
-            )
-        )
-    return taps
+    white, psi = draw_tap_noise(
+        rng, cir.num_components, r_r_sqrt.shape[0], r_t_sqrt.shape[1], fading.is_rician
+    )
+    powers = np.array(cir.power_gains())
+    matrices = tap_matrices(white, psi, powers, r_r_sqrt, r_t_sqrt, fading)
+    return [
+        CorrelatedTap(matrix=m, delay=comp.delay, mean_power=comp.power_gain)
+        for m, comp in zip(matrices, cir.components)
+    ]
 
 
 def simulate_amplitude_track(

@@ -263,3 +263,7 @@ class TestCapacityCdf:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             CapacitySample(-0.1, 0, 0)
+
+    def test_nan_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            CapacitySample(math.nan, 0, 0)

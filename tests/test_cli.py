@@ -147,6 +147,23 @@ class TestSimulateCapacity:
         caps = [float(r.split(",")[2]) for r in rows]
         assert max(caps) - min(caps) < 1e-3
 
+    def test_import_path_may_contain_hash(self, tmp_path):
+        src_dir = tmp_path / "runs"
+        src_dir.mkdir()
+        src = src_dir / "a#1.csv"
+        src.write_text(
+            "delay_ns,power_linear,phase_rad,aod_az_deg,aod_el_deg,aoa_az_deg,aoa_el_deg\n"
+            "0.0,1.0,0.0,0.0,0.0,0.0,0.0\n"
+        )
+        text = BASE_CFG + f"\ncir.import_path = {src}  # trailing comment\n# run.num_drops = 1\n"
+        cfg = parse_config(write_cfg(tmp_path, text))
+        assert cfg.cir_import_path == str(src)
+        assert cfg.num_drops == 8
+        out_dir = str(tmp_path / "hash")
+        assert cmd_simulate_capacity(cfg, out_dir) == 0
+        rows = open(os.path.join(out_dir, "capacity_rayleigh.csv")).read().splitlines()
+        assert len(rows) == 1 + 8
+
     def test_parallel_workers_config_matches_serial(self, tmp_path):
         outs = []
         for d, extra in (("w1", ""), ("w2", "\nrun.num_workers = 2\n")):
@@ -257,6 +274,22 @@ class TestMainEntry:
     def test_bad_config_exit_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, BASE_CFG + "\njunk line without equals\n")
         assert main(["simulate-capacity", "--config", path]) == 2
+
+    @pytest.mark.parametrize(
+        "key,value", [("capacity.snr_db", "nan"), ("capacity.bandwidth_hz", "inf"), ("rx_array.spacing", "inf")]
+    )
+    def test_non_finite_value_exit_2_names_key(self, tmp_path, capsys, key, value):
+        text = "\n".join(line for line in BASE_CFG.splitlines() if not line.startswith(key))
+        path = write_cfg(tmp_path, text + f"\n{key} = {value}\n")
+        out_dir = tmp_path / "out"
+        assert main(["simulate-capacity", "--config", path, "--out", str(out_dir)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_non_finite_snr_override_exit_2(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, BASE_CFG)
+        assert main(["simulate-capacity", "--config", path, "--snr-db", "nan", "--out", str(tmp_path / "o")]) == 2
+        assert "--snr-db" in capsys.readouterr().err
 
     def test_estimate_missing_track_names_path(self, capsys):
         code = main(["estimate", "/no/such/track.csv"])

@@ -138,7 +138,15 @@ class TestOtherTypes:
         g = ArrayGeometry(num_elements=20)
         assert g.spacing == 0.5 and g.kind == "ULA"
 
-    @pytest.mark.parametrize("kwargs", [dict(num_elements=0), dict(num_elements=2, spacing=0.0)])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(num_elements=0),
+            dict(num_elements=2, spacing=0.0),
+            dict(num_elements=2, spacing=math.inf),
+            dict(num_elements=2, spacing=math.nan),
+        ],
+    )
     def test_array_geometry_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ArrayGeometry(**kwargs)

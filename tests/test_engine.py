@@ -1,0 +1,199 @@
+"""The batched drop engine against the per-drop reference in ``oracles``.
+
+The engine keeps each drop's random stream and draw order, so it must give
+the reference's seed words exactly and its capacities to float rounding;
+CIR synthesis and ``realize_taps`` keep the reference's arithmetic too and
+must match it bit for bit. Drop i depends only on the campaign, the master
+seed and i: neither the run length nor the worker count may change it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    reference_initial_cir,
+    reference_monte_carlo,
+    reference_realize_taps,
+)
+from mmwchan.capacity import (
+    BATCH_BYTES,
+    CHUNK_DROPS,
+    CapacityConfig,
+    _drop_bytes,
+    _uses_cross_gram,
+    logdet_eye_plus,
+    run_monte_carlo,
+)
+from mmwchan.cirgen import CirGenConfig, generate_clusters, generate_initial_cir
+from mmwchan.core import (
+    ArrayGeometry,
+    ChannelImpulseResponse,
+    FadingModel,
+    MultipathComponent,
+    Scenario,
+    lookup_default_params,
+)
+from mmwchan.spatial import build_amplitude_matched_corr, matrix_sqrt_psd, realize_taps
+
+SCEN = Scenario.parse("NLOS V-V")
+PARAMS = lookup_default_params(SCEN).autocorr
+#: Rayleigh, Rician at both K clamps (-80 dB -> K_LINEAR_MIN, 130 dB ->
+#: K_LINEAR_MAX) and in between.
+FADINGS = [FadingModel.rayleigh(), FadingModel.rician(-80.0), FadingModel.rician(5.0), FadingModel.rician(130.0)]
+CAPACITY_ATOL = 1e-12
+
+
+def _gen_config(clusters_hi, paths_hi, spread_deg):
+    return CirGenConfig(
+        num_clusters_range=(1, clusters_hi),
+        paths_per_cluster_range=(1, paths_hi),
+        lobe_angular_spread_deg=spread_deg,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_r=st.integers(1, 5),
+    n_t=st.integers(1, 5),
+    fading=st.sampled_from(FADINGS),
+    clusters_hi=st.integers(1, 4),
+    paths_hi=st.integers(1, 4),
+    spread_deg=st.sampled_from([0.0, 10.0]),
+    cir_mode=st.sampled_from(["fresh", "shared", "explicit"]),
+    num_drops=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+)
+# ragged L over both Gram routes, N_t > N_r, a chunk boundary
+@example(n_r=2, n_t=5, fading=FADINGS[2], clusters_hi=4, paths_hi=4, spread_deg=0.0,
+         cir_mode="fresh", num_drops=70, seed=1)
+@example(n_r=5, n_t=3, fading=FADINGS[3], clusters_hi=4, paths_hi=4, spread_deg=10.0,
+         cir_mode="explicit", num_drops=5, seed=2)
+def test_engine_matches_per_drop_reference(
+    n_r, n_t, fading, clusters_hi, paths_hi, spread_deg, cir_mode, num_drops, seed
+):
+    gen = _gen_config(clusters_hi, paths_hi, spread_deg)
+    initial = None
+    if cir_mode == "explicit":
+        initial = reference_initial_cir(gen, SCEN, np.random.default_rng(seed))
+    kw = dict(
+        scenario=SCEN,
+        gen_config=gen,
+        rx_geometry=ArrayGeometry(num_elements=n_r),
+        tx_geometry=ArrayGeometry(num_elements=n_t),
+        fading=fading,
+        cap_config=CapacityConfig(),
+        num_drops=num_drops,
+        master_seed=seed,
+        share_initial_cir=cir_mode == "shared",
+        initial_cir=initial,
+    )
+    got = run_monte_carlo(**kw)
+    want = reference_monte_carlo(**kw, params=PARAMS)
+    assert [(s.drop_index, s.seed) for s in got] == [(i, w) for i, w, _ in want]
+    for s, (_, _, cap) in zip(got, want):
+        assert abs(s.capacity - cap) <= CAPACITY_ATOL
+
+
+def test_both_gram_routes_are_exercised():
+    # the hypothesis examples above cover each side of the route choice
+    assert _uses_cross_gram(1, 5, 3) and not _uses_cross_gram(16, 5, 3)
+    assert _uses_cross_gram(2, 2, 5) and not _uses_cross_gram(16, 2, 5)
+
+
+@pytest.mark.parametrize("fading", FADINGS[:3])
+@pytest.mark.parametrize("n_r,n_t", [(1, 1), (4, 2), (3, 5), (11, 1)])
+def test_realize_taps_bitwise_matches_reference(fading, n_r, n_t):
+    rr = matrix_sqrt_psd(build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_r), FadingModel.rayleigh()))
+    rt = matrix_sqrt_psd(
+        build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_t), FadingModel.rayleigh(), side="transmit")
+    )
+    for seed in range(20):
+        cir = generate_initial_cir(_gen_config(3, 3, 10.0), SCEN, np.random.default_rng(seed))
+        rng_a, rng_b = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+        got = realize_taps(cir, rr, rt, fading, rng_a)
+        want = reference_realize_taps(cir, rr, rt, fading, rng_b)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a.matrix, b.matrix)
+            assert (a.delay, a.mean_power) == (b.delay, b.mean_power)
+        assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("spread_deg", [0.0, 10.0])
+def test_generated_cir_equals_reference_and_leaves_same_stream(spread_deg):
+    for cfg in (_gen_config(4, 4, spread_deg), CirGenConfig(num_lobes_range=(2, 2), lobe_angular_spread_deg=spread_deg)):
+        for seed in range(100):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert generate_initial_cir(cfg, SCEN, rng_a) == reference_initial_cir(cfg, SCEN, rng_b)
+            assert rng_a.random() == rng_b.random()
+            clusters = generate_clusters(cfg, SCEN, np.random.default_rng(seed))
+            flat = tuple(c for cl in clusters for c in cl.subpaths)
+            assert flat == reference_initial_cir(cfg, SCEN, np.random.default_rng(seed)).components
+
+
+# Ragged MIMO drops: 2-12 taps over both Gram routes, and enough
+# subcarriers that a tap-count group is cut into several batches.
+RAGGED = dict(
+    scenario=SCEN,
+    gen_config=CirGenConfig(num_clusters_range=(2, 4), paths_per_cluster_range=(1, 3)),
+    rx_geometry=ArrayGeometry(num_elements=6),
+    tx_geometry=ArrayGeometry(num_elements=3),
+    fading=FadingModel.rician(5.0),
+    cap_config=CapacityConfig(num_subcarriers=400),
+)
+
+
+def test_ragged_config_cuts_groups_into_batches():
+    assert _uses_cross_gram(2, 6, 3) and not _uses_cross_gram(12, 6, 3)
+    assert BATCH_BYTES // _drop_bytes(6, 6, 3, 400) <= 4
+
+
+def test_longer_run_starts_with_shorter_run():
+    short = run_monte_carlo(**RAGGED, num_drops=100, master_seed=4242)
+    longer = run_monte_carlo(**RAGGED, num_drops=100 + 37, master_seed=4242)
+    assert longer[:100] == short
+
+
+def test_worker_counts_agree_over_several_chunks():
+    num_drops = 3 * CHUNK_DROPS + 5
+    kw = dict(RAGGED, cap_config=CapacityConfig(num_subcarriers=32), num_drops=num_drops, master_seed=77)
+    serial = run_monte_carlo(**kw, num_workers=1)
+    assert [s.drop_index for s in serial] == list(range(num_drops))
+    for workers in (2, 3):
+        assert run_monte_carlo(**kw, num_workers=workers) == serial
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_non_finite_capacity_raises():
+    # finite but enormous path power overflows the Gram
+    huge = MultipathComponent(power_gain=1e300, phase=0.0, delay=0.0, aod=(0.0, 0.0), aoa=(0.0, 0.0))
+    cir = ChannelImpulseResponse.from_components([huge], SCEN)
+    with pytest.raises(ValueError, match="non-finite capacity"):
+        run_monte_carlo(
+            SCEN, CirGenConfig(), ArrayGeometry(num_elements=4), ArrayGeometry(num_elements=2),
+            FadingModel.rayleigh(), CapacityConfig(), 3, 1, initial_cir=cir,
+        )
+
+
+@pytest.mark.parametrize("field", ["snr_db", "bandwidth_hz", "center_frequency_hz"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_capacity_config_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        CapacityConfig(**{field: value})
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("rank", ["full", "one"])
+def test_logdet_kernel_matches_slogdet(d, rank):
+    rng = np.random.default_rng(d)
+    cols = d if rank == "full" else 1
+    h = rng.standard_normal((3, 7, 9, cols)) + 1j * rng.standard_normal((3, 7, 9, cols))
+    if rank == "one":
+        h = h * np.ones(d)  # identical columns: a rank-one Gram
+    gram = h.conj().swapaxes(-1, -2) @ h
+    scale = 10.0 / d
+    _, want = np.linalg.slogdet(np.eye(d) + scale * gram)
+    np.testing.assert_allclose(logdet_eye_plus(gram, scale), want, rtol=1e-13, atol=1e-13)
