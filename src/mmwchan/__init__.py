@@ -19,10 +19,8 @@ from .capacity import (
 from .cirgen import (
     CirFileError,
     CirGenConfig,
-    TimeCluster,
     check_void_intervals,
     export_cir,
-    generate_clusters,
     generate_initial_cir,
     import_cir,
     partition_by_void,
@@ -58,7 +56,6 @@ from .estimators import (
 from .spatial import (
     CorrelatedTap,
     CorrelationMatrix,
-    assemble_tap,
     build_amplitude_matched_corr,
     build_ula_corr_matrix,
     eval_autocorr,

@@ -356,10 +356,8 @@ def run_monte_carlo(
     shared_cir = initial_cir
     if shared_cir is not None and shared_cir.num_components < 1:
         raise ValueError("initial_cir needs at least one component")
-    if shared_cir is None:
-        gen_config.validate()
-        if share_initial_cir:
-            shared_cir = generate_initial_cir(gen_config, scenario, _shared_cir_rng(master_seed))
+    if shared_cir is None and share_initial_cir:
+        shared_cir = generate_initial_cir(gen_config, scenario, _shared_cir_rng(master_seed))
     # The amplitude-matched pipeline matrices are deterministic; hoist them.
     rayleigh = FadingModel.rayleigh()
     rr = build_amplitude_matched_corr(params, rx_geometry, rayleigh, side="receive")

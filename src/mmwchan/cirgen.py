@@ -51,9 +51,8 @@ class CirGenConfig:
     intracluster_decay_ns: float = 10.0
     num_lobes_range: tuple[int, int] = (1, 3)
     lobe_angular_spread_deg: float = 10.0
-    rng_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("num_clusters_range", "paths_per_cluster_range", "num_lobes_range"):
             lo, hi = getattr(self, name)
             if not (isinstance(lo, int) and isinstance(hi, int)):
@@ -72,18 +71,6 @@ class CirGenConfig:
             raise ValueError("intracluster_decay_ns must be > 0")
         if not self.lobe_angular_spread_deg >= 0:
             raise ValueError("lobe_angular_spread_deg must be >= 0")
-
-
-@dataclass(frozen=True)
-class TimeCluster:
-    """A group of subpaths arriving within a short delay window."""
-
-    excess_delay: float  # seconds, cluster start
-    subpaths: tuple[MultipathComponent, ...]
-
-    @property
-    def end_delay(self) -> float:
-        return self.subpaths[-1].delay
 
 
 class CirDraw(NamedTuple):
@@ -116,7 +103,7 @@ def _draw_int(rng: np.random.Generator, lo: int, hi: int) -> int:
 
 
 def draw_cir(config: CirGenConfig, rng: np.random.Generator) -> CirDraw:
-    """Draw one CIR from ``rng`` without validating ``config``.
+    """Draw one CIR from ``rng``.
 
     The draw order is fixed: cluster and lobe counts, lobe centres
     (departure lobes first, azimuth then elevation), then per cluster its
@@ -190,36 +177,11 @@ def _components(draw: CirDraw) -> list[MultipathComponent]:
 def generate_initial_cir(
     config: CirGenConfig,
     scenario: Scenario,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> ChannelImpulseResponse:
-    """Generate one initial CIR; deterministic for a fixed config seed."""
-    config.validate()
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
+    """Generate one initial CIR from ``rng``; the same stream gives the
+    same CIR."""
     return ChannelImpulseResponse.from_components(_components(draw_cir(config, rng)), scenario)
-
-
-def generate_clusters(
-    config: CirGenConfig,
-    scenario: Scenario,
-    rng: np.random.Generator | None = None,
-) -> list[TimeCluster]:
-    """Generate the cluster structure behind :func:`generate_initial_cir`.
-
-    Exposed so the declared cluster boundaries can be checked against the
-    configured void interval; total subpath power is normalized to 1.
-    """
-    config.validate()
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
-    draw = draw_cir(config, rng)
-    comps = _components(draw)
-    clusters = []
-    first = 0
-    for start, size in zip(draw.cluster_starts, draw.cluster_sizes):
-        clusters.append(TimeCluster(excess_delay=start, subpaths=tuple(comps[first : first + size])))
-        first += size
-    return clusters
 
 
 def partition_by_void(delays_s, void_s: float) -> list[list[int]]:

@@ -79,14 +79,18 @@ class ScenarioConfig:
         return defaults.autocorr
 
 
-def _parse_int_pair(value: str, key: str) -> tuple[int, int]:
+def _parse_int_pair(value: str) -> tuple[int, int]:
     parts = value.split()
     if len(parts) != 2:
-        raise ConfigError(f"{key}: expected two integers, got {value!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+        raise ValueError(f"expected two integers, got {value!r}")
+    return int(parts[0]), int(parts[1])
+
+
+def _parse_positive_int(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
 
 
 def _parse_finite(value: str) -> float:
@@ -102,7 +106,7 @@ def _parse_bool(value: str) -> bool:
         return True
     if low in ("false", "no", "0"):
         return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
 def _parse_fading(value: str) -> list[FadingModel]:
@@ -114,15 +118,78 @@ def _parse_fading(value: str) -> list[FadingModel]:
             try:
                 models.append(FadingModel.rician(float(token.split(":", 1)[1])))
             except ValueError as exc:
-                raise ConfigError(f"fading.models: bad Rician entry {token!r}") from exc
+                raise ValueError(f"bad Rician entry {token!r}") from exc
         else:
-            raise ConfigError(
-                f"fading.models: unknown model {token!r} "
-                "(use 'rayleigh' or 'rician:<K dB>')"
-            )
+            raise ValueError(f"unknown model {token!r} (use 'rayleigh' or 'rician:<K dB>')")
     if not models:
-        raise ConfigError("fading.models: at least one model required")
+        raise ValueError("at least one model required")
     return models
+
+
+def _parse_autocorr(value: str) -> AutocorrParams | None:
+    if value == "table-default":
+        return None
+    vals = value.split()
+    if len(vals) != 3:
+        raise ValueError("expected 'table-default' or three numbers 'A B C'")
+    return AutocorrParams(*(_parse_finite(v) for v in vals))
+
+
+#: Config key -> (ScenarioConfig field, field of that section or None, parser).
+#: Keys absent from a config keep the dataclass defaults.
+_CONFIG_KEYS = {
+    "scenario": ("scenario", None, Scenario.parse),
+    "cir.num_clusters_range": ("cir_gen", "num_clusters_range", _parse_int_pair),
+    "cir.paths_per_cluster_range": ("cir_gen", "paths_per_cluster_range", _parse_int_pair),
+    "cir.intercluster_void_ns": ("cir_gen", "intercluster_void_ns", _parse_finite),
+    "cir.cluster_decay_ns": ("cir_gen", "cluster_decay_ns", _parse_finite),
+    "cir.intracluster_decay_ns": ("cir_gen", "intracluster_decay_ns", _parse_finite),
+    "cir.num_lobes_range": ("cir_gen", "num_lobes_range", _parse_int_pair),
+    "cir.lobe_angular_spread_deg": ("cir_gen", "lobe_angular_spread_deg", _parse_finite),
+    "cir.import_path": ("cir_import_path", None, str),
+    "rx_array.num_elements": ("rx_array", "num_elements", int),
+    "rx_array.spacing": ("rx_array", "spacing", _parse_finite),
+    "tx_array.num_elements": ("tx_array", "num_elements", int),
+    "tx_array.spacing": ("tx_array", "spacing", _parse_finite),
+    "fading.models": ("fading_models", None, _parse_fading),
+    "autocorr": ("autocorr", None, _parse_autocorr),
+    "capacity.bandwidth_hz": ("capacity", "bandwidth_hz", _parse_finite),
+    "capacity.num_subcarriers": ("capacity", "num_subcarriers", int),
+    "capacity.snr_db": ("capacity", "snr_db", _parse_finite),
+    "capacity.center_frequency_hz": ("capacity", "center_frequency_hz", _parse_finite),
+    "run.num_drops": ("num_drops", None, _parse_positive_int),
+    "run.master_seed": ("master_seed", None, int),
+    "run.num_workers": ("num_workers", None, _parse_positive_int),
+    "run.share_initial_cir": ("share_initial_cir", None, _parse_bool),
+    "run.output_dir": ("output_dir", None, str),
+    "track.num_positions": ("track_positions", None, int),
+    "track.delta_x": ("track_delta_x", None, _parse_finite),
+    "track.delay_bin_ns": ("track_delay_bin_ns", None, _parse_finite),
+}
+
+#: Command-line flag -> (argparse destination, the config key it overrides).
+_OVERRIDE_FLAGS = {
+    "--seed": ("seed", "run.master_seed"),
+    "--drops": ("drops", "run.num_drops"),
+    "--snr-db": ("snr_db", "capacity.snr_db"),
+    "--out": ("out", "run.output_dir"),
+}
+
+
+def _set_values(cfg: ScenarioConfig, items) -> None:
+    """Parse each (name, key, text) of ``items`` into ``cfg`` through
+    :data:`_CONFIG_KEYS`. A value of a section dataclass replaces one field
+    of that section, so the dataclass checks it; any error becomes a
+    :class:`ConfigError` naming ``name``, the key or the flag it came from."""
+    for name, key, text in items:
+        field_name, sub_field, parse = _CONFIG_KEYS[key]
+        try:
+            value = parse(text)
+            if sub_field is not None:
+                value = dataclasses.replace(getattr(cfg, field_name), **{sub_field: value})
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+        setattr(cfg, field_name, value)
 
 
 #: A comment starts with '#' at the start of a line or after whitespace, so
@@ -151,92 +218,11 @@ def read_config_lines(path) -> dict[str, str]:
 def parse_config(path) -> ScenarioConfig:
     """Parse a flat dotted-key config file into a ScenarioConfig."""
     pairs = read_config_lines(path)
+    unknown = sorted(set(pairs) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     cfg = ScenarioConfig()
-
-    def take(key, conv, default):
-        if key not in pairs:
-            return default
-        try:
-            return conv(pairs.pop(key))
-        except ConfigError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
-
-    try:
-        cfg.scenario = take("scenario", Scenario.parse, cfg.scenario)
-        gen_kwargs = dict(
-            num_clusters_range=take(
-                "cir.num_clusters_range",
-                lambda v: _parse_int_pair(v, "cir.num_clusters_range"),
-                CirGenConfig().num_clusters_range,
-            ),
-            paths_per_cluster_range=take(
-                "cir.paths_per_cluster_range",
-                lambda v: _parse_int_pair(v, "cir.paths_per_cluster_range"),
-                CirGenConfig().paths_per_cluster_range,
-            ),
-            intercluster_void_ns=take("cir.intercluster_void_ns", _parse_finite, 25.0),
-            cluster_decay_ns=take("cir.cluster_decay_ns", _parse_finite, CirGenConfig().cluster_decay_ns),
-            intracluster_decay_ns=take(
-                "cir.intracluster_decay_ns", _parse_finite, CirGenConfig().intracluster_decay_ns
-            ),
-            num_lobes_range=take(
-                "cir.num_lobes_range",
-                lambda v: _parse_int_pair(v, "cir.num_lobes_range"),
-                CirGenConfig().num_lobes_range,
-            ),
-            lobe_angular_spread_deg=take(
-                "cir.lobe_angular_spread_deg", _parse_finite, CirGenConfig().lobe_angular_spread_deg
-            ),
-        )
-        cfg.cir_import_path = take("cir.import_path", str, None)
-        cfg.rx_array = ArrayGeometry(
-            num_elements=take("rx_array.num_elements", int, 20),
-            spacing=take("rx_array.spacing", _parse_finite, 0.5),
-        )
-        cfg.tx_array = ArrayGeometry(
-            num_elements=take("tx_array.num_elements", int, 1),
-            spacing=take("tx_array.spacing", _parse_finite, 0.5),
-        )
-        cfg.fading_models = take("fading.models", _parse_fading, cfg.fading_models)
-        autocorr_txt = pairs.pop("autocorr", "table-default")
-        if autocorr_txt != "table-default":
-            vals = autocorr_txt.split()
-            if len(vals) != 3:
-                raise ConfigError("autocorr: expected 'table-default' or three numbers 'A B C'")
-            try:
-                a, b, c = (_parse_finite(v) for v in vals)
-                cfg.autocorr = AutocorrParams(a=a, b=b, c=c)
-            except ValueError as exc:
-                raise ConfigError(f"autocorr: {exc}") from exc
-        cfg.capacity = CapacityConfig(
-            bandwidth_hz=take("capacity.bandwidth_hz", _parse_finite, 800e6),
-            num_subcarriers=take("capacity.num_subcarriers", int, 100),
-            snr_db=take("capacity.snr_db", _parse_finite, 10.0),
-            center_frequency_hz=take("capacity.center_frequency_hz", _parse_finite, 28e9),
-        )
-        cfg.num_drops = take("run.num_drops", int, 2000)
-        cfg.master_seed = take("run.master_seed", int, 1)
-        cfg.num_workers = take("run.num_workers", int, 1)
-        cfg.share_initial_cir = take("run.share_initial_cir", _parse_bool, False)
-        cfg.output_dir = take("run.output_dir", str, "out")
-        cfg.track_positions = take("track.num_positions", int, 11)
-        cfg.track_delta_x = take("track.delta_x", _parse_finite, 0.5)
-        cfg.track_delay_bin_ns = take("track.delay_bin_ns", _parse_finite, 2.5)
-        cfg.cir_gen = CirGenConfig(rng_seed=cfg.master_seed, **gen_kwargs)
-        cfg.cir_gen.validate()
-        if cfg.num_drops < 1:
-            raise ConfigError("run.num_drops must be >= 1")
-        if cfg.num_workers < 1:
-            raise ConfigError("run.num_workers must be >= 1")
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    if pairs:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(pairs))}")
+    _set_values(cfg, ((key, key, text) for key, text in pairs.items()))
     return cfg
 
 
@@ -250,7 +236,7 @@ def _write_csv(path, header: str, rows) -> None:
 def _obtain_cir(cfg: ScenarioConfig):
     if cfg.cir_import_path:
         return import_cir(cfg.cir_import_path, scenario=cfg.scenario)
-    return generate_initial_cir(cfg.cir_gen, cfg.scenario)
+    return generate_initial_cir(cfg.cir_gen, cfg.scenario, np.random.default_rng(cfg.master_seed))
 
 
 def _bin_track_grid(amps: np.ndarray, delays_s, bin_ns: float) -> np.ndarray:
@@ -439,10 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, needs_config=True):
         p.add_argument("--config", required=needs_config, help="run config file")
-        p.add_argument("--seed", type=int, help="override run.master_seed")
-        p.add_argument("--drops", type=int, help="override run.num_drops")
-        p.add_argument("--snr-db", type=float, help="override capacity.snr_db")
-        p.add_argument("--out", help="override run.output_dir")
+        for flag, (_, key) in _OVERRIDE_FLAGS.items():
+            p.add_argument(flag, help=f"override {key}")
 
     add_common(sub.add_parser("simulate-cir", help="write the initial CIR and a local-area PDP grid"))
     cap = sub.add_parser("simulate-capacity", help="Monte Carlo wideband capacity CDFs")
@@ -454,26 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     est = sub.add_parser("estimate", help="autocorrelation curve, model fit, and K estimate from a track file")
     est.add_argument("track", help="track measurement file")
-    est.add_argument("--out", help="output directory (default 'out')")
+    est.add_argument("--out", help=f"output directory (default {ScenarioConfig.output_dir!r})")
     sub.add_parser("dump-defaults", help="print the fitted parameter tables")
     return parser
-
-
-def _apply_overrides(cfg: ScenarioConfig, args) -> ScenarioConfig:
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-        cfg.cir_gen = dataclasses.replace(cfg.cir_gen, rng_seed=args.seed)
-    if args.drops is not None:
-        if args.drops < 1:
-            raise ConfigError("--drops must be >= 1")
-        cfg.num_drops = args.drops
-    if args.snr_db is not None:
-        if not math.isfinite(args.snr_db):
-            raise ConfigError(f"--snr-db: must be finite, got {args.snr_db}")
-        cfg.capacity = dataclasses.replace(cfg.capacity, snr_db=args.snr_db)
-    if args.out is not None:
-        cfg.output_dir = args.out
-    return cfg
 
 
 def main(argv=None) -> int:
@@ -483,10 +450,16 @@ def main(argv=None) -> int:
         if args.command == "dump-defaults":
             return cmd_dump_defaults()
         if args.command == "estimate":
-            out_dir = args.out if args.out else "out"
-            return cmd_estimate(args.track, out_dir)
+            return cmd_estimate(args.track, args.out or ScenarioConfig.output_dir)
         cfg = parse_config(args.config)
-        cfg = _apply_overrides(cfg, args)
+        _set_values(
+            cfg,
+            (
+                (flag, key, getattr(args, dest))
+                for flag, (dest, key) in _OVERRIDE_FLAGS.items()
+                if getattr(args, dest) is not None
+            ),
+        )
         if args.command == "simulate-cir":
             return cmd_simulate_cir(cfg, cfg.output_dir)
         if args.command == "simulate-capacity":

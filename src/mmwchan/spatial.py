@@ -33,7 +33,6 @@ from .core import (
     AutocorrParams,
     ChannelImpulseResponse,
     FadingModel,
-    MultipathComponent,
     db_to_linear,
 )
 
@@ -186,20 +185,21 @@ def _clamped_k(fading: FadingModel) -> float:
     return min(max(k, K_LINEAR_MIN), K_LINEAR_MAX)
 
 
-def sample_hw(
-    n_r: int,
-    n_t: int,
-    fading: FadingModel,
-    rng_seed,
-    los_phase: str = "per-entry",
-) -> np.ndarray:
+def _rician_mix(fading: FadingModel, psi, diffuse):
+    """``sqrt(K/(K+1)) e^(j*psi) + sqrt(1/(K+1)) diffuse`` with the
+    clamped linear K of a Rician model; ``psi`` broadcasts against
+    ``diffuse``."""
+    k = _clamped_k(fading)
+    return math.sqrt(k / (k + 1.0)) * np.exp(1j * psi) + math.sqrt(1.0 / (k + 1.0)) * diffuse
+
+
+def sample_hw(n_r: int, n_t: int, fading: FadingModel, rng_seed) -> np.ndarray:
     """Draw an N_r x N_t small-scale fading matrix with E[|entry|^2] = 1.
 
-    Rayleigh: zero-mean circular complex Gaussian. Rician with linear K:
+    Rayleigh: zero-mean circular complex Gaussian g. Rician with linear K:
     sqrt(K/(K+1))*exp(j*psi) + sqrt(1/(K+1))*g, psi uniform [0, 2pi) per
-    entry (``los_phase="common"`` draws one psi for the whole matrix,
-    giving the rank-one dominant component used by the simulation
-    pipelines).
+    entry. (The simulation pipelines draw one psi per tap instead; see
+    :func:`tap_matrices`.)
     """
     if n_r < 1 or n_t < 1:
         raise ValueError("matrix dimensions must be >= 1")
@@ -207,38 +207,7 @@ def sample_hw(
     g = (rng.standard_normal((n_r, n_t)) + 1j * rng.standard_normal((n_r, n_t))) / math.sqrt(2.0)
     if not fading.is_rician:
         return g
-    k = _clamped_k(fading)
-    if los_phase == "per-entry":
-        psi = rng.uniform(0.0, TWO_PI, size=(n_r, n_t))
-    elif los_phase == "common":
-        psi = rng.uniform(0.0, TWO_PI)
-    else:
-        raise ValueError(f"unknown los_phase {los_phase!r}")
-    return math.sqrt(k / (k + 1.0)) * np.exp(1j * psi) + math.sqrt(1.0 / (k + 1.0)) * g
-
-
-def assemble_tap(
-    r_r_sqrt: np.ndarray,
-    h_w: np.ndarray,
-    r_t_sqrt: np.ndarray,
-    component: MultipathComponent,
-) -> CorrelatedTap:
-    """Kronecker-shape one fading draw into a local-area tap.
-
-    matrix = sqrt(power_gain) * r_r_sqrt @ h_w @ r_t_sqrt; the scaling makes
-    the ensemble-mean entry power equal the component's power gain (unit
-    diagonals make the shaping power-preserving on average). Delay and
-    angles stay those of the parent component.
-    """
-    r_r_sqrt = np.asarray(r_r_sqrt)
-    r_t_sqrt = np.asarray(r_t_sqrt)
-    h_w = np.asarray(h_w)
-    if r_r_sqrt.shape[1] != h_w.shape[0] or h_w.shape[1] != r_t_sqrt.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: {r_r_sqrt.shape} @ {h_w.shape} @ {r_t_sqrt.shape}"
-        )
-    matrix = math.sqrt(component.power_gain) * (r_r_sqrt @ h_w @ r_t_sqrt)
-    return CorrelatedTap(matrix=matrix, delay=component.delay, mean_power=component.power_gain)
+    return _rician_mix(fading, rng.uniform(0.0, TWO_PI, size=(n_r, n_t)), g)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +296,7 @@ def tap_matrices(
     g = (white[..., 0, :, :] + 1j * white[..., 1, :, :]) / math.sqrt(2.0)
     h = r_r_sqrt @ g @ r_t_sqrt
     if fading.is_rician:
-        k = _clamped_k(fading)
-        dominant = math.sqrt(k / (k + 1.0)) * np.exp(1j * psi)
-        h = dominant[..., None, None] + math.sqrt(1.0 / (k + 1.0)) * h
+        h = _rician_mix(fading, psi[..., None, None], h)
     return np.sqrt(powers)[..., None, None] * h
 
 

@@ -1,11 +1,12 @@
+import numpy as np
 import pytest
 
 from mmwchan.cirgen import (
     CirFileError,
     CirGenConfig,
     check_void_intervals,
+    draw_cir,
     export_cir,
-    generate_clusters,
     generate_initial_cir,
     import_cir,
     partition_by_void,
@@ -24,60 +25,65 @@ def comp(delay, power):
     return MultipathComponent(power_gain=power, phase=0.0, delay=delay, aod=(0.0, 0.0), aoa=(0.0, 0.0))
 
 
+def rng(seed):
+    return np.random.default_rng(seed)
+
+
+def cluster_delays(draw):
+    """Component delays of each cluster of a :func:`draw_cir` result."""
+    out, first = [], 0
+    for size in draw.cluster_sizes:
+        out.append(draw.delays[first : first + size])
+        first += size
+    return out
+
+
 class TestGenerator:
     def test_deterministic_for_fixed_seed(self):
-        cfg = CirGenConfig(rng_seed=99)
-        a = generate_initial_cir(cfg, SCEN)
-        b = generate_initial_cir(cfg, SCEN)
+        cfg = CirGenConfig()
+        a = generate_initial_cir(cfg, SCEN, rng(99))
+        b = generate_initial_cir(cfg, SCEN, rng(99))
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = generate_initial_cir(CirGenConfig(rng_seed=1), SCEN)
-        b = generate_initial_cir(CirGenConfig(rng_seed=2), SCEN)
+        a = generate_initial_cir(CirGenConfig(), SCEN, rng(1))
+        b = generate_initial_cir(CirGenConfig(), SCEN, rng(2))
         assert a != b
 
     def test_degenerate_config_single_component(self):
-        cfg = CirGenConfig(
-            num_clusters_range=(1, 1), paths_per_cluster_range=(1, 1), rng_seed=5
-        )
-        cir = generate_initial_cir(cfg, SCEN)
+        cfg = CirGenConfig(num_clusters_range=(1, 1), paths_per_cluster_range=(1, 1))
+        cir = generate_initial_cir(cfg, SCEN, rng(5))
         assert cir.num_components == 1
         assert cir.components[0].delay == 0.0
         assert cir.components[0].power_gain == pytest.approx(1.0, abs=1e-15)
 
     def test_three_clusters_respect_void_interval(self):
         for seed in range(30):
-            clusters = generate_clusters(
-                CirGenConfig(
-                    num_clusters_range=(3, 3),
-                    paths_per_cluster_range=(1, 3),
-                    rng_seed=seed,
-                ),
-                SCEN,
+            draw = draw_cir(
+                CirGenConfig(num_clusters_range=(3, 3), paths_per_cluster_range=(1, 3)),
+                rng(seed),
             )
+            clusters = cluster_delays(draw)
             assert len(clusters) == 3
-            for prev, nxt in zip(clusters, clusters[1:]):
-                gap_ns = (nxt.excess_delay - prev.end_delay) / 1e-9
+            for prev, nxt_start in zip(clusters, draw.cluster_starts[1:]):
+                gap_ns = (nxt_start - prev[-1]) / 1e-9
                 assert gap_ns >= 25.0 - 1e-9
 
     def test_generated_cirs_valid_normalized_and_void(self):
         for seed in range(40):
-            cfg = CirGenConfig(
-                num_clusters_range=(1, 4), paths_per_cluster_range=(1, 5), rng_seed=seed
-            )
-            cir = generate_initial_cir(cfg, SCEN)
+            cfg = CirGenConfig(num_clusters_range=(1, 4), paths_per_cluster_range=(1, 5))
+            cir = generate_initial_cir(cfg, SCEN, rng(seed))
             assert validate_cir(cir) == []
             assert abs(cir.total_power - 1.0) < 1e-9
             assert check_void_intervals(cir, cfg.intercluster_void_ns)
 
     def test_subpath_delays_nondecreasing_within_cluster(self):
-        cfg = CirGenConfig(num_clusters_range=(2, 2), paths_per_cluster_range=(4, 4), rng_seed=3)
-        for cl in generate_clusters(cfg, SCEN):
-            delays = [sp.delay for sp in cl.subpaths]
+        cfg = CirGenConfig(num_clusters_range=(2, 2), paths_per_cluster_range=(4, 4))
+        for delays in cluster_delays(draw_cir(cfg, rng(3))):
             assert delays == sorted(delays)
 
     def test_scenario_carried(self):
-        cir = generate_initial_cir(CirGenConfig(rng_seed=0), Scenario.parse("LOS V-H"))
+        cir = generate_initial_cir(CirGenConfig(), Scenario.parse("LOS V-H"), rng(0))
         assert cir.scenario == Scenario.parse("LOS V-H")
 
     @pytest.mark.parametrize(
@@ -94,7 +100,7 @@ class TestGenerator:
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
-            generate_initial_cir(CirGenConfig(**kwargs), SCEN)
+            CirGenConfig(**kwargs)
 
 
 class TestVoidPartition:
@@ -125,8 +131,7 @@ class TestVoidPartition:
 class TestCirFiles:
     def test_round_trip_identity(self, tmp_path):
         cir = generate_initial_cir(
-            CirGenConfig(num_clusters_range=(2, 3), paths_per_cluster_range=(2, 4), rng_seed=11),
-            SCEN,
+            CirGenConfig(num_clusters_range=(2, 3), paths_per_cluster_range=(2, 4)), SCEN, rng(11)
         )
         path = tmp_path / "cir.csv"
         export_cir(cir, path)
@@ -178,14 +183,14 @@ class TestCirFiles:
             import_cir(path)
 
     def test_export_is_deterministic_text(self, tmp_path):
-        cir = generate_initial_cir(CirGenConfig(rng_seed=21), SCEN)
+        cir = generate_initial_cir(CirGenConfig(), SCEN, rng(21))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         export_cir(cir, p1)
         export_cir(cir, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_scenario_comment_round_trip(self, tmp_path):
-        cir = generate_initial_cir(CirGenConfig(rng_seed=4), Scenario.parse("LOS V-V"))
+        cir = generate_initial_cir(CirGenConfig(), Scenario.parse("LOS V-V"), rng(4))
         path = tmp_path / "los.csv"
         export_cir(cir, path)
         assert import_cir(path).scenario == Scenario.parse("LOS V-V")

@@ -7,6 +7,7 @@ import pytest
 from mmwchan.cirgen import import_cir
 from mmwchan.cli import (
     ConfigError,
+    ScenarioConfig,
     cmd_dump_defaults,
     cmd_estimate,
     cmd_simulate_capacity,
@@ -55,7 +56,6 @@ class TestConfigParsing:
         assert cfg.capacity.num_subcarriers == 20
         assert cfg.num_drops == 8
         assert cfg.master_seed == 77
-        assert cfg.cir_gen.rng_seed == 77  # all randomness flows from the master seed
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -276,7 +276,17 @@ class TestMainEntry:
         assert main(["simulate-capacity", "--config", path]) == 2
 
     @pytest.mark.parametrize(
-        "key,value", [("capacity.snr_db", "nan"), ("capacity.bandwidth_hz", "inf"), ("rx_array.spacing", "inf")]
+        "key,value",
+        [
+            ("capacity.snr_db", "nan"),
+            ("capacity.bandwidth_hz", "inf"),
+            ("rx_array.spacing", "inf"),
+            ("rx_array.spacing", "0"),
+            ("tx_array.num_elements", "0"),
+            ("cir.num_clusters_range", "0 2"),
+            ("capacity.num_subcarriers", "0"),
+            ("run.share_initial_cir", "maybe"),
+        ],
     )
     def test_non_finite_value_exit_2_names_key(self, tmp_path, capsys, key, value):
         text = "\n".join(line for line in BASE_CFG.splitlines() if not line.startswith(key))
@@ -290,6 +300,27 @@ class TestMainEntry:
         path = write_cfg(tmp_path, BASE_CFG)
         assert main(["simulate-capacity", "--config", path, "--snr-db", "nan", "--out", str(tmp_path / "o")]) == 2
         assert "--snr-db" in capsys.readouterr().err
+
+    def test_defaults_have_one_source(self, tmp_path, capsys):
+        assert parse_config(write_cfg(tmp_path, "# nothing set\n", name="empty.cfg")) == ScenarioConfig()
+        base = write_cfg(tmp_path, BASE_CFG)
+        keys = write_cfg(
+            tmp_path,
+            BASE_CFG + "\nrun.master_seed = 5\nrun.num_drops = 3\ncapacity.snr_db = 4.5\n",
+            name="keys.cfg",
+        )
+        for command in ("simulate-cir", "simulate-capacity"):
+            by_flags, by_keys = tmp_path / f"{command}-flags", tmp_path / f"{command}-keys"
+            flags = ["--seed", "5", "--drops", "3", "--snr-db", "4.5"]
+            assert main([command, "--config", base, *flags, "--out", str(by_flags)]) == 0
+            assert main([command, "--config", keys, "--out", str(by_keys)]) == 0
+            names = sorted(os.listdir(by_flags))
+            assert names == sorted(os.listdir(by_keys))
+            for name in names:
+                assert (by_flags / name).read_bytes() == (by_keys / name).read_bytes()
+        capsys.readouterr()
+        assert main(["simulate-capacity", "--config", base, "--drops", "0", "--out", str(tmp_path / "o")]) == 2
+        assert "--drops" in capsys.readouterr().err
 
     def test_estimate_missing_track_names_path(self, capsys):
         code = main(["estimate", "/no/such/track.csv"])
@@ -322,8 +353,6 @@ class TestLocalAreaPdpGrid:
         power swing modest across the 11-position track: the ensemble median
         of the per-bin max/min range computes to ~7.9 dB (Rician K=5 power
         statistics over correlated half-wavelength steps)."""
-        import dataclasses
-
         from mmwchan.cirgen import generate_initial_cir
         from mmwchan.cli import _bin_track_grid
         from mmwchan.spatial import simulate_amplitude_track
@@ -335,8 +364,7 @@ class TestLocalAreaPdpGrid:
         assert fading.label() == "rician5dB"
         ranges = []
         for seed in range(100):
-            gen = dataclasses.replace(cfg.cir_gen, rng_seed=seed)
-            cir = generate_initial_cir(gen, cfg.scenario)
+            cir = generate_initial_cir(cfg.cir_gen, cfg.scenario, np.random.default_rng(seed))
             rng = np.random.default_rng(seed + 10_000)
             amps = simulate_amplitude_track(
                 cir, params, cfg.track_positions, cfg.track_delta_x, fading, rng

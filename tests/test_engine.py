@@ -28,7 +28,7 @@ from mmwchan.capacity import (
     logdet_eye_plus,
     run_monte_carlo,
 )
-from mmwchan.cirgen import CirGenConfig, generate_clusters, generate_initial_cir
+from mmwchan.cirgen import CirGenConfig, draw_cir, generate_initial_cir
 from mmwchan.core import (
     ArrayGeometry,
     ChannelImpulseResponse,
@@ -129,9 +129,11 @@ def test_generated_cir_equals_reference_and_leaves_same_stream(spread_deg):
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
             assert generate_initial_cir(cfg, SCEN, rng_a) == reference_initial_cir(cfg, SCEN, rng_b)
             assert rng_a.random() == rng_b.random()
-            clusters = generate_clusters(cfg, SCEN, np.random.default_rng(seed))
-            flat = tuple(c for cl in clusters for c in cl.subpaths)
-            assert flat == reference_initial_cir(cfg, SCEN, np.random.default_rng(seed)).components
+            draw = draw_cir(cfg, np.random.default_rng(seed))
+            want = reference_initial_cir(cfg, SCEN, np.random.default_rng(seed)).components
+            firsts = np.cumsum([0] + draw.cluster_sizes[:-1])
+            assert sum(draw.cluster_sizes) == len(want)
+            assert draw.cluster_starts == [want[i].delay for i in firsts]
 
 
 # Ragged MIMO drops: 2-12 taps over both Gram routes, and enough

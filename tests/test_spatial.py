@@ -6,18 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import expected_autocorr, rician_power_cdf
-from mmwchan.core import ArrayGeometry, AutocorrParams, FadingModel, MultipathComponent
+from mmwchan.core import (
+    ArrayGeometry,
+    AutocorrParams,
+    ChannelImpulseResponse,
+    FadingModel,
+    MultipathComponent,
+    Scenario,
+)
 from mmwchan.spatial import (
     amplitude_matched_magnitude,
-    assemble_tap,
     build_amplitude_matched_corr,
     build_ula_corr_matrix,
+    draw_tap_noise,
     raw_ula_corr_matrix,
     eval_autocorr,
     matrix_sqrt_psd,
     realize_taps,
     repair_to_correlation,
     sample_hw,
+    tap_matrices,
 )
 
 NLOS_VV = AutocorrParams(0.9, 1.0, -0.1)
@@ -192,7 +200,10 @@ class TestSampleHw:
         assert gap < 0.005
 
     def test_common_phase_mode_same_marginals(self):
-        h = sample_hw(500, 500, FadingModel.rician(5.0), 4, los_phase="common")
+        # one dominant phase for the whole matrix, as the pipelines draw it
+        fading = FadingModel.rician(5.0)
+        white, psi = draw_tap_noise(np.random.default_rng(4), 1, 500, 500, True)
+        h = tap_matrices(white, psi, np.ones(1), np.eye(500), np.eye(500), fading)[0]
         p = (np.abs(h) ** 2).ravel()
         k = 10 ** 0.5
         x = np.sort(p / np.mean(p))
@@ -209,32 +220,44 @@ class TestSampleHw:
             sample_hw(0, 2, FadingModel.rayleigh(), 0)
 
 
+def shaped_tap(r_r_sqrt, h_w, r_t_sqrt, power=1.0):
+    """``sqrt(power) * r_r_sqrt @ h_w @ r_t_sqrt`` through :func:`tap_matrices`,
+    with the complex draw ``h_w`` given as its white parts."""
+    h_w = np.asarray(h_w, dtype=complex)
+    white = math.sqrt(2.0) * np.stack([h_w.real, h_w.imag])[None]
+    return tap_matrices(white, None, np.array([power]), r_r_sqrt, r_t_sqrt, FadingModel.rayleigh())[0]
+
+
 class TestAssembleTap:
+    """Kronecker tap assembly: the Rayleigh path of :func:`tap_matrices`,
+    and the delay and power that :func:`realize_taps` copies into a tap."""
+
     def test_identity_correlations_all_ones(self):
-        tap = assemble_tap(np.eye(3), np.ones((3, 2)), np.eye(2), comp(power=1.0))
-        assert np.allclose(tap.matrix, np.ones((3, 2)))
-        assert tap.mean_power == 1.0
+        matrix = shaped_tap(np.eye(3), np.ones((3, 2)), np.eye(2), power=1.0)
+        assert np.allclose(matrix, np.ones((3, 2)))
 
     def test_power_scaling(self):
         h = np.full((2, 2), 0.7 + 0.1j)
-        tap = assemble_tap(np.eye(2), h, np.eye(2), comp(power=0.25))
-        assert np.allclose(tap.matrix, 0.5 * h)
+        matrix = shaped_tap(np.eye(2), h, np.eye(2), power=0.25)
+        assert np.allclose(matrix, 0.5 * h)
 
     def test_fully_correlated_receive_rows_identical(self):
         r = repair_to_correlation(np.ones((2, 2)))
         s = matrix_sqrt_psd(r)
         rng = np.random.default_rng(8)
         h_w = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        tap = assemble_tap(s, h_w, np.eye(2), comp())
-        assert np.allclose(tap.matrix[0], tap.matrix[1], atol=1e-9)
+        matrix = shaped_tap(s, h_w, np.eye(2))
+        assert np.allclose(matrix[0], matrix[1], atol=1e-9)
 
     def test_delay_copied(self):
-        tap = assemble_tap(np.eye(2), np.ones((2, 2)), np.eye(2), comp(delay=30e-9))
+        cir = ChannelImpulseResponse.from_components([comp(delay=30e-9)], Scenario.parse("NLOS V-V"))
+        tap = realize_taps(cir, np.eye(2), np.eye(2), FadingModel.rayleigh(), np.random.default_rng(0))[0]
         assert tap.delay == 30e-9
+        assert tap.mean_power == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            assemble_tap(np.eye(3), np.ones((2, 2)), np.eye(2), comp())
+            shaped_tap(np.eye(3), np.ones((2, 2)), np.eye(2))
 
 
 class TestSecondMomentIdentities:
