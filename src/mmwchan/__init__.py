@@ -62,7 +62,6 @@ from .spatial import (
     matrix_sqrt_psd,
     realize_taps,
     repair_to_correlation,
-    sample_hw,
     simulate_amplitude_track,
 )
 

@@ -30,6 +30,7 @@ from .core import (
     lookup_default_params,
 )
 from .estimators import (
+    MIN_K_SAMPLES,
     TrackFileError,
     TrackMeasurement,
     average_autocorr,
@@ -86,17 +87,27 @@ def _parse_int_pair(value: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _parse_positive_int(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise ValueError(f"must be >= 1, got {n}")
-    return n
+def _parse_int_at_least(low: int):
+    def parse(value: str) -> int:
+        n = int(value)
+        if n < low:
+            raise ValueError(f"must be >= {low}, got {n}")
+        return n
+
+    return parse
 
 
 def _parse_finite(value: str) -> float:
     x = float(value)
     if not math.isfinite(x):
         raise ValueError(f"must be finite, got {value!r}")
+    return x
+
+
+def _parse_positive_finite(value: str) -> float:
+    x = _parse_finite(value)
+    if not x > 0:
+        raise ValueError(f"must be > 0, got {x!r}")
     return x
 
 
@@ -157,14 +168,14 @@ _CONFIG_KEYS = {
     "capacity.num_subcarriers": ("capacity", "num_subcarriers", int),
     "capacity.snr_db": ("capacity", "snr_db", _parse_finite),
     "capacity.center_frequency_hz": ("capacity", "center_frequency_hz", _parse_finite),
-    "run.num_drops": ("num_drops", None, _parse_positive_int),
-    "run.master_seed": ("master_seed", None, int),
-    "run.num_workers": ("num_workers", None, _parse_positive_int),
+    "run.num_drops": ("num_drops", None, _parse_int_at_least(1)),
+    "run.master_seed": ("master_seed", None, _parse_int_at_least(0)),
+    "run.num_workers": ("num_workers", None, _parse_int_at_least(1)),
     "run.share_initial_cir": ("share_initial_cir", None, _parse_bool),
     "run.output_dir": ("output_dir", None, str),
-    "track.num_positions": ("track_positions", None, int),
-    "track.delta_x": ("track_delta_x", None, _parse_finite),
-    "track.delay_bin_ns": ("track_delay_bin_ns", None, _parse_finite),
+    "track.num_positions": ("track_positions", None, _parse_int_at_least(2)),
+    "track.delta_x": ("track_delta_x", None, _parse_positive_finite),
+    "track.delay_bin_ns": ("track_delay_bin_ns", None, _parse_positive_finite),
 }
 
 #: Command-line flag -> (argparse destination, the config key it overrides).
@@ -366,19 +377,17 @@ def cmd_estimate(track_path: str, out_dir: str) -> int:
     ]
 
     # pool per-bin normalized powers over resolvable (fading) bins
-    pooled = []
-    for b in range(track.num_bins):
-        col = track.amplitudes[:, b]
-        if np.ptp(col) > 0 and np.all(col > 0):
-            p = col**2
-            pooled.extend(p / np.mean(p))
-    if len(pooled) >= 100:
-        est = estimate_k_factor(np.asarray(pooled))
+    amps = track.amplitudes
+    fading = (np.ptp(amps, axis=0) > 0) & np.all(amps > 0, axis=0)
+    power = np.ascontiguousarray(amps.T[fading]) ** 2  # (bins, positions)
+    pooled = (power / power.mean(axis=1, keepdims=True)).ravel()
+    if pooled.size >= MIN_K_SAMPLES:
+        est = estimate_k_factor(pooled)
         lines.append(f"k_factor_db = {est.k_db!r}")
         lines.append(f"k_factor_status = {est.status}")
     else:
         lines.append("k_factor_db = unavailable")
-        lines.append(f"k_factor_status = insufficient_samples ({len(pooled)} < 100)")
+        lines.append(f"k_factor_status = insufficient_samples ({pooled.size} < {MIN_K_SAMPLES})")
 
     fit_path = os.path.join(out_dir, "fit.txt")
     with open(fit_path, "w", encoding="utf-8") as fh:

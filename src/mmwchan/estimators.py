@@ -16,6 +16,13 @@ import numpy as np
 
 from .core import AutocorrParams
 
+#: Byte budget of one (bins x lags x positions) float array in the
+#: autocorrelation kernel, which holds a few such arrays at once; larger
+#: grids go through in groups of bins.
+_BATCH_BYTES = 1 << 20
+#: Fewest power samples the moment K-factor estimate accepts.
+MIN_K_SAMPLES = 100
+
 
 class TrackFileError(ValueError):
     """Raised when a track file does not match the expected schema."""
@@ -88,34 +95,47 @@ class AutocorrCurve:
         return np.isfinite(self.values)
 
 
-def _pearson_at_lag(seq, lag: int) -> float:
-    """Correlation between the sequence and its lag-shifted copy, with
-    means and variances computed over the overlapping window.
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, adding in index order: ``np.add.accumulate``
+    does, where ``np.sum`` adds pairwise."""
+    return np.add.accumulate(terms, axis=-1)[..., -1]
 
-    Sequential float accumulation so a literal double-loop evaluation of
-    the defining expectation reproduces the result bit for bit. Returns NaN
-    when either window has zero variance.
+
+def _autocorr_grid(amplitudes: np.ndarray, min_overlap: int) -> np.ndarray:
+    """Windowed lag correlations of each column of a (positions x bins)
+    grid, as a (bins x lags) array; NaN marks a zero-variance window.
+
+    Lag i pairs position l with l + i over the n = positions - i overlapping
+    samples, with means and variances over that window. Lags run from 0
+    while n stays at least min(min_overlap, positions), and at least 2.
+    The windows are laid out as (bins, lags, 1 + positions) with a leading
+    0.0 term and masked-out terms set to 0.0, and every sum is an
+    :func:`_ordered_sum`, so each value comes from the same float operations
+    as a sequential double loop over its window, bit for bit. Bins are
+    independent and go through in groups under :data:`_BATCH_BYTES`.
     """
-    n = len(seq) - lag
-    sx = 0.0
-    sy = 0.0
-    for l in range(n):
-        sx += seq[l]
-        sy += seq[l + lag]
-    mx = sx / n
-    my = sy / n
-    sxy = 0.0
-    sxx = 0.0
-    syy = 0.0
-    for l in range(n):
-        dx = seq[l] - mx
-        dy = seq[l + lag] - my
-        sxy += dx * dy
-        sxx += dx * dx
-        syy += dy * dy
-    if sxx == 0.0 or syy == 0.0:
-        return math.nan
-    return sxy / math.sqrt(sxx * syy)
+    a = np.asarray(amplitudes, dtype=float).T
+    num_bins, n_pos = a.shape
+    num_lags = n_pos - max(min(min_overlap, n_pos), 2) + 1
+    n = n_pos - np.arange(num_lags)
+    # term k of lag i's window is position k - 1; term 0 is the leading 0.0
+    k = np.arange(n_pos + 1)
+    inside = (k >= 1) & (k <= n[:, None])
+    # zero-padded so that window (i, k) of the sliding view reads position i + k - 1
+    padded = np.zeros((num_bins, n_pos + num_lags))
+    padded[:, 1 : n_pos + 1] = a
+    shifted = np.lib.stride_tricks.sliding_window_view(padded, n_pos + 1, axis=-1)
+    out = np.full((num_bins, num_lags), math.nan)
+    group = max(1, _BATCH_BYTES // (8 * num_lags * (n_pos + 1)))
+    for lo in range(0, num_bins, group):
+        x = np.where(inside, padded[lo : lo + group, None, : n_pos + 1], 0.0)
+        y = np.where(inside, shifted[lo : lo + group], 0.0)
+        dx = np.where(inside, x - (_ordered_sum(x) / n)[..., None], 0.0)
+        dy = np.where(inside, y - (_ordered_sum(y) / n)[..., None], 0.0)
+        sxx, syy = _ordered_sum(dx * dx), _ordered_sum(dy * dy)
+        ok = (sxx != 0.0) & (syy != 0.0)
+        out[lo : lo + group][ok] = _ordered_sum(dx * dy)[ok] / np.sqrt(sxx[ok] * syy[ok])
+    return out
 
 
 def spatial_autocorrelation(
@@ -131,14 +151,8 @@ def spatial_autocorrelation(
     """
     if not 0 <= delay_bin < track.num_bins:
         raise ValueError(f"delay_bin {delay_bin} out of range [0, {track.num_bins})")
-    seq = [float(v) for v in track.amplitudes[:, delay_bin]]
-    n = len(seq)
-    keep = min(min_overlap, n) if n >= 2 else n
-    keep = max(keep, 2)
-    max_lag = max(n - keep, 0)
-    lags = np.arange(max_lag + 1) * track.delta_x
-    values = np.array([_pearson_at_lag(seq, i) for i in range(max_lag + 1)])
-    return AutocorrCurve(lags=lags, values=values)
+    values = _autocorr_grid(track.amplitudes[:, delay_bin : delay_bin + 1], min_overlap)[0]
+    return AutocorrCurve(lags=np.arange(values.size) * track.delta_x, values=values)
 
 
 def average_autocorr(track: TrackMeasurement, min_overlap: int = 8) -> AutocorrCurve:
@@ -148,18 +162,14 @@ def average_autocorr(track: TrackMeasurement, min_overlap: int = 8) -> AutocorrC
     restricts the average to resolvable multipath bins. Raises when no bin
     is defined anywhere.
     """
-    curves = [
-        spatial_autocorrelation(track, b, min_overlap=min_overlap)
-        for b in range(track.num_bins)
-    ]
-    values = np.vstack([c.values for c in curves])
+    values = _autocorr_grid(track.amplitudes, min_overlap)
     defined = np.isfinite(values)
     if not defined.any():
         raise ValueError("no delay bin has a defined autocorrelation (all zero variance)")
     counts = defined.sum(axis=0)
     sums = np.where(defined, values, 0.0).sum(axis=0)
     avg = np.where(counts > 0, sums / np.maximum(counts, 1), math.nan)
-    return AutocorrCurve(lags=curves[0].lags, values=avg)
+    return AutocorrCurve(lags=np.arange(values.shape[1]) * track.delta_x, values=avg)
 
 
 @dataclass(frozen=True)
@@ -289,8 +299,8 @@ def estimate_k_factor(power_samples) -> KFactorEstimate:
     denominator flags vanishing fading (K -> inf).
     """
     p = np.asarray(power_samples, dtype=float).ravel()
-    if p.size < 100:
-        raise ValueError("need at least 100 power samples")
+    if p.size < MIN_K_SAMPLES:
+        raise ValueError(f"need at least {MIN_K_SAMPLES} power samples")
     if np.any(p <= 0) or not np.all(np.isfinite(p)):
         raise ValueError("power samples must be finite and > 0")
     m2 = float(np.mean(p))

@@ -185,31 +185,6 @@ def _clamped_k(fading: FadingModel) -> float:
     return min(max(k, K_LINEAR_MIN), K_LINEAR_MAX)
 
 
-def _rician_mix(fading: FadingModel, psi, diffuse):
-    """``sqrt(K/(K+1)) e^(j*psi) + sqrt(1/(K+1)) diffuse`` with the
-    clamped linear K of a Rician model; ``psi`` broadcasts against
-    ``diffuse``."""
-    k = _clamped_k(fading)
-    return math.sqrt(k / (k + 1.0)) * np.exp(1j * psi) + math.sqrt(1.0 / (k + 1.0)) * diffuse
-
-
-def sample_hw(n_r: int, n_t: int, fading: FadingModel, rng_seed) -> np.ndarray:
-    """Draw an N_r x N_t small-scale fading matrix with E[|entry|^2] = 1.
-
-    Rayleigh: zero-mean circular complex Gaussian g. Rician with linear K:
-    sqrt(K/(K+1))*exp(j*psi) + sqrt(1/(K+1))*g, psi uniform [0, 2pi) per
-    entry. (The simulation pipelines draw one psi per tap instead; see
-    :func:`tap_matrices`.)
-    """
-    if n_r < 1 or n_t < 1:
-        raise ValueError("matrix dimensions must be >= 1")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
-    g = (rng.standard_normal((n_r, n_t)) + 1j * rng.standard_normal((n_r, n_t))) / math.sqrt(2.0)
-    if not fading.is_rician:
-        return g
-    return _rician_mix(fading, rng.uniform(0.0, TWO_PI, size=(n_r, n_t)), g)
-
-
 # ---------------------------------------------------------------------------
 # Amplitude-matched construction used by the simulation pipelines
 # ---------------------------------------------------------------------------
@@ -296,7 +271,8 @@ def tap_matrices(
     g = (white[..., 0, :, :] + 1j * white[..., 1, :, :]) / math.sqrt(2.0)
     h = r_r_sqrt @ g @ r_t_sqrt
     if fading.is_rician:
-        h = _rician_mix(fading, psi[..., None, None], h)
+        k = _clamped_k(fading)
+        h = math.sqrt(k / (k + 1.0)) * np.exp(1j * psi[..., None, None]) + math.sqrt(1.0 / (k + 1.0)) * h
     return np.sqrt(powers)[..., None, None] * h
 
 

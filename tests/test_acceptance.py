@@ -40,7 +40,6 @@ from mmwchan.spatial import (
     draw_tap_noise,
     matrix_sqrt_psd,
     realize_taps,
-    sample_hw,
     tap_matrices,
 )
 
@@ -208,7 +207,8 @@ def test_criterion_6_k_factor_round_trip():
         fading = FadingModel.rician(k_db)
         hits = 0
         for _ in range(n_trials):
-            h = sample_hw(250, 400, fading, rng)  # 1e5 entries
+            white, psi = draw_tap_noise(rng, 1, 250, 400, True)  # 1e5 entries
+            h = tap_matrices(white, psi, np.ones(1), np.eye(250), np.eye(400), fading)[0]
             p = (np.abs(h) ** 2).ravel()
             est = estimate_k_factor(p / p.mean())
             hits += est.ok and abs(est.k_db - k_db) <= 1.0

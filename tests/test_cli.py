@@ -286,15 +286,22 @@ class TestMainEntry:
             ("cir.num_clusters_range", "0 2"),
             ("capacity.num_subcarriers", "0"),
             ("run.share_initial_cir", "maybe"),
+            ("run.master_seed", "-1"),
+            ("track.num_positions", "1"),
+            ("track.delta_x", "0"),
+            ("track.delay_bin_ns", "0"),
+            ("--seed", "-3"),
         ],
     )
     def test_non_finite_value_exit_2_names_key(self, tmp_path, capsys, key, value):
+        flag = [key, value] if key.startswith("--") else []
         text = "\n".join(line for line in BASE_CFG.splitlines() if not line.startswith(key))
-        path = write_cfg(tmp_path, text + f"\n{key} = {value}\n")
+        path = write_cfg(tmp_path, text if flag else text + f"\n{key} = {value}\n")
         out_dir = tmp_path / "out"
-        assert main(["simulate-capacity", "--config", path, "--out", str(out_dir)]) == 2
-        assert key in capsys.readouterr().err
-        assert not out_dir.exists()
+        for command in ("simulate-cir", "simulate-capacity"):
+            assert main([command, "--config", path, *flag, "--out", str(out_dir)]) == 2
+            assert key in capsys.readouterr().err
+            assert not out_dir.exists()  # no cir.csv, nor any other file
 
     def test_non_finite_snr_override_exit_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, BASE_CFG)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_autocorr, exponential_power_cdf
+from mmwchan import estimators
 from mmwchan.core import FadingModel
 from mmwchan.estimators import (
     AutocorrCurve,
@@ -19,7 +20,14 @@ from mmwchan.estimators import (
     spatial_autocorrelation,
     write_track,
 )
-from mmwchan.spatial import sample_hw
+from mmwchan.spatial import draw_tap_noise, tap_matrices
+
+
+def unit_tap(n_r, n_t, fading, seed):
+    """One unit-power N_r x N_t tap with identity correlation roots, drawn as
+    the pipelines draw a tap; its entries' powers are i.i.d."""
+    white, psi = draw_tap_noise(np.random.default_rng(seed), 1, n_r, n_t, fading.is_rician)
+    return tap_matrices(white, psi, np.ones(1), np.eye(n_r), np.eye(n_t), fading)[0]
 
 
 def track_from_columns(*cols, delta_x=0.5):
@@ -54,17 +62,23 @@ class TestSpatialAutocorrelation:
 
     def test_matches_brute_force_bitwise(self):
         rng = np.random.default_rng(42)
-        for _ in range(25):
-            n = int(rng.integers(9, 17))
+        for trial in range(90):
+            n = int(rng.integers(9, 17)) if trial < 25 else int(rng.integers(2, 41))
             col = rng.random(n) * 3.0
+            if trial % 3 == 1:
+                # a constant run (zeros every other time): zero-variance
+                # windows at some lags only
+                start = int(rng.integers(0, n))
+                col[start : start + int(rng.integers(n // 2, n + 1))] = 0.0 if trial % 2 else col[start]
             t = track_from_columns(col)
-            curve = spatial_autocorrelation(t, 0)
-            for i, v in enumerate(curve.values):
-                ref = brute_force_autocorr([float(x) for x in col], i)
-                if math.isnan(ref):
-                    assert math.isnan(v)
-                else:
-                    assert v == ref  # bit-for-bit
+            for min_overlap in (8, 0, 1, n + 3):
+                curve = spatial_autocorrelation(t, 0, min_overlap=min_overlap)
+                for i, v in enumerate(curve.values):
+                    ref = brute_force_autocorr([float(x) for x in col], i)
+                    if math.isnan(ref):
+                        assert math.isnan(v)
+                    else:
+                        assert v == ref  # bit-for-bit
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 100000), n=st.integers(2, 40))
@@ -106,6 +120,31 @@ class TestAverageAutocorr:
         avg = average_autocorr(t)
         only = spatial_autocorrelation(t, 0)
         assert np.allclose(avg.values, only.values, equal_nan=True)
+
+    def test_multi_bin_mean_of_bin_curves_bitwise(self):
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            n, bins = int(rng.integers(2, 41)), int(rng.integers(2, 40))
+            amps = rng.random((n, bins))
+            amps[:, rng.random(bins) < 0.3] = 1.5  # dead bins
+            amps[: n // 2, 0] = 0.0  # undefined at some lags only
+            t = TrackMeasurement(amplitudes=amps, delta_x=0.5)
+            for min_overlap in (0, 8, n):
+                curves = np.vstack(
+                    [spatial_autocorrelation(t, b, min_overlap=min_overlap).values for b in range(bins)]
+                )
+                counts = np.isfinite(curves).sum(axis=0)
+                if not counts.any():
+                    continue
+                mean = np.where(counts > 0, np.nansum(curves, axis=0) / np.maximum(counts, 1), np.nan)
+                assert average_autocorr(t, min_overlap=min_overlap).values.tobytes() == mean.tobytes()
+
+    def test_bin_groups_do_not_change_values(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        t = TrackMeasurement(amplitudes=rng.random((40, 9)), delta_x=0.5)
+        whole = average_autocorr(t, min_overlap=2).values
+        monkeypatch.setattr(estimators, "_BATCH_BYTES", 1)  # one bin per group
+        assert average_autocorr(t, min_overlap=2).values.tobytes() == whole.tobytes()
 
     def test_all_bins_dead_raises(self):
         t = track_from_columns(np.zeros(12), np.full(12, 2.0))
@@ -238,14 +277,14 @@ class TestFitAutocorrMmse:
 class TestKFactor:
     @pytest.mark.parametrize("k_db", [3.0, 9.0])
     def test_round_trip(self, k_db):
-        h = sample_hw(400, 250, FadingModel.rician(k_db), 5)
+        h = unit_tap(400, 250, FadingModel.rician(k_db), 5)
         p = (np.abs(h) ** 2).ravel()
         est = estimate_k_factor(p / p.mean())
         assert est.ok
         assert est.k_db == pytest.approx(k_db, abs=1.0)
 
     def test_rayleigh_flagged_or_tiny(self):
-        h = sample_hw(400, 250, FadingModel.rayleigh(), 6)
+        h = unit_tap(400, 250, FadingModel.rayleigh(), 6)
         p = (np.abs(h) ** 2).ravel()
         est = estimate_k_factor(p / p.mean())
         assert est.status == "non_rician" or est.k_db < -10.0
@@ -270,7 +309,7 @@ class TestEmpiricalPowerCdf:
         assert prob[0] == 1.0
 
     def test_rayleigh_matches_exponential_law(self):
-        h = sample_hw(400, 250, FadingModel.rayleigh(), 8)
+        h = unit_tap(400, 250, FadingModel.rayleigh(), 8)
         p = (np.abs(h) ** 2).ravel()
         db, prob = empirical_power_cdf(p)
         lin = 10.0 ** (db / 10.0)
@@ -279,7 +318,7 @@ class TestEmpiricalPowerCdf:
 
     def test_higher_k_is_steeper(self):
         def spread(k_db):
-            h = sample_hw(300, 300, FadingModel.rician(k_db), 9)
+            h = unit_tap(300, 300, FadingModel.rician(k_db), 9)
             db, prob = empirical_power_cdf((np.abs(h) ** 2).ravel())
             lo = db[np.searchsorted(prob, 0.1)]
             hi = db[np.searchsorted(prob, 0.9)]

@@ -24,7 +24,6 @@ from mmwchan.spatial import (
     matrix_sqrt_psd,
     realize_taps,
     repair_to_correlation,
-    sample_hw,
     tap_matrices,
 )
 
@@ -175,23 +174,34 @@ class TestMatrixSqrt:
         assert np.linalg.norm(s @ s - built.entries) < 1e-9
 
 
+def unit_tap(n_r, n_t, fading, seed):
+    """One unit-power N_r x N_t tap with identity correlation roots, drawn as
+    the pipelines draw a tap. Its entries share one dominant phase, so their
+    powers are i.i.d. with the model's marginal law."""
+    white, psi = draw_tap_noise(np.random.default_rng(seed), 1, n_r, n_t, fading.is_rician)
+    return tap_matrices(white, psi, np.ones(1), np.eye(n_r), np.eye(n_t), fading)[0]
+
+
 class TestSampleHw:
+    """Small-scale fading of one tap through :func:`draw_tap_noise` and
+    :func:`tap_matrices` with identity correlations."""
+
     def test_huge_k_removes_fading(self):
-        h = sample_hw(8, 8, FadingModel.rician(200.0), 0)
+        h = unit_tap(8, 8, FadingModel.rician(200.0), 0)
         assert np.max(np.abs(np.abs(h) - 1.0)) < 1e-5
 
     def test_rayleigh_unit_mean_square(self):
-        h = sample_hw(1000, 1000, FadingModel.rayleigh(), 1)
+        h = unit_tap(1000, 1000, FadingModel.rayleigh(), 1)
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=5e-3)
 
     def test_rician_unit_mean_square(self):
-        h = sample_hw(1000, 1000, FadingModel.rician(5.0), 2)
+        h = unit_tap(1000, 1000, FadingModel.rician(5.0), 2)
         assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=5e-3)
 
     def test_rician_power_distribution_matches_closed_form(self):
         k_db = 5.0
         k = 10 ** (k_db / 10)
-        h = sample_hw(1000, 1000, FadingModel.rician(k_db), 3)
+        h = unit_tap(1000, 1000, FadingModel.rician(k_db), 3)
         p = (np.abs(h) ** 2).ravel()
         p = p / np.mean(p)
         x = np.sort(p)
@@ -201,9 +211,7 @@ class TestSampleHw:
 
     def test_common_phase_mode_same_marginals(self):
         # one dominant phase for the whole matrix, as the pipelines draw it
-        fading = FadingModel.rician(5.0)
-        white, psi = draw_tap_noise(np.random.default_rng(4), 1, 500, 500, True)
-        h = tap_matrices(white, psi, np.ones(1), np.eye(500), np.eye(500), fading)[0]
+        h = unit_tap(500, 500, FadingModel.rician(5.0), 4)
         p = (np.abs(h) ** 2).ravel()
         k = 10 ** 0.5
         x = np.sort(p / np.mean(p))
@@ -211,13 +219,9 @@ class TestSampleHw:
         assert np.max(np.abs(ecdf - rician_power_cdf(x, k))) < 0.01
 
     def test_determinism(self):
-        a = sample_hw(4, 3, FadingModel.rician(5.0), 77)
-        b = sample_hw(4, 3, FadingModel.rician(5.0), 77)
+        a = unit_tap(4, 3, FadingModel.rician(5.0), 77)
+        b = unit_tap(4, 3, FadingModel.rician(5.0), 77)
         assert np.array_equal(a, b)
-
-    def test_bad_dims(self):
-        with pytest.raises(ValueError):
-            sample_hw(0, 2, FadingModel.rayleigh(), 0)
 
 
 def shaped_tap(r_r_sqrt, h_w, r_t_sqrt, power=1.0):
