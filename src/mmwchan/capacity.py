@@ -208,10 +208,6 @@ def _capacities(gram: np.ndarray, config: CapacityConfig, n_t: int) -> np.ndarra
     return np.maximum(np.mean(logdet, axis=-1) / math.log(2.0), 0.0)
 
 
-def _drop_seed_sequence(master_seed: int, drop_index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(entropy=master_seed, spawn_key=(0, drop_index))
-
-
 def _shared_cir_rng(master_seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(1, 0)))
 
@@ -279,17 +275,18 @@ def _simulate_chunk(task) -> list[CapacitySample]:
     boundary.
 
     Each drop draws from its own stream in the per-drop order (CIR, then
-    tap fading, then the seed word), so its sample depends only on the
-    campaign and its index. The math then runs per group of drops with
-    equal tap counts, in batches under ``BATCH_BYTES``.
+    tap fading), so its sample depends only on the campaign and its index.
+    The math then runs per group of drops with equal tap counts, in batches
+    under ``BATCH_BYTES``.
     """
+    from .seeding import drop_streams  # imports numpy.random
+
     campaign, start, stop = task
     n_r, n_t = campaign.rr_sqrt.shape[0], campaign.rt_sqrt.shape[1]
     rician = campaign.fading.is_rician
-    draws, seeds = [], []
-    for drop in range(start, stop):
-        ss = _drop_seed_sequence(campaign.master_seed, drop)
-        rng = np.random.default_rng(ss)
+    rngs, seeds = drop_streams(campaign.master_seed, start, stop)
+    draws = []
+    for rng in rngs:
         if campaign.shared_cir is None:
             cir = draw_cir(campaign.gen_config, rng)
             delays, powers = cir.delays, cir.powers
@@ -297,7 +294,6 @@ def _simulate_chunk(task) -> list[CapacitySample]:
             delays, powers = campaign.shared_cir
         white, psi = draw_tap_noise(rng, len(delays), n_r, n_t, rician)
         draws.append((delays, powers, white, psi))
-        seeds.append(int(ss.generate_state(2, dtype=np.uint32).view(np.uint64)[0]))
 
     groups: dict[int, list[int]] = {}
     for i, d in enumerate(draws):

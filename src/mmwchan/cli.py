@@ -134,6 +134,11 @@ def _parse_fading(value: str) -> list[FadingModel]:
             raise ValueError(f"unknown model {token!r} (use 'rayleigh' or 'rician:<K dB>')")
     if not models:
         raise ValueError("at least one model required")
+    labels = [m.label() for m in models]
+    for label in labels:
+        if labels.count(label) > 1:
+            # each model's outputs are named after its label
+            raise ValueError(f"model {label!r} is given more than once")
     return models
 
 

@@ -182,38 +182,39 @@ class AutocorrFit:
     identifiable: bool
 
 
-def _ls_given_b(x: np.ndarray, y: np.ndarray, b: float):
-    """Best (a, c) for model a*x - c at fixed b (x = exp(-b*lag)), with the
-    correlation-magnitude constraints a > 0 and 0 < a - c <= 1."""
-    n = len(x)
-    sx = float(np.sum(x))
-    sxx = float(np.sum(x * x))
+def _ls_rows(x: np.ndarray, y: np.ndarray):
+    """Best (a, c) for the model a*x - c on each row of x (x = exp(-b*lag)
+    for one decay rate b per row), with the correlation-magnitude
+    constraints a > 0 and 0 < a - c <= 1, and the mean squared residual.
+
+    Every branch is a masked array operation, and every row is summed on
+    its own along the lag axis, so each row's (a, c, residual) is what a
+    one-row call gives, bit for bit.
+    """
+    n = x.shape[-1]
+    sx = x.sum(axis=-1)
+    sxx = (x * x).sum(axis=-1)
     sy = float(np.sum(y))
-    sxy = float(np.sum(x * y))
+    sxy = (x * y).sum(axis=-1)
+    mean_y = sy / n
     det = n * sxx - sx * sx
-    if det <= 1e-15 * max(n * sxx, 1.0):
-        # x constant (b = 0 or degenerate grid): model collapses to a constant
-        mean_y = sy / n
-        xc = float(x[0])
-        a = max(mean_y, 1e-6) if xc == 1.0 else 1.0
-        c = a * xc - mean_y
-    else:
-        # unconstrained LS for y = a*x - c
-        a = (n * sxy - sx * sy) / det
-        c = (a * sx - sy) / n
-    if a <= 0.0:
-        a = 1e-6
-        c = a * (sx / n) - sy / n
-    if a - c > 1.0:
+    # x constant (b = 0 or degenerate grid): the model collapses to a constant
+    degenerate = det <= 1e-15 * np.maximum(n * sxx, 1.0)
+    x0 = x[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # unconstrained LS for y = a*x - c where det allows it
+        a = np.where(degenerate, np.where(x0 == 1.0, max(mean_y, 1e-6), 1.0), (n * sxy - sx * sy) / det)
+        c = np.where(degenerate, a * x0 - mean_y, (a * sx - sy) / n)
+        low = a <= 0.0
+        a = np.where(low, 1e-6, a)
+        c = np.where(low, a * (sx / n) - mean_y, c)
         # refit on the boundary c = a - 1
-        denom = float(np.sum((x - 1.0) ** 2))
-        if denom > 0.0:
-            a = float(np.sum((x - 1.0) * (y - 1.0))) / denom
-            a = max(a, 1e-6)
-        c = a - 1.0
-    elif a - c <= 0.0:
-        c = a - 1e-6
-    resid = float(np.mean((a * x - c - y) ** 2))
+        refit = a - c > 1.0
+        denom = ((x - 1.0) ** 2).sum(axis=-1)
+        a_edge = np.maximum(((x - 1.0) * (y - 1.0)).sum(axis=-1) / denom, 1e-6)
+        a = np.where(refit & (denom > 0.0), a_edge, a)
+        c = np.where(refit, a - 1.0, np.where(a - c <= 0.0, a - 1e-6, c))
+    resid = ((a[:, None] * x - c[:, None] - y) ** 2).mean(axis=-1)
     return a, c, resid
 
 
@@ -240,14 +241,14 @@ def fit_autocorr_mmse(curve: AutocorrCurve) -> AutocorrFit:
         )
 
     def objective(b: float):
-        a, c, resid = _ls_given_b(np.exp(-b * lags), y, b)
-        return resid, a, c
+        a, c, resid = _ls_rows(np.exp(-b * lags)[None, :], y)
+        return float(resid[0]), float(a[0]), float(c[0])
 
-    best = None
-    for b in np.arange(0.0, 10.0 + 1e-9, 0.01):
-        resid, a, c = objective(float(b))
-        if best is None or resid < best[0]:
-            best = (resid, a, float(b), c)
+    # the first grid minimum, as a scan keeping strict improvements finds it
+    grid = np.arange(0.0, 10.0 + 1e-9, 0.01)
+    grid_a, grid_c, grid_resid = _ls_rows(np.exp(-grid[:, None] * lags), y)
+    i = int(np.argmin(grid_resid))
+    best = (float(grid_resid[i]), float(grid_a[i]), float(grid[i]), float(grid_c[i]))
 
     # golden-section polish inside the winning grid cell
     lo = max(best[2] - 0.01, 0.0)

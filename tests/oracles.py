@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's code paths: the autocorrelation
 oracle is a literal double loop over the defining expectation, the Rician
-power CDF comes from the noncentral chi-square law, and the Monte Carlo
-reference runs one drop at a time with one object per component and tap.
+power CDF comes from the noncentral chi-square law, the MMSE fit scans its
+decay grid one rate at a time, and the Monte Carlo reference runs one drop
+at a time with one object per component and tap, seeded through numpy's
+``SeedSequence``.
 """
 
 import math
@@ -66,9 +68,106 @@ def exponential_power_cdf(x):
     return 1.0 - np.exp(-np.clip(x, 0.0, None))
 
 
+def hypoexponential_cdf(x, means):
+    """CDF of a sum of independent exponentials with distinct means
+    lambda_i: 1 - sum_i prod_{j != i} lambda_i / (lambda_i - lambda_j)
+    * exp(-x / lambda_i) (Mathai & Provost, 1992). With the eigenvalues of
+    R as means, it is the law of g^H R g for g ~ CN(0, I)."""
+    x = np.clip(np.asarray(x, dtype=float), 0.0, None)
+    means = np.asarray(means, dtype=float)
+    survival = np.zeros_like(x)
+    for i, lam in enumerate(means):
+        others = np.delete(means, i)
+        survival += np.prod(lam / (lam - others)) * np.exp(-x / lam)
+    return 1.0 - survival
+
+
 def expected_autocorr(a, b, c, dr):
     """Independent evaluation of the exponential model a*e^(-b*dr) - c."""
     return a * math.exp(-b * dr) - c
+
+
+# ---------------------------------------------------------------------------
+# Scalar MMSE fit: the exponential-model fit as it ran before the row
+# kernel, one decay rate at a time through a strict-< grid scan and a
+# golden-section polish. The library's fit must give the same five outputs
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def reference_ls_given_b(x, y):
+    """Best (a, c) for model a*x - c at one fixed b (x = exp(-b*lag)), with
+    the constraints a > 0 and 0 < a - c <= 1, and the mean squared residual."""
+    n = len(x)
+    sx = float(np.sum(x))
+    sxx = float(np.sum(x * x))
+    sy = float(np.sum(y))
+    sxy = float(np.sum(x * y))
+    det = n * sxx - sx * sx
+    if det <= 1e-15 * max(n * sxx, 1.0):
+        mean_y = sy / n
+        xc = float(x[0])
+        a = max(mean_y, 1e-6) if xc == 1.0 else 1.0
+        c = a * xc - mean_y
+    else:
+        a = (n * sxy - sx * sy) / det
+        c = (a * sx - sy) / n
+    if a <= 0.0:
+        a = 1e-6
+        c = a * (sx / n) - sy / n
+    if a - c > 1.0:
+        denom = float(np.sum((x - 1.0) ** 2))
+        if denom > 0.0:
+            a = float(np.sum((x - 1.0) * (y - 1.0))) / denom
+            a = max(a, 1e-6)
+        c = a - 1.0
+    elif a - c <= 0.0:
+        c = a - 1e-6
+    resid = float(np.mean((a * x - c - y) ** 2))
+    return a, c, resid
+
+
+def reference_fit_autocorr_mmse(lags, values):
+    """(a, b, c, residual, identifiable) of the MMSE fit of a*exp(-b*lag) - c
+    to the finite points of a curve."""
+    mask = np.isfinite(values)
+    lags = np.asarray(lags, dtype=float)[mask]
+    y = np.asarray(values, dtype=float)[mask]
+    if len(y) < 3:
+        raise ValueError("need at least 3 defined lags")
+    if float(np.max(y) - np.min(y)) < 1e-12:
+        return min(max(float(y[0]), 1e-6), 1.0), 0.0, 0.0, 0.0, False
+
+    def objective(b):
+        a, c, resid = reference_ls_given_b(np.exp(-b * lags), y)
+        return resid, a, c
+
+    best = None
+    for b in np.arange(0.0, 10.0 + 1e-9, 0.01):
+        resid, a, c = objective(float(b))
+        if best is None or resid < best[0]:
+            best = (resid, a, float(b), c)
+    lo = max(best[2] - 0.01, 0.0)
+    hi = min(best[2] + 0.01, 10.0)
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    b1 = hi - gr * (hi - lo)
+    b2 = lo + gr * (hi - lo)
+    f1, _, _ = objective(b1)
+    f2, _, _ = objective(b2)
+    for _ in range(40):
+        if f1 <= f2:
+            hi, b2, f2 = b2, b1, f1
+            b1 = hi - gr * (hi - lo)
+            f1, _, _ = objective(b1)
+        else:
+            lo, b1, f1 = b1, b2, f2
+            b2 = lo + gr * (hi - lo)
+            f2, _, _ = objective(b2)
+    b_ref = (lo + hi) / 2.0
+    resid, a, c = objective(b_ref)
+    if resid > best[0]:
+        resid, a, b_ref, c = best
+    return a, b_ref, c, resid, True
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,18 @@ class TestMainEntry:
         assert main(["simulate-capacity", "--config", path]) == 2
 
     @pytest.mark.parametrize(
+        "models,label", [("rician:5 rician:5.0000001", "rician5dB"), ("rayleigh RAYLEIGH", "rayleigh")]
+    )
+    def test_repeated_fading_label_exit_2(self, tmp_path, capsys, models, label):
+        # both models would write capacity_<label>.csv, the second over the first
+        path = write_cfg(tmp_path, BASE_CFG.replace("fading.models = rayleigh rician:5", f"fading.models = {models}"))
+        out_dir = tmp_path / "o"
+        assert main(["simulate-capacity", "--config", path, "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "fading.models" in err and label in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
         "key,value",
         [
             ("capacity.snr_db", "nan"),

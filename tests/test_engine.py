@@ -153,6 +153,16 @@ def test_ragged_config_cuts_groups_into_batches():
     assert BATCH_BYTES // _drop_bytes(6, 6, 3, 400) <= 4
 
 
+def test_engine_matches_reference_at_wide_master_seed():
+    # the hypothesis test draws seeds of one 32-bit word; this one has three
+    kw = dict(RAGGED, cap_config=CapacityConfig(num_subcarriers=32), num_drops=CHUNK_DROPS + 6, master_seed=2**70)
+    got = run_monte_carlo(**kw)
+    want = reference_monte_carlo(**kw, params=PARAMS)
+    assert [(s.drop_index, s.seed) for s in got] == [(i, w) for i, w, _ in want]
+    for s, (_, _, cap) in zip(got, want):
+        assert abs(s.capacity - cap) <= CAPACITY_ATOL
+
+
 def test_longer_run_starts_with_shorter_run():
     short = run_monte_carlo(**RAGGED, num_drops=100, master_seed=4242)
     longer = run_monte_carlo(**RAGGED, num_drops=100 + 37, master_seed=4242)

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_autocorr, exponential_power_cdf
+from oracles import (
+    brute_force_autocorr,
+    exponential_power_cdf,
+    reference_fit_autocorr_mmse,
+    reference_ls_given_b,
+)
 from mmwchan import estimators
 from mmwchan.core import FadingModel
 from mmwchan.estimators import (
@@ -272,6 +277,77 @@ class TestFitAutocorrMmse:
         vals = np.clip(0.9 * np.exp(-lags) + 0.1 + 0.03 * np.cos(9 * lags), -1, 1)
         fit = fit_autocorr_mmse(AutocorrCurve(lags=lags, values=vals))
         assert 0.0 < fit.params.a - fit.params.c <= 1.0 + 1e-9
+
+
+_HALF = np.arange(8) * 0.5
+#: Curves that drive the least-squares kernel through each of its branches
+#: on the decay grid: lags far out, where exp(-b*lag) underflows to a
+#: constant 0 (degenerate det with x != 1, then the a - c > 1 refit); a
+#: rising curve (a <= 0); a curve at the a - c = 1 edge (refit); a negative
+#: curve (a - c <= 0). The b = 0 row is degenerate with x = 1 everywhere.
+BRANCH_CURVES = {
+    "far": (600.0 + _HALF, 0.3 + 0.1 * np.cos(600.0 + _HALF)),
+    "rising": (_HALF, 0.2 - 0.6 * np.exp(-_HALF)),
+    "edge": (_HALF, np.clip(0.95 * np.exp(-2 * _HALF) + 0.05 + 0.04 * np.cos(9 * _HALF), -1, 1)),
+    "negative": (_HALF, -0.5 + 0.3 * np.exp(-_HALF)),
+}
+FIT_GRID = np.arange(0.0, 10.0 + 1e-9, 0.01)
+
+
+def _fit_outputs(lags, values):
+    fit = fit_autocorr_mmse(AutocorrCurve(lags=lags, values=values))
+    return fit.params.a, fit.params.b, fit.params.c, fit.residual, fit.identifiable
+
+
+def _generated_curves(count, seed=2015):
+    """Noisy exponential curves with 3-40 lags, some with NaN holes."""
+    rng = np.random.default_rng(seed)
+    curves = []
+    while len(curves) < count:
+        n = int(rng.integers(3, 41))
+        lags = np.arange(n) * float(rng.choice([0.25, 0.5, 1.0]))
+        a, b, c = rng.uniform(0.3, 1.2), rng.uniform(0.0, 12.0), rng.uniform(-0.5, 0.5)
+        noise = rng.uniform(0.0, 0.5) * rng.standard_normal(n)
+        vals = np.clip(a * np.exp(-b * lags) - c + noise, -1.0, 1.0)
+        if rng.random() < 0.3:
+            vals[rng.integers(0, n, size=int(rng.integers(1, 3)))] = math.nan
+        if np.isfinite(vals).sum() >= 3:
+            curves.append((lags, vals))
+    return curves
+
+
+class TestFitAgainstScalarOracle:
+    def test_kernel_rows_match_scalar_on_every_branch(self):
+        seen = dict(degenerate_one=0, degenerate_other=0, low=0, refit=0, nonpositive=0)
+        for lags, y in BRANCH_CURVES.values():
+            x = np.exp(-FIT_GRID[:, None] * lags)
+            a, c, resid = estimators._ls_rows(x, y)
+            for i, row in enumerate(x):
+                want = reference_ls_given_b(row, y)
+                assert (float(a[i]), float(c[i]), float(resid[i])) == want
+                if np.ptp(row) == 0.0:
+                    seen["degenerate_one" if row[0] == 1.0 else "degenerate_other"] += 1
+                seen["low"] += want[0] == 1e-6
+                seen["refit"] += want[1] == want[0] - 1.0
+                seen["nonpositive"] += want[1] == want[0] - 1e-6
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("name", sorted(BRANCH_CURVES))
+    def test_branch_curves_bitwise(self, name):
+        lags, values = BRANCH_CURVES[name]
+        assert _fit_outputs(lags, values) == reference_fit_autocorr_mmse(lags, values)
+
+    def test_constant_curve_bitwise(self):
+        lags, values = _HALF, np.full(_HALF.size, 0.4)
+        assert _fit_outputs(lags, values) == reference_fit_autocorr_mmse(lags, values)
+
+    def test_generated_curves_bitwise(self):
+        curves = _generated_curves(300)
+        mismatched = [
+            i for i, (lags, vals) in enumerate(curves)
+            if _fit_outputs(lags, vals) != reference_fit_autocorr_mmse(lags, vals)
+        ]
+        assert mismatched == []
 
 
 class TestKFactor:
