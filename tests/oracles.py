@@ -82,6 +82,44 @@ def hypoexponential_cdf(x, means):
     return 1.0 - survival
 
 
+def rician_eigen_pair_cdf(x, k_linear, lam_dominant, lam_other, num_nodes=128):
+    """CDF of ||h||^2 for h = sqrt(K/(K+1)) e^{j psi} 1 + sqrt(1/(K+1)) R^(1/2) g
+    with N_r = 2, g ~ CN(0, I) and R real with the all-ones vector as the
+    eigenvector of ``lam_dominant``. In R's eigenbasis ||h||^2 = X + Y: X
+    is the dominant branch, |sqrt(2K/(K+1)) + sqrt(lam_dominant/(K+1)) w|^2,
+    a scaled noncentral chi-square with 2 degrees of freedom and
+    noncentrality 4K/lam_dominant; Y is exponential with mean
+    lam_other/(K+1). The convolution P(X + Y <= x) = E[F_X(x - Y); Y <= x]
+    is integrated over Y's quantile u = F_Y(y) in [0, F_Y(x)], where the
+    integrand is bounded and smooth, by Gauss-Legendre."""
+    sigma2 = lam_dominant / (k_linear + 1.0)
+    nc = 4.0 * k_linear / lam_dominant
+    mean_y = lam_other / (k_linear + 1.0)
+    x = np.clip(np.asarray(x, dtype=float), 0.0, None)[..., None]
+    nodes, weights = np.polynomial.legendre.leggauss(num_nodes)
+    top = -np.expm1(-x / mean_y)  # F_Y(x)
+    y = -mean_y * np.log1p(-0.5 * top * (nodes + 1.0))
+    cdf_x = stats.ncx2.cdf(2.0 * (x - y) / sigma2, df=2, nc=nc)
+    return 0.5 * top[..., 0] * (cdf_x @ weights)
+
+
+def rician_two_tap_cdf(x, k_linear, powers, num_nodes=64):
+    """CDF of |h|^2 for h = sum_l sqrt(p_l) (sqrt(K/(K+1)) e^{j psi_l} +
+    sqrt(1/(K+1)) g_l) over two taps with p_1 + p_2 = 1, i.i.d. uniform
+    dominant phases psi_l and g_l ~ CN(0, 1). Given theta = psi_2 - psi_1
+    this is Rician with dominant power K/(K+1) * |D|^2, |D|^2 = p_1 + p_2 +
+    2 sqrt(p_1 p_2) cos(theta), so 2(K+1)|h|^2 is noncentral chi-square with
+    noncentrality 2K|D|^2; the law averages that over theta, here by the
+    midpoint rule on a full period (exact to rounding for this smooth
+    periodic integrand)."""
+    p1, p2 = powers
+    theta = (np.arange(num_nodes) + 0.5) * (TWO_PI / num_nodes)
+    dominant = p1 + p2 + 2.0 * math.sqrt(p1 * p2) * np.cos(theta)
+    x = np.asarray(x, dtype=float)
+    cdf = stats.ncx2.cdf(2.0 * (k_linear + 1.0) * x[..., None], df=2, nc=2.0 * k_linear * dominant)
+    return cdf.mean(axis=-1)
+
+
 def expected_autocorr(a, b, c, dr):
     """Independent evaluation of the exponential model a*e^(-b*dr) - c."""
     return a * math.exp(-b * dr) - c

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import hypoexponential_cdf
+from oracles import hypoexponential_cdf, rician_eigen_pair_cdf, rician_power_cdf, rician_two_tap_cdf
 from mmwchan.capacity import (
     CapacityConfig,
     CapacitySample,
+    _uses_cross_gram,
     capacity_cdf,
     capacity_quantiles,
     frequency_response,
@@ -279,6 +280,100 @@ class TestExactCapacityLaw:
         gains = (2.0 ** np.array([s.capacity for s in samples]) - 1.0) / rho
         result = stats.kstest(gains, lambda x: hypoexponential_cdf(x, means))
         assert result.pvalue > self.ALPHA
+
+
+def _one_subcarrier_gains(samples, cap_config):
+    """(2**C - 1) / rho of single-subcarrier SIMO drops: ||h||^2."""
+    rho = db_to_linear(cap_config.snr_db)
+    return (2.0 ** np.array([s.capacity for s in samples]) - 1.0) / rho
+
+
+class TestExactLawMultiTapAndRician:
+    """Exact laws of drops at one subcarrier, where C = log2(1 + rho ||h||^2)
+    for N_t = 1, KS-tested at alpha = 0.001 on fixed seeds (2000 drops each).
+
+    * Multi-tap Rayleigh over generated CIRs: h = sum_l sqrt(p_l) phi_l
+      R_r^(1/2) g_l with |phi_l| = 1 and sum p_l = 1 is R_r^(1/2) g' with
+      g' ~ CN(0, I), so the hypoexponential law of R_r's eigenvalues holds
+      for every CIR. One case per Gram route.
+    * Rician single tap: N_r = 1 against the noncentral chi-square law, and
+      N_r = 2, whose real Toeplitz R_r has the all-ones dominant direction
+      as an eigenvector, against a noncentral chi-square convolved with an
+      exponential.
+    * Rician over two fixed taps: the dominant terms add with the relative
+      phase of their independent uniform phases, so the law is the
+      noncentral chi-square averaged over that phase.
+    """
+
+    ALPHA = 0.001
+    DROPS = 2000
+    K_DB = (5.0, 15.0)
+
+    @staticmethod
+    def _rx(n_r):
+        return ArrayGeometry(num_elements=n_r, spacing=0.5)
+
+    @staticmethod
+    def _corr(n_r):
+        params = lookup_default_params(SCEN).autocorr
+        corr = build_amplitude_matched_corr(params, ArrayGeometry(num_elements=n_r, spacing=0.5),
+                                            FadingModel.rayleigh(), side="receive")
+        return corr.entries
+
+    @pytest.mark.parametrize(
+        "n_r,clusters,paths,cross",
+        [(2, (3, 4), (2, 3), False), (4, (1, 2), (1, 2), True)],
+        ids=["nr2-L6to12-response", "nr4-L1to4-cross"],
+    )
+    def test_multi_tap_rayleigh_hypoexponential(self, n_r, clusters, paths, cross):
+        taps = range(clusters[0] * paths[0], clusters[1] * paths[1] + 1)
+        assert all(_uses_cross_gram(num_taps, n_r, 1) == cross for num_taps in taps)
+        means = np.linalg.eigvalsh(self._corr(n_r))
+        assert np.min(np.diff(means)) > 0.05
+        cap_config = CapacityConfig(num_subcarriers=1)
+        samples = run_monte_carlo(
+            SCEN, CirGenConfig(num_clusters_range=clusters, paths_per_cluster_range=paths),
+            self._rx(n_r), ArrayGeometry(num_elements=1), FadingModel.rayleigh(),
+            cap_config, self.DROPS, 20160418 + n_r,
+        )
+        gains = _one_subcarrier_gains(samples, cap_config)
+        assert stats.kstest(gains, lambda x: hypoexponential_cdf(x, means)).pvalue > self.ALPHA
+
+    def _rician_gains(self, n_r, k_db, comps, seed):
+        cap_config = CapacityConfig(num_subcarriers=1)
+        samples = run_monte_carlo(
+            SCEN, CirGenConfig(), self._rx(n_r), ArrayGeometry(num_elements=1), FadingModel.rician(k_db),
+            cap_config, self.DROPS, seed, initial_cir=ChannelImpulseResponse.from_components(comps, SCEN),
+        )
+        return _one_subcarrier_gains(samples, cap_config)
+
+    @pytest.mark.parametrize("k_db", K_DB)
+    def test_rician_single_tap_siso_ncx2(self, k_db):
+        gains = self._rician_gains(1, k_db, [_unit_component(1.0, 0.0)], 31 + int(k_db))
+        k = db_to_linear(k_db)
+        assert stats.kstest(gains, lambda x: rician_power_cdf(x, k)).pvalue > self.ALPHA
+
+    @pytest.mark.parametrize("k_db", K_DB)
+    def test_rician_single_tap_two_elements(self, k_db):
+        corr = self._corr(2)
+        assert np.all(corr.imag == 0.0) and corr[0, 0] == corr[1, 1]
+        dominant = 1.0 + corr[0, 1].real  # eigenvalue of the all-ones vector
+        other = 1.0 - corr[0, 1].real
+        gains = self._rician_gains(2, k_db, [_unit_component(1.0, 0.0)], 47 + int(k_db))
+        k = db_to_linear(k_db)
+        assert stats.kstest(gains, lambda x: rician_eigen_pair_cdf(x, k, dominant, other)).pvalue > self.ALPHA
+
+    @pytest.mark.parametrize("k_db", K_DB)
+    def test_rician_two_taps_dominant_phases(self, k_db):
+        # 2.5 ns apart: the subcarrier at -400 MHz sees the taps in phase
+        comps = [_unit_component(0.6, 0.0), _unit_component(0.4, 2.5e-9)]
+        gains = self._rician_gains(1, k_db, comps, 59 + int(k_db))
+        k = db_to_linear(k_db)
+        assert stats.kstest(gains, lambda x: rician_two_tap_cdf(x, k, (0.6, 0.4))).pvalue > self.ALPHA
+
+
+def _unit_component(power, delay):
+    return MultipathComponent(power_gain=power, phase=0.0, delay=delay, aod=(0.0, 0.0), aoa=(0.0, 0.0))
 
 
 class TestCapacityCdf:
