@@ -39,7 +39,7 @@ from .estimators import (
     read_track,
     write_track,
 )
-from .spatial import build_amplitude_matched_corr, simulate_amplitude_track
+from .spatial import K_DB_MAX, K_DB_MIN, build_amplitude_matched_corr, simulate_amplitude_track
 
 
 class ConfigError(ValueError):
@@ -127,9 +127,13 @@ def _parse_fading(value: str) -> list[FadingModel]:
             models.append(FadingModel.rayleigh())
         elif token.lower().startswith("rician:"):
             try:
-                models.append(FadingModel.rician(float(token.split(":", 1)[1])))
+                k_db = float(token.split(":", 1)[1])
             except ValueError as exc:
                 raise ValueError(f"bad Rician entry {token!r}") from exc
+            if not K_DB_MIN <= k_db <= K_DB_MAX:
+                # the sampler would clamp K, or overflow converting it
+                raise ValueError(f"Rician K of {token!r} is outside [{K_DB_MIN:g}, {K_DB_MAX:g}] dB")
+            models.append(FadingModel.rician(k_db))
         else:
             raise ValueError(f"unknown model {token!r} (use 'rayleigh' or 'rician:<K dB>')")
     if not models:
@@ -243,10 +247,19 @@ def parse_config(path) -> ScenarioConfig:
 
 
 def _write_csv(path, header: str, rows) -> None:
+    """The header, then one line of comma-separated ``str`` cells per row
+    (a float's ``str`` is its shortest round-trip repr), written at once.
+    Rows are tuples of equal length."""
+    lines = [header]
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        fmt = ",".join(["%s"] * len(first))
+        lines.append(fmt % first)
+        lines += [fmt % row for row in rows]
+    lines.append("")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        fh.write("\n".join(lines))
 
 
 def _obtain_cir(cfg: ScenarioConfig):

@@ -287,6 +287,18 @@ class TestMainEntry:
         assert "fading.models" in err and label in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("model", ["rician:1e308", "rician:200", "rician:-60.5"])
+    def test_rician_k_outside_clamp_range_exit_2(self, tmp_path, capsys, model):
+        # 1e308 dB overflowed the dB conversion (exit 3); 200 dB was clamped
+        # to 120 dB without notice
+        path = write_cfg(tmp_path, BASE_CFG.replace("fading.models = rayleigh rician:5", f"fading.models = rayleigh {model}"))
+        out_dir = tmp_path / "o"
+        for command in ("simulate-cir", "simulate-capacity"):
+            assert main([command, "--config", path, "--out", str(out_dir)]) == 2
+            err = capsys.readouterr().err
+            assert "fading.models" in err and model in err and "[-60, 120] dB" in err
+            assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "key,value",
         [
