@@ -5,8 +5,9 @@ The band is split into uniform narrowband subcarriers on a baseband grid
 log2 det(I + (rho/N_t) H_f H_f^H) over those subcarriers. Monte Carlo drops
 are embarrassingly parallel: every drop derives its own RNG stream from
 (master_seed, drop_index), so results are identical for any worker count.
-The drop engine draws drop by drop and runs the linear algebra batched over
-fixed chunks of drop indices, grouped by tap count.
+Each drop makes two block draws from its stream in a fixed layout; CIR
+synthesis runs on arrays over fixed chunks of drop indices, and the linear
+algebra runs batched over each chunk's groups of equal tap count.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cirgen import CirGenConfig, draw_cir, generate_initial_cir
+from .cirgen import CirGenConfig, cir_rows, drop_layout, generate_initial_cir
 from .core import (
+    TWO_PI,
     ArrayGeometry,
     AutocorrParams,
     ChannelImpulseResponse,
@@ -30,7 +32,6 @@ from .core import (
 )
 from .spatial import (
     build_amplitude_matched_corr,
-    draw_tap_noise,
     matrix_sqrt_psd,
     tap_matrices,
 )
@@ -253,13 +254,10 @@ def _drop_bytes(num_taps: int, n_r: int, n_t: int, num_subcarriers: int) -> int:
     return 16 * (num_subcarriers * per_subcarrier + 4 * num_taps * rows * d)
 
 
-def _batch_capacities(batch, campaign: _Campaign) -> np.ndarray:
-    """Capacities of drops that all have the same tap count; each entry of
-    ``batch`` is (delays, powers, white, psi)."""
-    delays = np.array([b[0] for b in batch])
-    powers = np.array([b[1] for b in batch])
-    white = np.stack([b[2] for b in batch])
-    psi = np.stack([b[3] for b in batch]) if campaign.fading.is_rician else None
+def _batch_capacities(delays, powers, white, psi, campaign: _Campaign) -> np.ndarray:
+    """Capacities of drops that all have the same tap count L: delays and
+    powers (B, L), white tap draws (B, L, 2, N_r, N_t) and dominant phases
+    (B, L), or None for Rayleigh."""
     taps = tap_matrices(white, psi, powers, campaign.rr_sqrt, campaign.rt_sqrt, campaign.fading)
     phases = _subcarrier_phases(delays, campaign.cap_config.baseband_frequencies())
     n_r, n_t = taps.shape[-2:]
@@ -274,42 +272,65 @@ def _simulate_chunk(task) -> list[CapacitySample]:
     """Drops [start, stop) of a campaign, which must not cross a chunk
     boundary.
 
-    Each drop draws from its own stream in the per-drop order (CIR, then
-    tap fading), so its sample depends only on the campaign and its index.
-    The math then runs per group of drops with equal tap counts, in batches
+    Each drop makes two draws from its own stream: its uniform block, then
+    one normal block. A drop that draws its CIR takes the block of
+    :func:`cirgen.drop_layout`, which holds the dominant phases of its taps
+    too, and its normals are the four angle offsets of each tap, which
+    :func:`generate_initial_cir` reads and the capacity does not, then the
+    white draws of the taps. A drop with a fixed CIR draws as
+    :func:`spatial.draw_tap_noise` does: one dominant phase per tap, then
+    the white draws. So a drop's sample depends only on the campaign and
+    its index. The CIRs of the chunk come from one :func:`cir_rows` call,
+    and the math runs per group of drops with equal tap counts, in batches
     under ``BATCH_BYTES``.
     """
     from .seeding import drop_streams  # imports numpy.random
 
     campaign, start, stop = task
     n_r, n_t = campaign.rr_sqrt.shape[0], campaign.rt_sqrt.shape[1]
-    rician = campaign.fading.is_rician
     rngs, seeds = drop_streams(campaign.master_seed, start, stop)
-    draws = []
-    for rng in rngs:
-        if campaign.shared_cir is None:
-            cir = draw_cir(campaign.gen_config, rng)
-            delays, powers = cir.delays, cir.powers
-        else:
-            delays, powers = campaign.shared_cir
-        white, psi = draw_tap_noise(rng, len(delays), n_r, n_t, rician)
-        draws.append((delays, powers, white, psi))
+    if campaign.shared_cir is None:
+        layout = drop_layout(campaign.gen_config)
+        width, psi_cols, offsets = layout.width, layout.psi, 4
+    else:
+        delays, powers = (np.array(v) for v in campaign.shared_cir)
+        width, psi_cols, offsets = delays.size, slice(None), 0
+    u = np.empty((len(rngs), width))
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
+    if campaign.shared_cir is None:
+        rows = cir_rows(campaign.gen_config, u)
+        num_taps = rows.valid.sum(axis=1)
+    else:
+        num_taps = np.full(len(rngs), delays.size)
 
-    groups: dict[int, list[int]] = {}
-    for i, d in enumerate(draws):
-        groups.setdefault(len(d[0]), []).append(i)
-    caps = np.empty(len(draws))
+    caps = np.empty(len(rngs))
     num_f = campaign.cap_config.num_subcarriers
-    for num_taps, members in groups.items():
-        step = max(1, BATCH_BYTES // _drop_bytes(num_taps, n_r, n_t, num_f))
-        for s in range(0, len(members), step):
-            part = members[s : s + step]
-            caps[part] = _batch_capacities([draws[i] for i in part], campaign)
+    for num_taps_group in np.unique(num_taps).tolist():
+        members = np.flatnonzero(num_taps == num_taps_group)
+        normals = np.empty((members.size, num_taps_group * (offsets + 2 * n_r * n_t)))
+        for i, row in zip(members.tolist(), normals):
+            rngs[i].standard_normal(out=row)
+        white = normals[:, num_taps_group * offsets :].reshape(members.size, num_taps_group, 2, n_r, n_t)
+        psi = TWO_PI * u[members, psi_cols][:, :num_taps_group] if campaign.fading.is_rician else None
+        if campaign.shared_cir is None:
+            taps = rows.valid[members]
+            d = rows.delays[members][taps].reshape(members.size, num_taps_group)
+            p = rows.powers[members][taps].reshape(members.size, num_taps_group)
+        else:
+            d = np.broadcast_to(delays, (members.size, num_taps_group))
+            p = np.broadcast_to(powers, (members.size, num_taps_group))
+        step = max(1, BATCH_BYTES // _drop_bytes(num_taps_group, n_r, n_t, num_f))
+        for s in range(0, members.size, step):
+            part = slice(s, s + step)
+            caps[members[part]] = _batch_capacities(
+                d[part], p[part], white[part], None if psi is None else psi[part], campaign
+            )
     if not np.all(np.isfinite(caps)):
         raise ValueError(f"non-finite capacity in drops {start}..{stop - 1}")
     return [
-        CapacitySample(capacity=float(c), drop_index=start + i, seed=seed)
-        for i, (c, seed) in enumerate(zip(caps, seeds))
+        CapacitySample(capacity=c, drop_index=start + i, seed=seed)
+        for i, (c, seed) in enumerate(zip(caps.tolist(), seeds))
     ]
 
 

@@ -10,6 +10,8 @@ parameterized stand-ins; externally generated CIRs can be injected through
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -73,105 +75,163 @@ class CirGenConfig:
             raise ValueError("lobe_angular_spread_deg must be >= 0")
 
 
-class CirDraw(NamedTuple):
-    """One drawn CIR in struct-of-arrays form, one entry per component in
-    delay order; powers sum to 1.
+class DropLayout(NamedTuple):
+    """Column slices of one drop's uniform block for a generator config with
+    at most C clusters of P paths and B lobes a side.
 
-    Cluster c holds ``cluster_sizes[c]`` consecutive components, starts at
-    ``cluster_starts[c]`` and departs/arrives through the lobes indexed by
-    ``cluster_lobes[c]``. Component angles are the lobe centre plus
-    ``angle_spread`` times the component's four standard normal
-    ``offsets`` (departure azimuth, departure elevation, arrival azimuth,
-    arrival elevation).
+    In column order: the cluster, departure-lobe and arrival-lobe counts
+    and each cluster's path count; the B departure then B arrival lobe
+    centres, (azimuth, elevation) each; the C - 1 inter-cluster gaps, then
+    the P - 1 intra-cluster gaps of each cluster; the (departure, arrival)
+    lobe choice of each cluster; the Rician dominant-term phase of each of
+    the C * P taps; and the component phase of each (cluster, path) slot.
+    A draw that a drop does not use keeps its column, so every drop of a
+    config takes the same ``width`` uniforms.
     """
 
-    delays: list[float]  # seconds
-    powers: list[float]
-    phases: list[float]
-    offsets: list[np.ndarray]
-    cluster_starts: list[float]
-    cluster_sizes: list[int]
-    cluster_lobes: list[tuple[int, int]]
-    lobes: list[tuple[float, float]]  # (azimuth, elevation) radians
-    angle_spread: float  # radians
+    counts: slice
+    lobes: slice
+    gaps: slice
+    choices: slice
+    psi: slice
+    phases: slice
+    width: int
 
 
-def _draw_int(rng: np.random.Generator, lo: int, hi: int) -> int:
-    """``rng.integers(lo, hi + 1)``; a one-value range draws no bits, so
-    the call is skipped."""
-    return lo if lo == hi else int(rng.integers(lo, hi + 1))
+def drop_layout(config: CirGenConfig) -> DropLayout:
+    """The uniform-block layout of the drops of ``config``."""
+    return _plan(config).layout
 
 
-def draw_cir(config: CirGenConfig, rng: np.random.Generator) -> CirDraw:
-    """Draw one CIR from ``rng``.
+class _Plan(NamedTuple):
+    """What :func:`cir_rows` needs of a config besides the draws."""
 
-    The draw order is fixed: cluster and lobe counts, lobe centres
-    (departure lobes first, azimuth then elevation), then per cluster its
-    inter-cluster gap, lobe choices and path count, and per path its
-    intra-cluster gap, phase and four angle offsets. Uniform draws are taken
-    as ``low + (high - low) * rng.random()`` and the angle offsets as one
-    ``standard_normal(4)`` call; both consume the same bits and give the
-    same values as scalar ``uniform`` and ``normal`` calls.
+    layout: DropLayout
+    count_lo: np.ndarray  # lowest value of each count column
+    count_span: np.ndarray  # number of values of each count column
+    gap_shift: np.ndarray  # void interval (s) before each gap column, or 0
+    gap_scale: np.ndarray  # minus the mean (s) of each gap column
+    cluster_index: np.ndarray  # (C, 1)
+    path_index: np.ndarray  # (P,)
+
+
+@functools.lru_cache(maxsize=16)
+def _plan(config: CirGenConfig) -> _Plan:
+    clusters = config.num_clusters_range[1]
+    paths = config.paths_per_cluster_range[1]
+    slots = clusters * paths
+    sizes = (3 + clusters, 4 * config.num_lobes_range[1], slots - 1, 2 * clusters, slots, slots)
+    edges = list(itertools.accumulate(sizes, initial=0))
+    bounds = [config.num_clusters_range] + [config.num_lobes_range] * 2 + [config.paths_per_cluster_range] * clusters
+    lo = np.array([b[0] for b in bounds])
+    gap_counts = [clusters - 1, clusters * (paths - 1)]
+    return _Plan(
+        layout=DropLayout(*map(slice, edges, edges[1:]), edges[-1]),
+        count_lo=lo,
+        count_span=np.array([b[1] + 1 for b in bounds]) - lo,
+        gap_shift=np.repeat([config.intercluster_void_ns * NS, 0.0], gap_counts),
+        gap_scale=np.repeat([-config.cluster_decay_ns * NS, -config.intracluster_decay_ns * NS], gap_counts),
+        cluster_index=np.arange(clusters)[:, None],
+        path_index=np.arange(paths),
+    )
+
+
+def _uniform_ints(u: np.ndarray, lo, count) -> np.ndarray:
+    """Integers uniform on [lo, lo + count) from uniforms on [0, 1).
+
+    ``u * count`` stays below ``count``: u is at most 1 - 2**-53, and the
+    product rounds to at most the float below ``count``."""
+    return lo + (u * count).astype(np.int64)
+
+
+class CirRows(NamedTuple):
+    """A chunk of drawn CIRs, one row per drop and one column per (cluster,
+    path) slot c * P + p. The slots where ``valid`` holds are the drop's
+    components, in delay order; the others hold zeros. The powers of a
+    drop sum to 1."""
+
+    valid: np.ndarray  # (n, C * P) bool
+    delays: np.ndarray  # (n, C * P) seconds
+    powers: np.ndarray  # (n, C * P)
+
+
+def cir_rows(config: CirGenConfig, u: np.ndarray) -> CirRows:
+    """Turn the uniform blocks ``u`` (n, width) of a chunk of drops into
+    clusters, delays and powers.
+
+    Counts are ``lo + floor(u * (hi - lo + 1))``. The gap before cluster c
+    > 0 is the void interval plus Exp(cluster_decay_ns), taken from the end
+    of cluster c - 1; each further path of a cluster follows its
+    predecessor after Exp(intracluster_decay_ns). Exponentials are
+    ``-scale * log1p(-u)``. A path starting at cluster start s and delay t
+    weighs ``exp(-s / cluster_decay) * exp(-(t - s) / intracluster_decay)``.
+    Delays accumulate slot by slot in (cluster, path) order, and unused
+    slots add 0, so each drop's arithmetic is that of a scalar loop over
+    its own clusters and paths.
     """
-    void_s = config.intercluster_void_ns * NS
-    cluster_decay_s = config.cluster_decay_ns * NS
-    intra_decay_s = config.intracluster_decay_ns * NS
-    n_clusters = _draw_int(rng, *config.num_clusters_range)
-    n_dep_lobes = _draw_int(rng, *config.num_lobes_range)
-    n_arr_lobes = _draw_int(rng, *config.num_lobes_range)
-    u = rng.random(2 * (n_dep_lobes + n_arr_lobes)).tolist()
-    lobes = [(TWO_PI * az, _LOBE_EL_LOW + _LOBE_EL_SPAN * el) for az, el in zip(u[0::2], u[1::2])]
+    plan = _plan(config)
+    lay = plan.layout
+    n = u.shape[0]
+    clusters, paths = plan.cluster_index.size, plan.path_index.size
+    counts = _uniform_ints(u[:, lay.counts], plan.count_lo, plan.count_span)
+    valid = (plan.cluster_index < counts[:, :1, None]) & (plan.path_index < counts[:, 3:, None])
 
-    delays, weights, phases, offsets = [], [], [], []
-    starts, sizes, cluster_lobes = [], [], []
-    t = 0.0
-    for c in range(n_clusters):
-        start = 0.0 if c == 0 else t + void_s + rng.exponential(cluster_decay_s)
-        cluster_weight = math.exp(-start / cluster_decay_s)
-        dep = _draw_int(rng, 0, n_dep_lobes - 1)
-        arr = n_dep_lobes + _draw_int(rng, 0, n_arr_lobes - 1)
-        n_paths = _draw_int(rng, *config.paths_per_cluster_range)
-        t = start
-        for p in range(n_paths):
-            if p > 0:
-                t += rng.exponential(intra_decay_s)
-            delays.append(t)
-            weights.append(cluster_weight * math.exp(-(t - start) / intra_decay_s))
-            phases.append(TWO_PI * rng.random())
-            offsets.append(rng.standard_normal(4))
-        starts.append(start)
-        sizes.append(n_paths)
-        cluster_lobes.append((dep, arr))
+    gaps = plan.gap_shift + plan.gap_scale * np.log1p(-u[:, lay.gaps])
+    steps = np.zeros((n, clusters, paths))
+    steps[:, 1:, 0] = gaps[:, : clusters - 1]
+    steps[:, :, 1:] = gaps[:, clusters - 1 :].reshape(n, clusters, paths - 1)
+    steps *= valid
+    delays = steps.reshape(n, -1).cumsum(axis=1).reshape(n, clusters, paths)
+    starts = delays[:, :, :1]
+    weights = np.exp(-starts / (config.cluster_decay_ns * NS)) * np.exp(
+        -(delays - starts) / (config.intracluster_decay_ns * NS)
+    )
+    weights *= valid
+    weights = weights.reshape(n, -1)
+    return CirRows(
+        valid=valid.reshape(n, -1),
+        delays=delays.reshape(n, -1) * valid.reshape(n, -1),
+        powers=weights / weights.cumsum(axis=1)[:, -1:],  # summed in slot order
+    )
 
-    total = sum(weights)
-    powers = [w / total for w in weights]
+
+def lobe_choices(config: CirGenConfig, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lobe counts (n, 2) of the uniform blocks ``u`` (n, width) and
+    the lobe each cluster slot takes (n, C, 2), departure side first: a
+    choice is uniform over the drop's own lobe count on its side."""
+    plan = _plan(config)
+    counts = _uniform_ints(u[:, plan.layout.counts][:, 1:3], plan.count_lo[1:3], plan.count_span[1:3])
+    picks = u[:, plan.layout.choices].reshape(u.shape[0], -1, 2)
+    return counts, _uniform_ints(picks, 0, counts[:, None, :])
+
+
+def _components(config: CirGenConfig, u: np.ndarray, rows: CirRows, offsets: np.ndarray) -> list[MultipathComponent]:
+    """The components of the one drop in ``u`` (1, width) and ``rows``,
+    with the standard normal angle ``offsets`` (L, 4) of its L components:
+    departure azimuth and elevation, then arrival azimuth and elevation,
+    each the chosen lobe's centre plus the angular spread times the
+    offset. Lobe centres are uniform in azimuth on [0, 2pi) and in
+    elevation on [-pi/4, pi/4); azimuths wrap to [0, 2pi) and elevations
+    are clamped to [-pi/2, pi/2]."""
+    lay = drop_layout(config)
+    row = u[0].tolist()
+    centres = row[lay.lobes]  # (azimuth, elevation) pairs, departure lobes first
+    num_lobes = config.num_lobes_range[1]
+    lobes = lobe_choices(config, u)[1][0].tolist()  # (departure, arrival) per cluster
     spread = math.radians(config.lobe_angular_spread_deg)
-    return CirDraw(delays, powers, phases, offsets, starts, sizes, cluster_lobes, lobes, spread)
-
-
-def _component_angles(draw: CirDraw) -> list[tuple[tuple[float, float], tuple[float, float]]]:
-    """(aod, aoa) of each component: lobe centre plus spread times offset,
-    azimuth wrapped to [0, 2pi) and elevation clamped to [-pi/2, pi/2]."""
-    angles = []
-    for size, lobe_pair in zip(draw.cluster_sizes, draw.cluster_lobes):
-        for _ in range(size):
-            z = draw.offsets[len(angles)].tolist()
-            pair = []
-            for lobe, d_az, d_el in zip(lobe_pair, z[0::2], z[1::2]):
-                az, el = draw.lobes[lobe]
-                el = min(max(el + draw.angle_spread * d_el, -math.pi / 2), math.pi / 2)
-                pair.append(((az + draw.angle_spread * d_az) % TWO_PI, el))
-            angles.append(tuple(pair))
-    return angles
-
-
-def _components(draw: CirDraw) -> list[MultipathComponent]:
-    return [
-        MultipathComponent(power_gain=power, phase=phase, delay=delay, aod=aod, aoa=aoa)
-        for power, phase, delay, (aod, aoa) in zip(
-            draw.powers, draw.phases, draw.delays, _component_angles(draw)
-        )
-    ]
+    slots = np.flatnonzero(rows.valid[0]).tolist()
+    comps = []
+    for slot, power, delay, z in zip(slots, rows.powers[0, slots].tolist(), rows.delays[0, slots].tolist(),
+                                     offsets.tolist()):
+        angles = []
+        for side, lobe in enumerate(lobes[slot // config.paths_per_cluster_range[1]]):
+            centre = 2 * (side * num_lobes + lobe)
+            el = _LOBE_EL_LOW + _LOBE_EL_SPAN * centres[centre + 1] + spread * z[2 * side + 1]
+            angles.append(((TWO_PI * centres[centre] + spread * z[2 * side]) % TWO_PI,
+                           min(max(el, -math.pi / 2), math.pi / 2)))
+        phase = TWO_PI * row[lay.phases.start + slot]
+        comps.append(MultipathComponent(power_gain=power, phase=phase, delay=delay, aod=angles[0], aoa=angles[1]))
+    return comps
 
 
 def generate_initial_cir(
@@ -179,9 +239,13 @@ def generate_initial_cir(
     scenario: Scenario,
     rng: np.random.Generator,
 ) -> ChannelImpulseResponse:
-    """Generate one initial CIR from ``rng``; the same stream gives the
-    same CIR."""
-    return ChannelImpulseResponse.from_components(_components(draw_cir(config, rng)), scenario)
+    """Generate one initial CIR from ``rng``: a drop's uniform block, then
+    the four angle offsets of each component, as the drop engine draws
+    them. The same stream gives the same CIR."""
+    u = rng.random((1, drop_layout(config).width))
+    rows = cir_rows(config, u)
+    offsets = rng.standard_normal((int(rows.valid.sum()), 4))
+    return ChannelImpulseResponse.from_components(_components(config, u, rows, offsets), scenario)
 
 
 def partition_by_void(delays_s, void_s: float) -> list[list[int]]:

@@ -235,23 +235,16 @@ def build_amplitude_matched_corr(
 def draw_tap_noise(
     rng: np.random.Generator, num_taps: int, n_r: int, n_t: int, rician: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The fading draws of ``num_taps`` local-area taps, in tap order.
-
-    Each tap takes the real then the imaginary standard normals of its
-    N_r x N_t white matrix, then (Rician only) the dominant-term phase,
-    uniform on [0, 2pi) and drawn as ``2pi * rng.random()``, which gives the
-    same value as ``rng.uniform(0, 2pi)``. Returns the white draws, shape
-    (num_taps, 2, N_r, N_t), and the phases (num_taps,), or None for
-    Rayleigh.
+    """The fading draws of ``num_taps`` local-area taps, as a drop with a
+    fixed CIR draws them: one uniform per tap for its dominant-term phase
+    (drawn for Rayleigh too, so both laws see the same white draws), then
+    the white draws, for each tap the real then the imaginary standard
+    normals of its N_r x N_t matrix. Returns the white draws, shape
+    (num_taps, 2, N_r, N_t), and the phases 2pi * u (num_taps,), or None
+    for Rayleigh.
     """
-    if not rician:
-        return rng.standard_normal((num_taps, 2, n_r, n_t)), None
-    white = np.empty((num_taps, 2, n_r, n_t))
-    psi = np.empty(num_taps)
-    for l in range(num_taps):
-        rng.standard_normal(out=white[l])
-        psi[l] = TWO_PI * rng.random()
-    return white, psi
+    psi = TWO_PI * rng.random(num_taps)
+    return rng.standard_normal((num_taps, 2, n_r, n_t)), psi if rician else None
 
 
 def tap_matrices(

@@ -209,95 +209,126 @@ def reference_fit_autocorr_mmse(lags, values):
 
 
 # ---------------------------------------------------------------------------
-# Per-drop reference engine: the Monte Carlo drop loop as it ran before the
-# batched engine, one object per component and tap, scalar RNG calls,
-# ``tensordot`` responses and ``einsum`` + ``slogdet`` log-dets. The batched
-# engine must match it to float rounding, with identical seed words.
+# Per-drop reference engine: the Monte Carlo drop loop one drop, one
+# component and one tap at a time, with scalar RNG calls that read each
+# drop's fixed draw layout in order, ``tensordot`` responses and ``einsum``
+# + ``slogdet`` log-dets. The batched engine must match it to float
+# rounding, with identical seed words. Exponentials and logs go through
+# numpy one value at a time: numpy's exp and log1p can differ from libm's
+# in the last bit, and the CIR must match the engine's bit for bit.
 # ---------------------------------------------------------------------------
 
 
-def _draw_lobes(rng, count):
-    lobes = []
-    for _ in range(count):
-        az = rng.uniform(0.0, TWO_PI)
-        el = rng.uniform(-math.pi / 4, math.pi / 4)
-        lobes.append((az, el))
-    return lobes
+def _uniform_int(u, lo, count):
+    return lo + min(int(u * count), count - 1)
 
 
-def _offset_angles(rng, lobe, spread_rad):
-    az = (lobe[0] + rng.normal(0.0, spread_rad)) % TWO_PI
-    el = lobe[1] + rng.normal(0.0, spread_rad)
-    el = min(max(el, -math.pi / 2), math.pi / 2)
-    return az, el
+def _read_drop_cir(config, rng):
+    """One drop's uniform block, read value by value in layout order
+    (cluster, departure-lobe, arrival-lobe and path counts; lobe centres;
+    inter-cluster gaps; intra-cluster gaps; lobe choices; dominant phases;
+    component phases), then the four angle offsets of each component.
+    Returns the components, unnormalized power included, and the uniforms
+    of the dominant phases."""
+    max_clusters = config.num_clusters_range[1]
+    max_paths = config.paths_per_cluster_range[1]
+    max_lobes = config.num_lobes_range[1]
 
+    def take(count):
+        return [rng.random() for _ in range(count)]
 
-def reference_initial_cir(config, scenario, rng):
-    """The scalar-draw CIR generator: clusters, lobes and subpaths drawn one
-    value at a time, then normalized to unit total power."""
+    def count(u, bounds):
+        return _uniform_int(u, bounds[0], bounds[1] - bounds[0] + 1)
+
+    u_clusters, u_dep, u_arr = take(3)
+    n_clusters = count(u_clusters, config.num_clusters_range)
+    n_dep = count(u_dep, config.num_lobes_range)
+    n_arr = count(u_arr, config.num_lobes_range)
+    path_counts = take(max_clusters)
+    centres = take(4 * max_lobes)
+    lobes = [(TWO_PI * az, -math.pi / 4 + (math.pi / 2) * el) for az, el in zip(centres[0::2], centres[1::2])]
+    dep_lobes, arr_lobes = lobes[:max_lobes], lobes[max_lobes:]
+    cluster_gaps = take(max_clusters - 1)
+    path_gaps = take(max_clusters * (max_paths - 1))
+    choices = take(2 * max_clusters)
+    psi_uniforms = take(max_clusters * max_paths)
+    phases = take(max_clusters * max_paths)
+
     void_s = config.intercluster_void_ns * NS
     cluster_decay_s = config.cluster_decay_ns * NS
     intra_decay_s = config.intracluster_decay_ns * NS
-    spread_rad = math.radians(config.lobe_angular_spread_deg)
-
-    n_clusters = int(rng.integers(config.num_clusters_range[0], config.num_clusters_range[1] + 1))
-    n_dep_lobes = int(rng.integers(config.num_lobes_range[0], config.num_lobes_range[1] + 1))
-    n_arr_lobes = int(rng.integers(config.num_lobes_range[0], config.num_lobes_range[1] + 1))
-    dep_lobes = _draw_lobes(rng, n_dep_lobes)
-    arr_lobes = _draw_lobes(rng, n_arr_lobes)
-
-    raw = []
-    prev_end = 0.0
+    subs = []
+    t = 0.0
     for c in range(n_clusters):
-        if c == 0:
-            start = 0.0
-        else:
-            start = prev_end + void_s + rng.exponential(cluster_decay_s)
-        cluster_weight = math.exp(-start / cluster_decay_s)
-        dep = dep_lobes[int(rng.integers(0, n_dep_lobes))]
-        arr = arr_lobes[int(rng.integers(0, n_arr_lobes))]
-        n_paths = int(rng.integers(config.paths_per_cluster_range[0], config.paths_per_cluster_range[1] + 1))
-        subs = []
-        t = start
-        for p in range(n_paths):
+        if c > 0:
+            t = t + (void_s + -cluster_decay_s * np.log1p(-cluster_gaps[c - 1]))
+        start = t
+        dep = dep_lobes[_uniform_int(choices[2 * c], 0, n_dep)]
+        arr = arr_lobes[_uniform_int(choices[2 * c + 1], 0, n_arr)]
+        for p in range(count(path_counts[c], config.paths_per_cluster_range)):
             if p > 0:
-                t += rng.exponential(intra_decay_s)
-            weight = cluster_weight * math.exp(-(t - start) / intra_decay_s)
-            phase = rng.uniform(0.0, TWO_PI)
-            aod = _offset_angles(rng, dep, spread_rad)
-            aoa = _offset_angles(rng, arr, spread_rad)
-            subs.append((t, weight, phase, aod, aoa))
-        prev_end = t
-        raw.append((start, subs))
+                t = t + -intra_decay_s * np.log1p(-path_gaps[c * (max_paths - 1) + p - 1])
+            weight = np.exp(-start / cluster_decay_s) * np.exp(-(t - start) / intra_decay_s)
+            subs.append((float(t), float(weight), TWO_PI * phases[c * max_paths + p], dep, arr))
 
-    total = sum(w for _, subs in raw for _, w, _, _, _ in subs)
-    comps = [
-        MultipathComponent(power_gain=w / total, phase=phase, delay=t, aod=aod, aoa=aoa)
-        for _, subs in raw
-        for t, w, phase, aod, aoa in subs
-    ]
-    return ChannelImpulseResponse.from_components(comps, scenario)
+    spread = math.radians(config.lobe_angular_spread_deg)
+    comps = []
+    for t, weight, phase, dep, arr in subs:
+        pair = []
+        for lobe in (dep, arr):
+            d_az, d_el = rng.standard_normal(), rng.standard_normal()
+            el = min(max(lobe[1] + spread * d_el, -math.pi / 2), math.pi / 2)
+            pair.append(((lobe[0] + spread * d_az) % TWO_PI, el))
+        comps.append((t, weight, phase, pair[0], pair[1]))
+    return comps, psi_uniforms
 
 
-def reference_realize_taps(cir, r_r_sqrt, r_t_sqrt, fading, rng):
-    """One fading draw and one CorrelatedTap per component."""
+def reference_initial_cir(config, scenario, rng):
+    """The CIR of one drop's layout."""
+    return _normalized_cir(_read_drop_cir(config, rng)[0], scenario)
+
+
+def _normalized_cir(comps, scenario):
+    """Components normalized to unit total power, summed in component order."""
+    total = 0.0
+    for _, weight, _, _, _ in comps:
+        total += weight
+    return ChannelImpulseResponse.from_components(
+        [
+            MultipathComponent(power_gain=w / total, phase=phase, delay=t, aod=aod, aoa=aoa)
+            for t, w, phase, aod, aoa in comps
+        ],
+        scenario,
+    )
+
+
+def _reference_taps(cir, r_r_sqrt, r_t_sqrt, fading, psi_uniforms, rng):
+    """One CorrelatedTap per component; each tap draws the real then the
+    imaginary parts of its white matrix, and a Rician tap takes its dominant
+    phase from ``psi_uniforms``."""
     n_r = r_r_sqrt.shape[0]
     n_t = r_t_sqrt.shape[1]
     ones = np.ones((n_r, n_t))
     taps = []
-    for comp in cir.components:
+    for comp, u in zip(cir.components, psi_uniforms):
         g = (rng.standard_normal((n_r, n_t)) + 1j * rng.standard_normal((n_r, n_t))) / math.sqrt(2.0)
         diffuse = r_r_sqrt @ g @ r_t_sqrt
         if fading.is_rician:
             k = min(max(db_to_linear(fading.k_factor_db), K_LINEAR_MIN), K_LINEAR_MAX)
-            psi = rng.uniform(0.0, TWO_PI)
-            h = math.sqrt(k / (k + 1.0)) * np.exp(1j * psi) * ones + math.sqrt(1.0 / (k + 1.0)) * diffuse
+            h = math.sqrt(k / (k + 1.0)) * np.exp(1j * (TWO_PI * u)) * ones + math.sqrt(1.0 / (k + 1.0)) * diffuse
         else:
             h = diffuse
         taps.append(
             CorrelatedTap(matrix=math.sqrt(comp.power_gain) * h, delay=comp.delay, mean_power=comp.power_gain)
         )
     return taps
+
+
+def reference_realize_taps(cir, r_r_sqrt, r_t_sqrt, fading, rng):
+    """The taps of a fixed CIR: one uniform per tap for its dominant phase,
+    then the white draws tap by tap."""
+    psi_uniforms = [rng.random() for _ in cir.components]
+    return _reference_taps(cir, r_r_sqrt, r_t_sqrt, fading, psi_uniforms, rng)
 
 
 def reference_frequency_response(taps, cap_config):
@@ -350,8 +381,12 @@ def reference_monte_carlo(
     for drop in range(num_drops):
         ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(0, drop))
         rng = np.random.default_rng(ss)
-        cir = shared if shared is not None else reference_initial_cir(gen_config, scenario, rng)
-        taps = reference_realize_taps(cir, rr_sqrt, rt_sqrt, fading, rng)
+        if shared is not None:
+            taps = reference_realize_taps(shared, rr_sqrt, rt_sqrt, fading, rng)
+        else:
+            comps, psi_uniforms = _read_drop_cir(gen_config, rng)
+            cir = _normalized_cir(comps, scenario)
+            taps = _reference_taps(cir, rr_sqrt, rt_sqrt, fading, psi_uniforms, rng)
         hf = reference_frequency_response(taps, cap_config)
         cap = reference_wideband_capacity(hf, cap_config, tx_geometry.num_elements)
         seed_word = int(ss.generate_state(2, dtype=np.uint32).view(np.uint64)[0])

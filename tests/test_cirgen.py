@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from mmwchan.cirgen import (
     CirFileError,
     CirGenConfig,
     check_void_intervals,
-    draw_cir,
+    cir_rows,
+    drop_layout,
     export_cir,
     generate_initial_cir,
     import_cir,
+    lobe_choices,
     partition_by_void,
 )
 from mmwchan.core import (
@@ -29,13 +32,13 @@ def rng(seed):
     return np.random.default_rng(seed)
 
 
-def cluster_delays(draw):
-    """Component delays of each cluster of a :func:`draw_cir` result."""
-    out, first = [], 0
-    for size in draw.cluster_sizes:
-        out.append(draw.delays[first : first + size])
-        first += size
-    return out
+def drawn_clusters(cfg, seed):
+    """Component delays of each cluster of one drop drawn from ``seed`` as
+    the drop engine draws it."""
+    rows = cir_rows(cfg, rng(seed).random((1, drop_layout(cfg).width)))
+    delays = rows.delays[0].reshape(cfg.num_clusters_range[1], -1)
+    valid = rows.valid[0].reshape(delays.shape)
+    return [d[v].tolist() for d, v in zip(delays, valid) if v.any()]
 
 
 class TestGenerator:
@@ -59,14 +62,12 @@ class TestGenerator:
 
     def test_three_clusters_respect_void_interval(self):
         for seed in range(30):
-            draw = draw_cir(
-                CirGenConfig(num_clusters_range=(3, 3), paths_per_cluster_range=(1, 3)),
-                rng(seed),
+            clusters = drawn_clusters(
+                CirGenConfig(num_clusters_range=(3, 3), paths_per_cluster_range=(1, 3)), seed
             )
-            clusters = cluster_delays(draw)
             assert len(clusters) == 3
-            for prev, nxt_start in zip(clusters, draw.cluster_starts[1:]):
-                gap_ns = (nxt_start - prev[-1]) / 1e-9
+            for prev, nxt in zip(clusters, clusters[1:]):
+                gap_ns = (nxt[0] - prev[-1]) / 1e-9
                 assert gap_ns >= 25.0 - 1e-9
 
     def test_generated_cirs_valid_normalized_and_void(self):
@@ -79,7 +80,7 @@ class TestGenerator:
 
     def test_subpath_delays_nondecreasing_within_cluster(self):
         cfg = CirGenConfig(num_clusters_range=(2, 2), paths_per_cluster_range=(4, 4))
-        for delays in cluster_delays(draw_cir(cfg, rng(3))):
+        for delays in drawn_clusters(cfg, 3):
             assert delays == sorted(delays)
 
     def test_scenario_carried(self):
@@ -101,6 +102,64 @@ class TestGenerator:
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             CirGenConfig(**kwargs)
+
+
+class TestDrawnMarginals:
+    """Each marginal of the chunk CIR kernel against its stated law, over
+    4000 drops drawn from the engine's per-drop streams at a fixed seed:
+    discrete laws by a chi-square test, gaps by a KS test, all at
+    alpha = 0.001."""
+
+    ALPHA = 0.001
+    DROPS = 4000
+    CFG = CirGenConfig(num_clusters_range=(1, 4), paths_per_cluster_range=(1, 3), num_lobes_range=(1, 3),
+                       cluster_decay_ns=30.0, intracluster_decay_ns=10.0)
+
+    @pytest.fixture(scope="class")
+    def drawn(self):
+        from mmwchan.seeding import drop_streams
+
+        rngs, _ = drop_streams(20160418, 0, self.DROPS)
+        u = np.empty((self.DROPS, drop_layout(self.CFG).width))
+        for r, row in zip(rngs, u):
+            r.random(out=row)
+        rows = cir_rows(self.CFG, u)
+        # (delays, cluster of each component) of each drop
+        drops = [(d[v], np.flatnonzero(v) // self.CFG.paths_per_cluster_range[1])
+                 for d, v in zip(rows.delays, rows.valid)]
+        return u, drops
+
+    def test_cluster_count_uniform(self, drawn):
+        _, drops = drawn
+        counts = np.bincount([cluster[-1] + 1 for _, cluster in drops], minlength=5)
+        assert counts[0] == 0
+        assert stats.chisquare(counts[1:]).pvalue > self.ALPHA
+
+    def _gaps_ns(self, drawn, same_cluster):
+        _, drops = drawn
+        gaps = [np.diff(d)[(np.diff(cluster) == 0) == same_cluster] for d, cluster in drops]
+        return np.concatenate(gaps) / 1e-9
+
+    def test_intercluster_gap_minus_void_exponential(self, drawn):
+        gaps = self._gaps_ns(drawn, same_cluster=False) - self.CFG.intercluster_void_ns
+        assert gaps.size > 4000
+        assert stats.kstest(gaps, stats.expon(scale=self.CFG.cluster_decay_ns).cdf).pvalue > self.ALPHA
+
+    def test_intracluster_gaps_exponential(self, drawn):
+        gaps = self._gaps_ns(drawn, same_cluster=True)
+        assert gaps.size > 4000
+        assert stats.kstest(gaps, stats.expon(scale=self.CFG.intracluster_decay_ns).cdf).pvalue > self.ALPHA
+
+    def test_lobe_choices_uniform(self, drawn):
+        u, drops = drawn
+        counts, choices = lobe_choices(self.CFG, u)
+        live = np.arange(choices.shape[1]) <= np.array([c[-1] for _, c in drops])[:, None]  # the drop's clusters
+        for side in (0, 1):
+            assert stats.chisquare(np.bincount(counts[:, side])[1:]).pvalue > self.ALPHA
+            for num_lobes in (2, 3):
+                picked = choices[:, :, side][live & (counts[:, side] == num_lobes)[:, None]]
+                assert picked.size > 1000
+                assert stats.chisquare(np.bincount(picked, minlength=num_lobes)).pvalue > self.ALPHA
 
 
 class TestVoidPartition:

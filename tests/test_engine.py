@@ -1,9 +1,9 @@
 """The batched drop engine against the per-drop reference in ``oracles``.
 
-The engine keeps each drop's random stream and draw order, so it must give
-the reference's seed words exactly and its capacities to float rounding;
-CIR synthesis and ``realize_taps`` keep the reference's arithmetic too and
-must match it bit for bit. Drop i depends only on the campaign, the master
+The reference reads each drop's stream in the same fixed layout one value
+at a time, so the engine must give its seed words exactly and its
+capacities to float rounding; CIR synthesis and ``realize_taps`` keep the
+reference's arithmetic too and must match it bit for bit. Drop i depends only on the campaign, the master
 seed and i: neither the run length nor the worker count may change it.
 """
 
@@ -28,7 +28,7 @@ from mmwchan.capacity import (
     logdet_eye_plus,
     run_monte_carlo,
 )
-from mmwchan.cirgen import CirGenConfig, draw_cir, generate_initial_cir
+from mmwchan.cirgen import CirGenConfig, cir_rows, drop_layout, generate_initial_cir
 from mmwchan.core import (
     ArrayGeometry,
     ChannelImpulseResponse,
@@ -129,11 +129,27 @@ def test_generated_cir_equals_reference_and_leaves_same_stream(spread_deg):
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
             assert generate_initial_cir(cfg, SCEN, rng_a) == reference_initial_cir(cfg, SCEN, rng_b)
             assert rng_a.random() == rng_b.random()
-            draw = draw_cir(cfg, np.random.default_rng(seed))
+            rows = cir_rows(cfg, np.random.default_rng(seed).random((1, drop_layout(cfg).width)))
             want = reference_initial_cir(cfg, SCEN, np.random.default_rng(seed)).components
-            firsts = np.cumsum([0] + draw.cluster_sizes[:-1])
-            assert sum(draw.cluster_sizes) == len(want)
-            assert draw.cluster_starts == [want[i].delay for i in firsts]
+            assert rows.delays[rows.valid].tolist() == [c.delay for c in want]
+            assert rows.powers[rows.valid].tolist() == [c.power_gain for c in want]
+
+
+def test_chunk_cirs_equal_per_drop_cirs():
+    # the chunk kernel on 64 drops' blocks gives each drop the CIR that
+    # generate_initial_cir draws from that drop's stream alone
+    from mmwchan.seeding import drop_streams
+
+    cfg = _gen_config(4, 3, 10.0)
+    rngs, _ = drop_streams(99, 0, CHUNK_DROPS)
+    u = np.empty((CHUNK_DROPS, drop_layout(cfg).width))
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
+    rows = cir_rows(cfg, u)
+    for i, rng in enumerate(drop_streams(99, 0, CHUNK_DROPS)[0]):
+        comps = generate_initial_cir(cfg, SCEN, rng).components
+        assert rows.delays[i][rows.valid[i]].tolist() == [c.delay for c in comps]
+        assert rows.powers[i][rows.valid[i]].tolist() == [c.power_gain for c in comps]
 
 
 # Ragged MIMO drops: 2-12 taps over both Gram routes, and enough
