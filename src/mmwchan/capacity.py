@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cirgen import CirGenConfig, cir_rows, drop_layout, generate_initial_cir
+from .cirgen import ANGLE_OFFSETS, CirGenConfig, CirRows, cir_rows, drop_layout, generate_initial_cir
 from .core import (
     TWO_PI,
     ArrayGeometry,
@@ -275,7 +275,7 @@ def _simulate_chunk(task) -> list[CapacitySample]:
     Each drop makes two draws from its own stream: its uniform block, then
     one normal block. A drop that draws its CIR takes the block of
     :func:`cirgen.drop_layout`, which holds the dominant phases of its taps
-    too, and its normals are the four angle offsets of each tap, which
+    too, and its normals are the angle offsets of each tap, which
     :func:`generate_initial_cir` reads and the capacity does not, then the
     white draws of the taps. A drop with a fixed CIR draws as
     :func:`spatial.draw_tap_noise` does: one dominant phase per tap, then
@@ -291,18 +291,17 @@ def _simulate_chunk(task) -> list[CapacitySample]:
     rngs, seeds = drop_streams(campaign.master_seed, start, stop)
     if campaign.shared_cir is None:
         layout = drop_layout(campaign.gen_config)
-        width, psi_cols, offsets = layout.width, layout.psi, 4
+        width, psi_cols, offsets = layout.width, layout.psi, ANGLE_OFFSETS
     else:
-        delays, powers = (np.array(v) for v in campaign.shared_cir)
-        width, psi_cols, offsets = delays.size, slice(None), 0
+        width, psi_cols, offsets = len(campaign.shared_cir[0]), slice(None), 0
     u = np.empty((len(rngs), width))
     for rng, row in zip(rngs, u):
         rng.random(out=row)
     if campaign.shared_cir is None:
         rows = cir_rows(campaign.gen_config, u)
-        num_taps = rows.valid.sum(axis=1)
     else:
-        num_taps = np.full(len(rngs), delays.size)
+        rows = CirRows(np.ones(u.shape, dtype=bool), *(np.broadcast_to(v, u.shape) for v in campaign.shared_cir))
+    num_taps = rows.valid.sum(axis=1)
 
     caps = np.empty(len(rngs))
     num_f = campaign.cap_config.num_subcarriers
@@ -313,13 +312,9 @@ def _simulate_chunk(task) -> list[CapacitySample]:
             rngs[i].standard_normal(out=row)
         white = normals[:, num_taps_group * offsets :].reshape(members.size, num_taps_group, 2, n_r, n_t)
         psi = TWO_PI * u[members, psi_cols][:, :num_taps_group] if campaign.fading.is_rician else None
-        if campaign.shared_cir is None:
-            taps = rows.valid[members]
-            d = rows.delays[members][taps].reshape(members.size, num_taps_group)
-            p = rows.powers[members][taps].reshape(members.size, num_taps_group)
-        else:
-            d = np.broadcast_to(delays, (members.size, num_taps_group))
-            p = np.broadcast_to(powers, (members.size, num_taps_group))
+        taps = rows.valid[members]
+        d = rows.delays[members][taps].reshape(members.size, num_taps_group)
+        p = rows.powers[members][taps].reshape(members.size, num_taps_group)
         step = max(1, BATCH_BYTES // _drop_bytes(num_taps_group, n_r, n_t, num_f))
         for s in range(0, members.size, step):
             part = slice(s, s + step)

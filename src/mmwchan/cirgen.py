@@ -27,6 +27,9 @@ from .core import (
 )
 
 NS = 1e-9
+#: Standard normal angle offsets drawn per component: departure azimuth and
+#: elevation, then arrival azimuth and elevation.
+ANGLE_OFFSETS = 4
 #: Lobe centre elevations are uniform on [-pi/4, pi/4).
 _LOBE_EL_LOW = -math.pi / 4
 _LOBE_EL_SPAN = math.pi / 4 - _LOBE_EL_LOW
@@ -117,6 +120,8 @@ class _Plan(NamedTuple):
 
 @functools.lru_cache(maxsize=16)
 def _plan(config: CirGenConfig) -> _Plan:
+    """The plan of ``config``; the cache hands the same arrays to every
+    caller, so they are read-only."""
     clusters = config.num_clusters_range[1]
     paths = config.paths_per_cluster_range[1]
     slots = clusters * paths
@@ -125,15 +130,17 @@ def _plan(config: CirGenConfig) -> _Plan:
     bounds = [config.num_clusters_range] + [config.num_lobes_range] * 2 + [config.paths_per_cluster_range] * clusters
     lo = np.array([b[0] for b in bounds])
     gap_counts = [clusters - 1, clusters * (paths - 1)]
-    return _Plan(
-        layout=DropLayout(*map(slice, edges, edges[1:]), edges[-1]),
-        count_lo=lo,
-        count_span=np.array([b[1] + 1 for b in bounds]) - lo,
-        gap_shift=np.repeat([config.intercluster_void_ns * NS, 0.0], gap_counts),
-        gap_scale=np.repeat([-config.cluster_decay_ns * NS, -config.intracluster_decay_ns * NS], gap_counts),
-        cluster_index=np.arange(clusters)[:, None],
-        path_index=np.arange(paths),
+    arrays = (
+        lo,
+        np.array([b[1] + 1 for b in bounds]) - lo,
+        np.repeat([config.intercluster_void_ns * NS, 0.0], gap_counts),
+        np.repeat([-config.cluster_decay_ns * NS, -config.intracluster_decay_ns * NS], gap_counts),
+        np.arange(clusters)[:, None],
+        np.arange(paths),
     )
+    for a in arrays:
+        a.setflags(write=False)
+    return _Plan(DropLayout(*map(slice, edges, edges[1:]), edges[-1]), *arrays)
 
 
 def _uniform_ints(u: np.ndarray, lo, count) -> np.ndarray:
@@ -207,10 +214,9 @@ def lobe_choices(config: CirGenConfig, u: np.ndarray) -> tuple[np.ndarray, np.nd
 
 def _components(config: CirGenConfig, u: np.ndarray, rows: CirRows, offsets: np.ndarray) -> list[MultipathComponent]:
     """The components of the one drop in ``u`` (1, width) and ``rows``,
-    with the standard normal angle ``offsets`` (L, 4) of its L components:
-    departure azimuth and elevation, then arrival azimuth and elevation,
-    each the chosen lobe's centre plus the angular spread times the
-    offset. Lobe centres are uniform in azimuth on [0, 2pi) and in
+    with the standard normal angle ``offsets`` (L, ANGLE_OFFSETS) of its L
+    components: each angle is the chosen lobe's centre plus the angular
+    spread times its offset. Lobe centres are uniform in azimuth on [0, 2pi) and in
     elevation on [-pi/4, pi/4); azimuths wrap to [0, 2pi) and elevations
     are clamped to [-pi/2, pi/2]."""
     lay = drop_layout(config)
@@ -244,7 +250,7 @@ def generate_initial_cir(
     them. The same stream gives the same CIR."""
     u = rng.random((1, drop_layout(config).width))
     rows = cir_rows(config, u)
-    offsets = rng.standard_normal((int(rows.valid.sum()), 4))
+    offsets = rng.standard_normal((int(rows.valid.sum()), ANGLE_OFFSETS))
     return ChannelImpulseResponse.from_components(_components(config, u, rows, offsets), scenario)
 
 
