@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cirgen import ANGLE_OFFSETS, CirGenConfig, CirRows, cir_rows, drop_layout, generate_initial_cir
+from .cirgen import ANGLE_OFFSETS, CirGenConfig, cir_rows, drop_layout, generate_initial_cir
 from .core import (
     TWO_PI,
     ArrayGeometry,
@@ -32,6 +32,7 @@ from .core import (
 )
 from .spatial import (
     build_amplitude_matched_corr,
+    draw_tap_noise,
     matrix_sqrt_psd,
     tap_matrices,
 )
@@ -231,7 +232,7 @@ class _Campaign(NamedTuple):
     fading: FadingModel
     cap_config: CapacityConfig
     master_seed: int
-    shared_cir: tuple[list[float], list[float]] | None  # (delays, powers)
+    shared_cir: tuple[np.ndarray, np.ndarray] | None  # (delays, powers)
 
 
 def _uses_cross_gram(num_taps: int, n_r: int, n_t: int) -> bool:
@@ -268,58 +269,72 @@ def _batch_capacities(delays, powers, white, psi, campaign: _Campaign) -> np.nda
     return _capacities(gram, campaign.cap_config, n_t)
 
 
+def _drop_draws(campaign: _Campaign, rngs):
+    """The draws of a chunk's drops, one group of drops with equal tap
+    count L at a time: (positions in the chunk, delays and powers (B, L),
+    white draws (B, L, 2, N_r, N_t), dominant phases (B, L) or None for
+    Rayleigh).
+
+    Each drop reads its own stream in a fixed layout of two draws. A drop
+    that draws its CIR takes its uniform block (:func:`cirgen.drop_layout`),
+    which holds the dominant phases of its taps too, then one normal block:
+    the angle offsets of its components, which only
+    :func:`generate_initial_cir` reads, then the white draws of its taps.
+    The CIRs of the chunk come from one :func:`cir_rows` call. A drop with a
+    fixed CIR draws through :func:`spatial.draw_tap_noise`.
+    """
+    n_r, n_t = campaign.rr_sqrt.shape[0], campaign.rt_sqrt.shape[1]
+    rician = campaign.fading.is_rician
+    if campaign.shared_cir is not None:
+        delays, powers = campaign.shared_cir
+        white, psi = zip(*(draw_tap_noise(rng, len(delays), n_r, n_t, rician) for rng in rngs))
+        shape = (len(rngs), len(delays))
+        yield (np.arange(len(rngs)), np.broadcast_to(delays, shape), np.broadcast_to(powers, shape),
+               np.stack(white), np.stack(psi) if rician else None)
+        return
+    layout = drop_layout(campaign.gen_config)
+    u = np.empty((len(rngs), layout.width))
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
+    rows = cir_rows(campaign.gen_config, u)
+    num_taps = rows.valid.sum(axis=1)
+    for group_taps in np.unique(num_taps).tolist():
+        members = np.flatnonzero(num_taps == group_taps)
+        normals = np.empty((members.size, group_taps * (ANGLE_OFFSETS + 2 * n_r * n_t)))
+        for i, row in zip(members.tolist(), normals):
+            rngs[i].standard_normal(out=row)
+        taps = rows.valid[members]
+        yield (
+            members,
+            rows.delays[members][taps].reshape(members.size, group_taps),
+            rows.powers[members][taps].reshape(members.size, group_taps),
+            normals[:, group_taps * ANGLE_OFFSETS :].reshape(members.size, group_taps, 2, n_r, n_t),
+            TWO_PI * u[members, layout.psi][:, :group_taps] if rician else None,
+        )
+
+
 def _simulate_chunk(task) -> list[CapacitySample]:
     """Drops [start, stop) of a campaign, which must not cross a chunk
     boundary.
 
-    Each drop makes two draws from its own stream: its uniform block, then
-    one normal block. A drop that draws its CIR takes the block of
-    :func:`cirgen.drop_layout`, which holds the dominant phases of its taps
-    too, and its normals are the angle offsets of each tap, which
-    :func:`generate_initial_cir` reads and the capacity does not, then the
-    white draws of the taps. A drop with a fixed CIR draws as
-    :func:`spatial.draw_tap_noise` does: one dominant phase per tap, then
-    the white draws. So a drop's sample depends only on the campaign and
-    its index. The CIRs of the chunk come from one :func:`cir_rows` call,
-    and the math runs per group of drops with equal tap counts, in batches
-    under ``BATCH_BYTES``.
+    Each drop draws from its own stream (:func:`_drop_draws`), so its
+    sample depends only on the campaign and its index. The math runs per
+    group of drops with equal tap counts, in batches under
+    ``BATCH_BYTES``.
     """
     from .seeding import drop_streams  # imports numpy.random
 
     campaign, start, stop = task
     n_r, n_t = campaign.rr_sqrt.shape[0], campaign.rt_sqrt.shape[1]
     rngs, seeds = drop_streams(campaign.master_seed, start, stop)
-    if campaign.shared_cir is None:
-        layout = drop_layout(campaign.gen_config)
-        width, psi_cols, offsets = layout.width, layout.psi, ANGLE_OFFSETS
-    else:
-        width, psi_cols, offsets = len(campaign.shared_cir[0]), slice(None), 0
-    u = np.empty((len(rngs), width))
-    for rng, row in zip(rngs, u):
-        rng.random(out=row)
-    if campaign.shared_cir is None:
-        rows = cir_rows(campaign.gen_config, u)
-    else:
-        rows = CirRows(np.ones(u.shape, dtype=bool), *(np.broadcast_to(v, u.shape) for v in campaign.shared_cir))
-    num_taps = rows.valid.sum(axis=1)
-
     caps = np.empty(len(rngs))
     num_f = campaign.cap_config.num_subcarriers
-    for num_taps_group in np.unique(num_taps).tolist():
-        members = np.flatnonzero(num_taps == num_taps_group)
-        normals = np.empty((members.size, num_taps_group * (offsets + 2 * n_r * n_t)))
-        for i, row in zip(members.tolist(), normals):
-            rngs[i].standard_normal(out=row)
-        white = normals[:, num_taps_group * offsets :].reshape(members.size, num_taps_group, 2, n_r, n_t)
-        psi = TWO_PI * u[members, psi_cols][:, :num_taps_group] if campaign.fading.is_rician else None
-        taps = rows.valid[members]
-        d = rows.delays[members][taps].reshape(members.size, num_taps_group)
-        p = rows.powers[members][taps].reshape(members.size, num_taps_group)
-        step = max(1, BATCH_BYTES // _drop_bytes(num_taps_group, n_r, n_t, num_f))
+    for members, delays, powers, white, psi in _drop_draws(campaign, rngs):
+        step = max(1, BATCH_BYTES // _drop_bytes(delays.shape[1], n_r, n_t, num_f))
         for s in range(0, members.size, step):
             part = slice(s, s + step)
             caps[members[part]] = _batch_capacities(
-                d[part], p[part], white[part], None if psi is None else psi[part], campaign
+                delays[part], powers[part], white[part], None if psi is None else psi[part], campaign
             )
     if not np.all(np.isfinite(caps)):
         raise ValueError(f"non-finite capacity in drops {start}..{stop - 1}")
@@ -381,7 +396,7 @@ def run_monte_carlo(
         fading=fading,
         cap_config=cap_config,
         master_seed=master_seed,
-        shared_cir=None if shared_cir is None else (shared_cir.delays(), shared_cir.power_gains()),
+        shared_cir=None if shared_cir is None else (np.array(shared_cir.delays()), np.array(shared_cir.power_gains())),
     )
 
     tasks = [

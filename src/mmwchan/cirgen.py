@@ -215,10 +215,10 @@ def lobe_choices(config: CirGenConfig, u: np.ndarray) -> tuple[np.ndarray, np.nd
 def _components(config: CirGenConfig, u: np.ndarray, rows: CirRows, offsets: np.ndarray) -> list[MultipathComponent]:
     """The components of the one drop in ``u`` (1, width) and ``rows``,
     with the standard normal angle ``offsets`` (L, ANGLE_OFFSETS) of its L
-    components: each angle is the chosen lobe's centre plus the angular
-    spread times its offset. Lobe centres are uniform in azimuth on [0, 2pi) and in
-    elevation on [-pi/4, pi/4); azimuths wrap to [0, 2pi) and elevations
-    are clamped to [-pi/2, pi/2]."""
+    components. Each angle is the chosen lobe's centre plus the angular
+    spread times its offset. Lobe centres are uniform in azimuth on
+    [0, 2pi) and in elevation on [-pi/4, pi/4); azimuths wrap to [0, 2pi)
+    and elevations are clamped to [-pi/2, pi/2]."""
     lay = drop_layout(config)
     row = u[0].tolist()
     centres = row[lay.lobes]  # (azimuth, elevation) pairs, departure lobes first
@@ -246,8 +246,8 @@ def generate_initial_cir(
     rng: np.random.Generator,
 ) -> ChannelImpulseResponse:
     """Generate one initial CIR from ``rng``: a drop's uniform block, then
-    the four angle offsets of each component, as the drop engine draws
-    them. The same stream gives the same CIR."""
+    the angle offsets of each component, as the drop engine draws them.
+    The same stream gives the same CIR."""
     u = rng.random((1, drop_layout(config).width))
     rows = cir_rows(config, u)
     offsets = rng.standard_normal((int(rows.valid.sum()), ANGLE_OFFSETS))

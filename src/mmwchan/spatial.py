@@ -236,15 +236,17 @@ def draw_tap_noise(
     rng: np.random.Generator, num_taps: int, n_r: int, n_t: int, rician: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The fading draws of ``num_taps`` local-area taps, as a drop with a
-    fixed CIR draws them: one uniform per tap for its dominant-term phase
-    (drawn for Rayleigh too, so both laws see the same white draws), then
-    the white draws, for each tap the real then the imaginary standard
-    normals of its N_r x N_t matrix. Returns the white draws, shape
-    (num_taps, 2, N_r, N_t), and the phases 2pi * u (num_taps,), or None
-    for Rayleigh.
+    fixed CIR draws them: the white draws, for each tap the real then the
+    imaginary standard normals of its N_r x N_t matrix, then one uniform
+    per tap for its dominant-term phase, drawn for Rayleigh too. After
+    :func:`cirgen.generate_initial_cir` on a drop's stream, the white draws
+    are those the drop engine gave that drop. Returns the white draws,
+    shape (num_taps, 2, N_r, N_t), and the phases 2pi * u (num_taps,), or
+    None for Rayleigh.
     """
+    white = rng.standard_normal((num_taps, 2, n_r, n_t))
     psi = TWO_PI * rng.random(num_taps)
-    return rng.standard_normal((num_taps, 2, n_r, n_t)), psi if rician else None
+    return white, psi if rician else None
 
 
 def tap_matrices(

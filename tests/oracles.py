@@ -302,16 +302,15 @@ def _normalized_cir(comps, scenario):
     )
 
 
-def _reference_taps(cir, r_r_sqrt, r_t_sqrt, fading, psi_uniforms, rng):
-    """One CorrelatedTap per component; each tap draws the real then the
-    imaginary parts of its white matrix, and a Rician tap takes its dominant
-    phase from ``psi_uniforms``."""
+def _reference_taps(cir, r_r_sqrt, r_t_sqrt, fading, whites, psi_uniforms):
+    """One CorrelatedTap per component from its (real, imaginary) white
+    draws; a Rician tap takes its dominant phase from ``psi_uniforms``."""
     n_r = r_r_sqrt.shape[0]
     n_t = r_t_sqrt.shape[1]
     ones = np.ones((n_r, n_t))
     taps = []
-    for comp, u in zip(cir.components, psi_uniforms):
-        g = (rng.standard_normal((n_r, n_t)) + 1j * rng.standard_normal((n_r, n_t))) / math.sqrt(2.0)
+    for comp, (re, im), u in zip(cir.components, whites, psi_uniforms):
+        g = (re + 1j * im) / math.sqrt(2.0)
         diffuse = r_r_sqrt @ g @ r_t_sqrt
         if fading.is_rician:
             k = min(max(db_to_linear(fading.k_factor_db), K_LINEAR_MIN), K_LINEAR_MAX)
@@ -324,11 +323,17 @@ def _reference_taps(cir, r_r_sqrt, r_t_sqrt, fading, psi_uniforms, rng):
     return taps
 
 
+def _reference_whites(cir, n_r, n_t, rng):
+    """Tap by tap, the real then the imaginary white draws."""
+    return [(rng.standard_normal((n_r, n_t)), rng.standard_normal((n_r, n_t))) for _ in cir.components]
+
+
 def reference_realize_taps(cir, r_r_sqrt, r_t_sqrt, fading, rng):
-    """The taps of a fixed CIR: one uniform per tap for its dominant phase,
-    then the white draws tap by tap."""
+    """The taps of a fixed CIR: the white draws tap by tap, then one
+    uniform per tap for its dominant phase."""
+    whites = _reference_whites(cir, r_r_sqrt.shape[0], r_t_sqrt.shape[1], rng)
     psi_uniforms = [rng.random() for _ in cir.components]
-    return _reference_taps(cir, r_r_sqrt, r_t_sqrt, fading, psi_uniforms, rng)
+    return _reference_taps(cir, r_r_sqrt, r_t_sqrt, fading, whites, psi_uniforms)
 
 
 def reference_frequency_response(taps, cap_config):
@@ -386,7 +391,8 @@ def reference_monte_carlo(
         else:
             comps, psi_uniforms = _read_drop_cir(gen_config, rng)
             cir = _normalized_cir(comps, scenario)
-            taps = _reference_taps(cir, rr_sqrt, rt_sqrt, fading, psi_uniforms, rng)
+            whites = _reference_whites(cir, rr_sqrt.shape[0], rt_sqrt.shape[1], rng)
+            taps = _reference_taps(cir, rr_sqrt, rt_sqrt, fading, whites, psi_uniforms)
         hf = reference_frequency_response(taps, cap_config)
         cap = reference_wideband_capacity(hf, cap_config, tx_geometry.num_elements)
         seed_word = int(ss.generate_state(2, dtype=np.uint32).view(np.uint64)[0])
