@@ -396,7 +396,9 @@ def run_monte_carlo(
         fading=fading,
         cap_config=cap_config,
         master_seed=master_seed,
-        shared_cir=None if shared_cir is None else (np.array(shared_cir.delays()), np.array(shared_cir.power_gains())),
+        shared_cir=None if shared_cir is None else tuple(
+            np.array(v) for v in (shared_cir.delays(), shared_cir.power_gains())
+        ),
     )
 
     tasks = [

@@ -127,7 +127,9 @@ def _plan(config: CirGenConfig) -> _Plan:
     slots = clusters * paths
     sizes = (3 + clusters, 4 * config.num_lobes_range[1], slots - 1, 2 * clusters, slots, slots)
     edges = list(itertools.accumulate(sizes, initial=0))
-    bounds = [config.num_clusters_range] + [config.num_lobes_range] * 2 + [config.paths_per_cluster_range] * clusters
+    # the count columns: clusters, departure lobes, arrival lobes, then paths per cluster
+    bounds = [config.num_clusters_range] + [config.num_lobes_range] * 2
+    bounds += [config.paths_per_cluster_range] * clusters
     lo = np.array([b[0] for b in bounds])
     gap_counts = [clusters - 1, clusters * (paths - 1)]
     arrays = (
@@ -212,7 +214,9 @@ def lobe_choices(config: CirGenConfig, u: np.ndarray) -> tuple[np.ndarray, np.nd
     return counts, _uniform_ints(picks, 0, counts[:, None, :])
 
 
-def _components(config: CirGenConfig, u: np.ndarray, rows: CirRows, offsets: np.ndarray) -> list[MultipathComponent]:
+def _components(
+    config: CirGenConfig, u: np.ndarray, rows: CirRows, offsets: np.ndarray
+) -> list[MultipathComponent]:
     """The components of the one drop in ``u`` (1, width) and ``rows``,
     with the standard normal angle ``offsets`` (L, ANGLE_OFFSETS) of its L
     components. Each angle is the chosen lobe's centre plus the angular

@@ -291,7 +291,8 @@ class TestMainEntry:
     def test_rician_k_outside_clamp_range_exit_2(self, tmp_path, capsys, model):
         # 1e308 dB overflowed the dB conversion (exit 3); 200 dB was clamped
         # to 120 dB without notice
-        path = write_cfg(tmp_path, BASE_CFG.replace("fading.models = rayleigh rician:5", f"fading.models = rayleigh {model}"))
+        models = f"fading.models = rayleigh {model}"
+        path = write_cfg(tmp_path, BASE_CFG.replace("fading.models = rayleigh rician:5", models))
         out_dir = tmp_path / "o"
         for command in ("simulate-cir", "simulate-capacity"):
             assert main([command, "--config", path, "--out", str(out_dir)]) == 2
