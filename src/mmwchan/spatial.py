@@ -40,12 +40,12 @@ from .core import (
 HERMITIAN_ATOL = 1e-12
 #: Eigenvalues above this (tiny negative) threshold count as nonnegative.
 EIGENVALUE_TOL = -1e-10
-#: Linear Rician K factor is clamped to this range when sampling; a run
-#: config must give K inside it, in dB.
-K_LINEAR_MIN = 1e-6
-K_LINEAR_MAX = 1e12
+#: Rician K factor range in dB: a run config must give K inside it, and the
+#: sampler clamps the linear K of any other FadingModel to it.
 K_DB_MIN = -60.0
 K_DB_MAX = 120.0
+K_LINEAR_MIN = db_to_linear(K_DB_MIN)  # 1e-6
+K_LINEAR_MAX = db_to_linear(K_DB_MAX)  # 1e12
 
 
 @dataclass(frozen=True, eq=False)
