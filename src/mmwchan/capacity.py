@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cirgen import ANGLE_OFFSETS, CirGenConfig, cir_rows, drop_layout, generate_initial_cir
+from .cirgen import ANGLE_OFFSETS, CirGenConfig, cir_rows, drop_layout
 from .core import (
     TWO_PI,
     ArrayGeometry,
@@ -28,12 +28,11 @@ from .core import (
     FadingModel,
     Scenario,
     db_to_linear,
-    lookup_default_params,
 )
 from .spatial import (
-    build_amplitude_matched_corr,
     draw_tap_noise,
     matrix_sqrt_psd,
+    pipeline_corr_matrices,
     tap_matrices,
 )
 
@@ -55,14 +54,6 @@ class CapacityConfig:
             raise ValueError("bandwidth_hz must be > 0")
         if self.num_subcarriers < 1:
             raise ValueError("num_subcarriers must be >= 1")
-
-    @property
-    def f_min(self) -> float:
-        return self.center_frequency_hz - self.bandwidth_hz / 2.0
-
-    @property
-    def f_max(self) -> float:
-        return self.center_frequency_hz + self.bandwidth_hz / 2.0
 
     def baseband_frequencies(self) -> np.ndarray:
         """Uniform subcarrier grid over [-BW/2, +BW/2)."""
@@ -210,10 +201,6 @@ def _capacities(gram: np.ndarray, config: CapacityConfig, n_t: int) -> np.ndarra
     return np.maximum(np.mean(logdet, axis=-1) / math.log(2.0), 0.0)
 
 
-def _shared_cir_rng(master_seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(1, 0)))
-
-
 #: Drops per chunk. Chunk c holds drops [c * CHUNK_DROPS, (c + 1) * CHUNK_DROPS),
 #: so chunk boundaries depend on the drop index alone, never on the number
 #: of drops or workers.
@@ -353,42 +340,26 @@ def run_monte_carlo(
     cap_config: CapacityConfig,
     num_drops: int,
     master_seed: int,
-    autocorr_params: AutocorrParams | None = None,
-    share_initial_cir: bool = False,
+    autocorr_params: AutocorrParams,
     initial_cir: ChannelImpulseResponse | None = None,
     num_workers: int = 1,
 ) -> list[CapacitySample]:
     """Monte Carlo capacity campaign.
 
-    Each drop generates an initial CIR, or reuses one fixed CIR when
-    ``share_initial_cir`` is set or an ``initial_cir`` (e.g. an imported
-    one) is given; the drop then realizes spatially correlated local-area
-    taps and evaluates the wideband capacity. ``autocorr_params=None`` uses
-    the scenario's table defaults. Drop i depends only on the arguments,
-    ``master_seed`` and i: results are identical for any ``num_workers``,
-    and a longer run starts with the drops of a shorter one.
+    Each drop draws its own initial CIR, or reuses ``initial_cir`` when one
+    is given (e.g. an imported or a shared one); the drop then realizes
+    spatially correlated local-area taps and evaluates the wideband
+    capacity. ``scenario`` names the campaign and does not enter its
+    numbers. Drop i depends only on the arguments, ``master_seed`` and i:
+    results are identical for any ``num_workers``, and a longer run starts
+    with the drops of a shorter one.
     """
     if num_drops < 1:
         raise ValueError("num_drops must be >= 1")
-    params = autocorr_params
-    if params is None:
-        defaults = lookup_default_params(scenario)
-        if defaults.autocorr is None:
-            raise ValueError(
-                f"no fitted autocorrelation parameters for scenario "
-                f"{scenario.label()!r}; pass autocorr_params explicitly"
-            )
-        params = defaults.autocorr
-
-    shared_cir = initial_cir
-    if shared_cir is not None and shared_cir.num_components < 1:
+    if initial_cir is not None and initial_cir.num_components < 1:
         raise ValueError("initial_cir needs at least one component")
-    if shared_cir is None and share_initial_cir:
-        shared_cir = generate_initial_cir(gen_config, scenario, _shared_cir_rng(master_seed))
     # The amplitude-matched pipeline matrices are deterministic; hoist them.
-    rayleigh = FadingModel.rayleigh()
-    rr = build_amplitude_matched_corr(params, rx_geometry, rayleigh, side="receive")
-    rt = build_amplitude_matched_corr(params, tx_geometry, rayleigh, side="transmit")
+    rr, rt = pipeline_corr_matrices(autocorr_params, rx_geometry, tx_geometry)
     campaign = _Campaign(
         gen_config=gen_config,
         rr_sqrt=matrix_sqrt_psd(rr),
@@ -396,8 +367,8 @@ def run_monte_carlo(
         fading=fading,
         cap_config=cap_config,
         master_seed=master_seed,
-        shared_cir=None if shared_cir is None else tuple(
-            np.array(v) for v in (shared_cir.delays(), shared_cir.power_gains())
+        shared_cir=None if initial_cir is None else tuple(
+            np.array(v) for v in (initial_cir.delays(), initial_cir.power_gains())
         ),
     )
 

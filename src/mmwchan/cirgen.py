@@ -322,17 +322,16 @@ def export_cir(cir: ChannelImpulseResponse, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def import_cir(path, scenario: Scenario | None = None) -> ChannelImpulseResponse:
+def import_cir(path, scenario: Scenario) -> ChannelImpulseResponse:
     """Parse and validate a CIR file.
 
     The scenario is taken from the file's ``# scenario:`` comment when
-    present, else from the argument (default NLOS V-V). Raises
+    present, else from the argument. Raises
     :class:`CirFileError` with line/field diagnostics on schema violations.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
 
-    file_scenario = None
     header_idx = None
     for idx, line in enumerate(raw_lines):
         stripped = line.strip()
@@ -341,7 +340,7 @@ def import_cir(path, scenario: Scenario | None = None) -> ChannelImpulseResponse
         if stripped.startswith("#"):
             body = stripped.lstrip("#").strip()
             if body.lower().startswith("scenario:"):
-                file_scenario = Scenario.parse(body.split(":", 1)[1])
+                scenario = Scenario.parse(body.split(":", 1)[1])
             continue
         header_idx = idx
         break
@@ -353,13 +352,6 @@ def import_cir(path, scenario: Scenario | None = None) -> ChannelImpulseResponse
             f"{path}: line {header_idx + 1}: header {header} does not match "
             f"expected fields {CIR_FILE_FIELDS}"
         )
-
-    if file_scenario is not None:
-        scen = file_scenario
-    elif scenario is not None:
-        scen = scenario
-    else:
-        scen = Scenario.parse("NLOS V-V")
 
     comps: list[MultipathComponent] = []
     prev_delay_ns = -math.inf
@@ -401,7 +393,7 @@ def import_cir(path, scenario: Scenario | None = None) -> ChannelImpulseResponse
         except ValueError as exc:
             raise CirFileError(f"{path}: line {lineno0 + 1}: {exc}") from exc
 
-    cir = ChannelImpulseResponse.from_components(comps, scen)
+    cir = ChannelImpulseResponse.from_components(comps, scenario)
     violations = validate_cir(cir)
     if violations:
         raise CirFileError(f"{path}: invalid CIR: " + "; ".join(violations))

@@ -24,6 +24,7 @@ from .cirgen import CirFileError, CirGenConfig, export_cir, generate_initial_cir
 from .core import (
     ArrayGeometry,
     AutocorrParams,
+    ChannelImpulseResponse,
     FadingModel,
     Scenario,
     all_scenarios,
@@ -31,6 +32,7 @@ from .core import (
 )
 from .estimators import (
     MIN_K_SAMPLES,
+    MIN_OVERLAP,
     TrackFileError,
     TrackMeasurement,
     average_autocorr,
@@ -39,7 +41,7 @@ from .estimators import (
     read_track,
     write_track,
 )
-from .spatial import K_DB_MAX, K_DB_MIN, build_amplitude_matched_corr, simulate_amplitude_track
+from .spatial import K_DB_MAX, K_DB_MIN, pipeline_corr_matrices, simulate_amplitude_track
 
 
 class ConfigError(ValueError):
@@ -65,8 +67,8 @@ class ScenarioConfig:
     share_initial_cir: bool = False
     output_dir: str = "out"
     track_positions: int = 11
-    track_delta_x: float = 0.5
-    track_delay_bin_ns: float = 2.5
+    track_delta_x: float = TrackMeasurement.delta_x
+    track_delay_bin_ns: float = TrackMeasurement.delay_bin_ns
 
     def resolved_autocorr(self) -> AutocorrParams:
         if self.autocorr is not None:
@@ -262,10 +264,17 @@ def _write_csv(path, header: str, rows) -> None:
         fh.write("\n".join(lines))
 
 
-def _obtain_cir(cfg: ScenarioConfig):
+def _fixed_cir(cfg: ScenarioConfig) -> ChannelImpulseResponse | None:
+    """The CIR that every drop of a capacity run reuses, or None when each
+    drop draws its own: the file at ``cir.import_path`` if one is set, else,
+    under ``run.share_initial_cir``, the CIR drawn from the master seed's
+    (1, 0) stream."""
     if cfg.cir_import_path:
-        return import_cir(cfg.cir_import_path, scenario=cfg.scenario)
-    return generate_initial_cir(cfg.cir_gen, cfg.scenario, np.random.default_rng(cfg.master_seed))
+        return import_cir(cfg.cir_import_path, cfg.scenario)
+    if not cfg.share_initial_cir:
+        return None
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(1, 0)))
+    return generate_initial_cir(cfg.cir_gen, cfg.scenario, rng)
 
 
 def _bin_track_grid(amps: np.ndarray, delays_s, bin_ns: float) -> np.ndarray:
@@ -281,12 +290,15 @@ def _bin_track_grid(amps: np.ndarray, delays_s, bin_ns: float) -> np.ndarray:
 
 
 def cmd_simulate_cir(cfg: ScenarioConfig, out_dir: str) -> int:
+    params = cfg.resolved_autocorr()
     os.makedirs(out_dir, exist_ok=True)
-    cir = _obtain_cir(cfg)
+    if cfg.cir_import_path:
+        cir = _fixed_cir(cfg)
+    else:
+        cir = generate_initial_cir(cfg.cir_gen, cfg.scenario, np.random.default_rng(cfg.master_seed))
     cir_path = os.path.join(out_dir, "cir.csv")
     export_cir(cir, cir_path)
 
-    params = cfg.resolved_autocorr()
     fading = cfg.fading_models[0]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(3, 0)))
     amps = simulate_amplitude_track(
@@ -326,18 +338,13 @@ def read_corr_matrix_csv(path) -> np.ndarray:
 
 
 def cmd_simulate_capacity(cfg: ScenarioConfig, out_dir: str, dump_corr: bool = False) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     params = cfg.resolved_autocorr()
+    initial_cir = _fixed_cir(cfg)
+    os.makedirs(out_dir, exist_ok=True)
     if dump_corr:
-        baseline = FadingModel.rayleigh()
-        rr = build_amplitude_matched_corr(params, cfg.rx_array, baseline, side="receive")
-        rt = build_amplitude_matched_corr(params, cfg.tx_array, baseline, side="transmit")
+        rr, rt = pipeline_corr_matrices(params, cfg.rx_array, cfg.tx_array)
         write_corr_matrix_csv(rr.entries, os.path.join(out_dir, "corr_rx.csv"))
         write_corr_matrix_csv(rt.entries, os.path.join(out_dir, "corr_tx.csv"))
-    imported_cir = None
-    if cfg.cir_import_path:
-        # an imported CIR is fixed across drops by definition
-        imported_cir = import_cir(cfg.cir_import_path, scenario=cfg.scenario)
     for fading in cfg.fading_models:
         label = fading.label()
         samples = run_monte_carlo(
@@ -350,8 +357,7 @@ def cmd_simulate_capacity(cfg: ScenarioConfig, out_dir: str, dump_corr: bool = F
             num_drops=cfg.num_drops,
             master_seed=cfg.master_seed,
             autocorr_params=params,
-            share_initial_cir=cfg.share_initial_cir,
-            initial_cir=imported_cir,
+            initial_cir=initial_cir,
             num_workers=cfg.num_workers,
         )
         cap_path = os.path.join(out_dir, f"capacity_{label}.csv")
@@ -372,20 +378,16 @@ def cmd_simulate_capacity(cfg: ScenarioConfig, out_dir: str, dump_corr: bool = F
 
 
 def cmd_estimate(track_path: str, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     track = read_track(track_path)
     # fit over lags keeping at least 3/4 of the track in the overlap window;
     # deeper lags carry too few samples to inform the exponential fit
-    min_overlap = max(8, (3 * track.num_positions) // 4)
-    curve = average_autocorr(track, min_overlap=min_overlap)
-    curve_path = os.path.join(out_dir, "autocorr_curve.csv")
-    _write_csv(
-        curve_path,
-        "lag_wavelengths,rho",
-        zip(map(float, curve.lags), map(float, curve.values)),
-    )
-
-    fit = fit_autocorr_mmse(curve)
+    min_overlap = max(MIN_OVERLAP, (3 * track.num_positions) // 4)
+    try:
+        # a track too short for 3 lags, or without a fading bin, fails here
+        curve = average_autocorr(track, min_overlap=min_overlap)
+        fit = fit_autocorr_mmse(curve)
+    except ValueError as exc:
+        raise TrackFileError(f"{track_path}: {track.num_positions} positions: {exc}") from exc
     lines = [
         f"A = {fit.params.a!r}",
         f"B = {fit.params.b!r}",
@@ -407,6 +409,13 @@ def cmd_estimate(track_path: str, out_dir: str) -> int:
         lines.append("k_factor_db = unavailable")
         lines.append(f"k_factor_status = insufficient_samples ({pooled.size} < {MIN_K_SAMPLES})")
 
+    os.makedirs(out_dir, exist_ok=True)
+    curve_path = os.path.join(out_dir, "autocorr_curve.csv")
+    _write_csv(
+        curve_path,
+        "lag_wavelengths,rho",
+        zip(map(float, curve.lags), map(float, curve.values)),
+    )
     fit_path = os.path.join(out_dir, "fit.txt")
     with open(fit_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

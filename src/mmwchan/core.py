@@ -88,11 +88,6 @@ class MultipathComponent:
         _check_angle_pair("aod", self.aod)
         _check_angle_pair("aoa", self.aoa)
 
-    @property
-    def amplitude(self) -> float:
-        """Voltage amplitude |a| = sqrt(power_gain)."""
-        return math.sqrt(self.power_gain)
-
 
 @dataclass(frozen=True)
 class ChannelImpulseResponse:
@@ -156,11 +151,8 @@ class ArrayGeometry:
 
     num_elements: int
     spacing: float = 0.5
-    kind: str = "ULA"
 
     def __post_init__(self) -> None:
-        if self.kind != "ULA":
-            raise ValueError(f"unsupported array kind {self.kind!r}")
         if self.num_elements < 1:
             raise ValueError("num_elements must be >= 1")
         if not (self.spacing > 0 and math.isfinite(self.spacing)):
@@ -234,10 +226,6 @@ class ScenarioDefaults:
     autocorr: AutocorrParams | None
     k_range_db: tuple[float, float]
 
-    @property
-    def autocorr_available(self) -> bool:
-        return self.autocorr is not None
-
     def mid_k_db(self) -> float:
         lo, hi = self.k_range_db
         return 0.5 * (lo + hi)
@@ -281,7 +269,3 @@ def all_scenarios() -> list[Scenario]:
 
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
-
-
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(x)

@@ -22,6 +22,9 @@ from .core import AutocorrParams
 _BATCH_BYTES = 1 << 20
 #: Fewest power samples the moment K-factor estimate accepts.
 MIN_K_SAMPLES = 100
+#: Fewest samples in the overlap window of the deepest lag an
+#: autocorrelation estimate evaluates, unless the track is shorter.
+MIN_OVERLAP = 8
 
 
 class TrackFileError(ValueError):
@@ -91,9 +94,6 @@ class AutocorrCurve:
         object.__setattr__(self, "lags", lags)
         object.__setattr__(self, "values", vals)
 
-    def defined_mask(self) -> np.ndarray:
-        return np.isfinite(self.values)
-
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     """Sum over the last axis, adding in index order: ``np.add.accumulate``
@@ -141,7 +141,7 @@ def _autocorr_grid(amplitudes: np.ndarray, min_overlap: int) -> np.ndarray:
 def spatial_autocorrelation(
     track: TrackMeasurement,
     delay_bin: int,
-    min_overlap: int = 8,
+    min_overlap: int = MIN_OVERLAP,
 ) -> AutocorrCurve:
     """Empirical spatial autocorrelation of one delay bin's amplitudes.
 
@@ -155,7 +155,7 @@ def spatial_autocorrelation(
     return AutocorrCurve(lags=np.arange(values.size) * track.delta_x, values=values)
 
 
-def average_autocorr(track: TrackMeasurement, min_overlap: int = 8) -> AutocorrCurve:
+def average_autocorr(track: TrackMeasurement, min_overlap: int = MIN_OVERLAP) -> AutocorrCurve:
     """Per-lag unweighted mean over delay bins with a defined estimate.
 
     Bins that carry no fading (zero variance at every lag) drop out, which
@@ -226,7 +226,7 @@ def fit_autocorr_mmse(curve: AutocorrCurve) -> AutocorrFit:
     b around the grid optimum. A constant curve leaves b unidentifiable and
     is flagged instead of guessed.
     """
-    mask = curve.defined_mask()
+    mask = np.isfinite(curve.values)
     lags = curve.lags[mask]
     y = curve.values[mask]
     if len(y) < 3:

@@ -74,7 +74,6 @@ class CorrelatedTap:
 
     matrix: np.ndarray
     delay: float
-    mean_power: float
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
@@ -232,6 +231,18 @@ def build_amplitude_matched_corr(
     return repair_to_correlation(mag.astype(complex), side=side)
 
 
+def pipeline_corr_matrices(
+    params: AutocorrParams, rx_geometry: ArrayGeometry, tx_geometry: ArrayGeometry
+) -> tuple[CorrelationMatrix, CorrelationMatrix]:
+    """The receive and transmit correlation matrices of the capacity
+    pipeline: amplitude-matched for Rayleigh envelopes at both ends."""
+    rayleigh = FadingModel.rayleigh()
+    return (
+        build_amplitude_matched_corr(params, rx_geometry, rayleigh, side="receive"),
+        build_amplitude_matched_corr(params, tx_geometry, rayleigh, side="transmit"),
+    )
+
+
 def draw_tap_noise(
     rng: np.random.Generator, num_taps: int, n_r: int, n_t: int, rician: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -296,7 +307,7 @@ def realize_taps(
     powers = np.array(cir.power_gains())
     matrices = tap_matrices(white, psi, powers, r_r_sqrt, r_t_sqrt, fading)
     return [
-        CorrelatedTap(matrix=m, delay=comp.delay, mean_power=comp.power_gain)
+        CorrelatedTap(matrix=m, delay=comp.delay)
         for m, comp in zip(matrices, cir.components)
     ]
 
@@ -319,7 +330,6 @@ def simulate_amplitude_track(
         raise ValueError("a track needs at least 2 positions")
     geom = ArrayGeometry(num_elements=num_positions, spacing=delta_x)
     corr = build_amplitude_matched_corr(params, geom, fading)
-    a = matrix_sqrt_psd(corr)
-    taps = realize_taps(cir, a, np.ones((1, 1)), fading, rng)
-    grid = np.column_stack([np.abs(t.matrix[:, 0]) for t in taps])
-    return grid
+    white, psi = draw_tap_noise(rng, cir.num_components, num_positions, 1, fading.is_rician)
+    taps = tap_matrices(white, psi, np.array(cir.power_gains()), matrix_sqrt_psd(corr), np.ones((1, 1)), fading)
+    return np.abs(taps[:, :, 0]).T

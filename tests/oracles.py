@@ -317,9 +317,7 @@ def _reference_taps(cir, r_r_sqrt, r_t_sqrt, fading, whites, psi_uniforms):
             h = math.sqrt(k / (k + 1.0)) * np.exp(1j * (TWO_PI * u)) * ones + math.sqrt(1.0 / (k + 1.0)) * diffuse
         else:
             h = diffuse
-        taps.append(
-            CorrelatedTap(matrix=math.sqrt(comp.power_gain) * h, delay=comp.delay, mean_power=comp.power_gain)
-        )
+        taps.append(CorrelatedTap(matrix=math.sqrt(comp.power_gain) * h, delay=comp.delay))
     return taps
 
 
@@ -370,24 +368,20 @@ def reference_monte_carlo(
     cap_config,
     num_drops,
     master_seed,
-    params,
-    share_initial_cir=False,
+    autocorr_params,
     initial_cir=None,
 ):
     """Drop-by-drop campaign: returns [(drop_index, seed word, capacity)]."""
-    shared = initial_cir
-    if shared is None and share_initial_cir:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(1, 0)))
-        shared = reference_initial_cir(gen_config, scenario, rng)
     rayleigh = FadingModel.rayleigh()
-    rr_sqrt = matrix_sqrt_psd(build_amplitude_matched_corr(params, rx_geometry, rayleigh, side="receive"))
-    rt_sqrt = matrix_sqrt_psd(build_amplitude_matched_corr(params, tx_geometry, rayleigh, side="transmit"))
+    rr = build_amplitude_matched_corr(autocorr_params, rx_geometry, rayleigh, side="receive")
+    rt = build_amplitude_matched_corr(autocorr_params, tx_geometry, rayleigh, side="transmit")
+    rr_sqrt, rt_sqrt = matrix_sqrt_psd(rr), matrix_sqrt_psd(rt)
     out = []
     for drop in range(num_drops):
         ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(0, drop))
         rng = np.random.default_rng(ss)
-        if shared is not None:
-            taps = reference_realize_taps(shared, rr_sqrt, rt_sqrt, fading, rng)
+        if initial_cir is not None:
+            taps = reference_realize_taps(initial_cir, rr_sqrt, rt_sqrt, fading, rng)
         else:
             comps, psi_uniforms = _read_drop_cir(gen_config, rng)
             cir = _normalized_cir(comps, scenario)

@@ -111,13 +111,13 @@ def test_criterion_2_mimo_capacity_ordering():
 
 def test_criterion_3_analytic_capacity_oracles():
     cfg = CapacityConfig(snr_db=10.0)
-    fr = frequency_response([CorrelatedTap(matrix=np.array([[1.0 + 0j]]), delay=0.0, mean_power=1.0)], cfg)
+    fr = frequency_response([CorrelatedTap(matrix=np.array([[1.0 + 0j]]), delay=0.0)], cfg)
     c_siso = wideband_capacity(fr, cfg, n_t=1)
     err_siso = abs(c_siso - math.log2(11.0))
 
     cfg0 = CapacityConfig(snr_db=0.0)
     fr20 = frequency_response(
-        [CorrelatedTap(matrix=np.ones((20, 1), dtype=complex), delay=0.0, mean_power=1.0)], cfg0
+        [CorrelatedTap(matrix=np.ones((20, 1), dtype=complex), delay=0.0)], cfg0
     )
     c_simo = wideband_capacity(fr20, cfg0, n_t=1)
     err_simo = abs(c_simo - math.log2(21.0))
@@ -284,6 +284,7 @@ def test_criterion_8_structural_invariants():
         cap_config=CapacityConfig(),
         num_drops=10,
         master_seed=888,
+        autocorr_params=lookup_default_params(scen).autocorr,
     )
     serial_a = run_monte_carlo(**kwargs, num_workers=1)
     serial_b = run_monte_carlo(**kwargs, num_workers=1)

@@ -16,6 +16,7 @@ from mmwchan.capacity import (
     wideband_capacity,
 )
 from mmwchan.cirgen import CirGenConfig
+from mmwchan.cli import ScenarioConfig, _fixed_cir
 from mmwchan.core import (
     ArrayGeometry,
     ChannelImpulseResponse,
@@ -28,16 +29,16 @@ from mmwchan.core import (
 from mmwchan.spatial import CorrelatedTap, build_amplitude_matched_corr
 
 SCEN = Scenario.parse("NLOS V-V")
+PARAMS = lookup_default_params(SCEN).autocorr
 
 
-def tap(matrix, delay=0.0, power=1.0):
-    return CorrelatedTap(matrix=np.asarray(matrix, dtype=complex), delay=delay, mean_power=power)
+def tap(matrix, delay=0.0):
+    return CorrelatedTap(matrix=np.asarray(matrix, dtype=complex), delay=delay)
 
 
 class TestCapacityConfig:
     def test_band_edges(self):
         cfg = CapacityConfig()
-        assert cfg.f_max - cfg.f_min == pytest.approx(cfg.bandwidth_hz)
         f = cfg.baseband_frequencies()
         assert len(f) == 100
         assert f[0] == -400e6
@@ -161,6 +162,7 @@ class TestWidebandCapacity:
                 CapacityConfig(),
                 2000,
                 777,
+                PARAMS,
             )
             caps[n_r] = capacity_quantiles(samples)[0.5]
         assert caps[5] >= caps[4] - 0.05
@@ -173,7 +175,7 @@ class TestWidebandCapacity:
         samples = run_monte_carlo(
             SCEN, CirGenConfig(), ArrayGeometry(num_elements=3),
             ArrayGeometry(num_elements=1), FadingModel.rician(120.0),
-            CapacityConfig(), 6, 11, initial_cir=cir,
+            CapacityConfig(), 6, 11, PARAMS, initial_cir=cir,
         )
         caps = [s.capacity for s in samples]
         # flat single-path channel with K -> inf: capacity nearly constant
@@ -191,6 +193,7 @@ class TestMonteCarlo:
             cap_config=CapacityConfig(),
             num_drops=1,
             master_seed=99,
+            autocorr_params=PARAMS,
         )
         a = run_monte_carlo(**kwargs)
         b = run_monte_carlo(**kwargs)
@@ -199,7 +202,7 @@ class TestMonteCarlo:
     def test_sample_fields(self):
         samples = run_monte_carlo(
             SCEN, CirGenConfig(), ArrayGeometry(num_elements=3), ArrayGeometry(num_elements=1),
-            FadingModel.rayleigh(), CapacityConfig(), 5, 1,
+            FadingModel.rayleigh(), CapacityConfig(), 5, 1, PARAMS,
         )
         assert [s.drop_index for s in samples] == [0, 1, 2, 3, 4]
         assert all(s.capacity >= 0 for s in samples)
@@ -215,6 +218,7 @@ class TestMonteCarlo:
             cap_config=CapacityConfig(),
             num_drops=12,
             master_seed=321,
+            autocorr_params=PARAMS,
         )
         serial = run_monte_carlo(**kwargs, num_workers=1)
         parallel = run_monte_carlo(**kwargs, num_workers=3)
@@ -230,25 +234,19 @@ class TestMonteCarlo:
             cap_config=CapacityConfig(),
             num_drops=6,
             master_seed=5,
+            autocorr_params=PARAMS,
         )
-        shared = run_monte_carlo(**kwargs, share_initial_cir=True)
-        fresh = run_monte_carlo(**kwargs, share_initial_cir=False)
+        cfg = ScenarioConfig(scenario=SCEN, cir_gen=kwargs["gen_config"], master_seed=5, share_initial_cir=True)
+        shared = run_monte_carlo(**kwargs, initial_cir=_fixed_cir(cfg))
+        fresh = run_monte_carlo(**kwargs)
         assert shared != fresh
-
-    def test_los_to_nlos_requires_explicit_params(self):
-        with pytest.raises(ValueError, match="autocorr"):
-            run_monte_carlo(
-                Scenario.parse("LOS-to-NLOS V-V"), CirGenConfig(),
-                ArrayGeometry(num_elements=2), ArrayGeometry(num_elements=1),
-                FadingModel.rayleigh(), CapacityConfig(), 1, 1,
-            )
 
     def test_num_drops_validated(self):
         with pytest.raises(ValueError):
             run_monte_carlo(
                 SCEN, CirGenConfig(), ArrayGeometry(num_elements=2),
                 ArrayGeometry(num_elements=1), FadingModel.rayleigh(),
-                CapacityConfig(), 0, 1,
+                CapacityConfig(), 0, 1, PARAMS,
             )
 
 
@@ -273,7 +271,7 @@ class TestExactCapacityLaw:
         cap_config = CapacityConfig(num_subcarriers=1)
         samples = run_monte_carlo(
             SCEN, CirGenConfig(), rx, ArrayGeometry(num_elements=1), FadingModel.rayleigh(),
-            cap_config, self.DROPS, 20150601 + n_r,
+            cap_config, self.DROPS, 20150601 + n_r, params,
             initial_cir=ChannelImpulseResponse.from_components([comp], SCEN),
         )
         rho = db_to_linear(cap_config.snr_db)
@@ -334,7 +332,7 @@ class TestExactLawMultiTapAndRician:
         samples = run_monte_carlo(
             SCEN, CirGenConfig(num_clusters_range=clusters, paths_per_cluster_range=paths),
             self._rx(n_r), ArrayGeometry(num_elements=1), FadingModel.rayleigh(),
-            cap_config, self.DROPS, 20160418 + n_r,
+            cap_config, self.DROPS, 20160418 + n_r, PARAMS,
         )
         gains = _one_subcarrier_gains(samples, cap_config)
         assert stats.kstest(gains, lambda x: hypoexponential_cdf(x, means)).pvalue > self.ALPHA
@@ -343,7 +341,7 @@ class TestExactLawMultiTapAndRician:
         cap_config = CapacityConfig(num_subcarriers=1)
         samples = run_monte_carlo(
             SCEN, CirGenConfig(), self._rx(n_r), ArrayGeometry(num_elements=1), FadingModel.rician(k_db),
-            cap_config, self.DROPS, seed, initial_cir=ChannelImpulseResponse.from_components(comps, SCEN),
+            cap_config, self.DROPS, seed, PARAMS, initial_cir=ChannelImpulseResponse.from_components(comps, SCEN),
         )
         return _one_subcarrier_gains(samples, cap_config)
 

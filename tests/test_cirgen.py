@@ -194,7 +194,7 @@ class TestCirFiles:
         )
         path = tmp_path / "cir.csv"
         export_cir(cir, path)
-        back = import_cir(path)
+        back = import_cir(path, SCEN)
         assert back.scenario == cir.scenario
         assert back.num_components == cir.num_components
         for a, b in zip(cir.components, back.components):
@@ -210,11 +210,11 @@ class TestCirFiles:
             "delay_ns,power_linear,phase_rad,aod_az_deg,aod_el_deg,aoa_az_deg,aoa_el_deg\n"
             "0.0,1.0,0.0,0.0,0.0,0.0,0.0\n"
         )
-        cir = import_cir(path)
+        cir = import_cir(path, SCEN)
         assert cir.num_components == 1
         assert cir.components[0].delay == 0.0
         assert cir.components[0].power_gain == 1.0
-        assert cir.scenario == SCEN  # default for files without a scenario comment
+        assert cir.scenario == SCEN  # the argument, for files without a scenario comment
 
     def test_descending_delays_error_names_record(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -224,13 +224,13 @@ class TestCirFiles:
             "5.0,0.5,0.0,0.0,0.0,0.0,0.0\n"
         )
         with pytest.raises(CirFileError, match="line 3"):
-            import_cir(path)
+            import_cir(path, SCEN)
 
     def test_bad_header_error(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("delay,power\n0.0,1.0\n")
         with pytest.raises(CirFileError, match="header"):
-            import_cir(path)
+            import_cir(path, SCEN)
 
     def test_non_numeric_field_names_field(self, tmp_path):
         path = tmp_path / "nan.csv"
@@ -239,7 +239,7 @@ class TestCirFiles:
             "0.0,oops,0.0,0.0,0.0,0.0,0.0\n"
         )
         with pytest.raises(CirFileError, match="power_linear"):
-            import_cir(path)
+            import_cir(path, SCEN)
 
     def test_export_is_deterministic_text(self, tmp_path):
         cir = generate_initial_cir(CirGenConfig(), SCEN, rng(21))
@@ -252,4 +252,4 @@ class TestCirFiles:
         cir = generate_initial_cir(CirGenConfig(), Scenario.parse("LOS V-V"), rng(4))
         path = tmp_path / "los.csv"
         export_cir(cir, path)
-        assert import_cir(path).scenario == Scenario.parse("LOS V-V")
+        assert import_cir(path, SCEN).scenario == Scenario.parse("LOS V-V")

@@ -205,7 +205,7 @@ class TestSimulateCirAndEstimate:
         cfg = parse_config(write_cfg(tmp_path, BASE_CFG))
         out_dir = str(tmp_path / "cir")
         assert cmd_simulate_cir(cfg, out_dir) == 0
-        cir = import_cir(os.path.join(out_dir, "cir.csv"))
+        cir = import_cir(os.path.join(out_dir, "cir.csv"), cfg.scenario)
         assert cir.num_components >= 1
         track = read_track(os.path.join(out_dir, "track.csv"))
         assert track.num_positions == cfg.track_positions
@@ -258,10 +258,27 @@ run.master_seed = 0
             "delta_x_wavelengths,delay_bin_ns,num_positions,num_bins\n"
             "0.5,2.5,12,1\n" + "\n".join(["2.0"] * 12) + "\n"
         )
-        code = main(["estimate", str(path), "--out", str(tmp_path / "o")])
-        assert code == 3  # all bins carry zero variance: runtime error, not a crash
+        out_dir = tmp_path / "o"
+        code = main(["estimate", str(path), "--out", str(out_dir)])
+        assert code == 2  # all bins carry zero variance: a bad track, named
         err = capsys.readouterr().err
-        assert "zero variance" in err
+        assert "zero variance" in err and str(path) in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("positions,code", [(2, 2), (5, 2), (9, 2), (10, 0)])
+    def test_estimate_short_track_exit_2_names_track(self, tmp_path, capsys, positions, code):
+        # the fit needs 3 lags, each keeping max(8, 3n/4) positions in its
+        # window: 10 positions at the least
+        cfg_path = write_cfg(tmp_path, BASE_CFG + f"\ntrack.num_positions = {positions}\n")
+        cir_dir, out_dir = tmp_path / "cir", tmp_path / "est"
+        assert main(["simulate-cir", "--config", cfg_path, "--out", str(cir_dir)]) == 0
+        track = str(cir_dir / "track.csv")
+        capsys.readouterr()
+        assert main(["estimate", track, "--out", str(out_dir)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert track in err and "3 defined lags" in err
+            assert not out_dir.exists()
 
 
 class TestMainEntry:
@@ -327,6 +344,17 @@ class TestMainEntry:
             assert main([command, "--config", path, *flag, "--out", str(out_dir)]) == 2
             assert key in capsys.readouterr().err
             assert not out_dir.exists()  # no cir.csv, nor any other file
+
+    def test_los_to_nlos_without_autocorr_exit_2(self, tmp_path, capsys):
+        # LOS-to-NLOS scenarios have no fitted autocorrelation in the table
+        text = BASE_CFG.replace("scenario = NLOS V-V", "scenario = LOS-to-NLOS V-V")
+        path = write_cfg(tmp_path, text.replace("autocorr = table-default\n", ""))
+        out_dir = tmp_path / "o"
+        for command in ("simulate-cir", "simulate-capacity"):
+            assert main([command, "--config", path, "--out", str(out_dir)]) == 2
+            err = capsys.readouterr().err
+            assert "autocorr" in err and "LOS-to-NLOS V-V" in err
+            assert not out_dir.exists()  # simulate-cir wrote cir.csv first
 
     def test_non_finite_snr_override_exit_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, BASE_CFG)

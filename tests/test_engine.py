@@ -29,6 +29,7 @@ from mmwchan.capacity import (
     run_monte_carlo,
 )
 from mmwchan.cirgen import CirGenConfig, cir_rows, drop_layout, generate_initial_cir
+from mmwchan.cli import ScenarioConfig, _fixed_cir
 from mmwchan.core import (
     ArrayGeometry,
     ChannelImpulseResponse,
@@ -76,9 +77,13 @@ def test_engine_matches_per_drop_reference(
     n_r, n_t, fading, clusters_hi, paths_hi, spread_deg, cir_mode, num_drops, seed
 ):
     gen = _gen_config(clusters_hi, paths_hi, spread_deg)
-    initial = None
+    initial = want_initial = None
     if cir_mode == "explicit":
-        initial = reference_initial_cir(gen, SCEN, np.random.default_rng(seed))
+        initial = want_initial = reference_initial_cir(gen, SCEN, np.random.default_rng(seed))
+    elif cir_mode == "shared":
+        initial = _fixed_cir(ScenarioConfig(scenario=SCEN, cir_gen=gen, master_seed=seed, share_initial_cir=True))
+        shared_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, 0)))
+        want_initial = reference_initial_cir(gen, SCEN, shared_rng)
     kw = dict(
         scenario=SCEN,
         gen_config=gen,
@@ -88,11 +93,10 @@ def test_engine_matches_per_drop_reference(
         cap_config=CapacityConfig(),
         num_drops=num_drops,
         master_seed=seed,
-        share_initial_cir=cir_mode == "shared",
-        initial_cir=initial,
+        autocorr_params=PARAMS,
     )
-    got = run_monte_carlo(**kw)
-    want = reference_monte_carlo(**kw, params=PARAMS)
+    got = run_monte_carlo(**kw, initial_cir=initial)
+    want = reference_monte_carlo(**kw, initial_cir=want_initial)
     assert [(s.drop_index, s.seed) for s in got] == [(i, w) for i, w, _ in want]
     for s, (_, _, cap) in zip(got, want):
         assert abs(s.capacity - cap) <= CAPACITY_ATOL
@@ -118,7 +122,7 @@ def test_realize_taps_bitwise_matches_reference(fading, n_r, n_t):
         want = reference_realize_taps(cir, rr, rt, fading, rng_b)
         for a, b in zip(got, want, strict=True):
             assert np.array_equal(a.matrix, b.matrix)
-            assert (a.delay, a.mean_power) == (b.delay, b.mean_power)
+            assert a.delay == b.delay
         assert rng_a.random() == rng_b.random()
 
 
@@ -161,6 +165,7 @@ RAGGED = dict(
     tx_geometry=ArrayGeometry(num_elements=3),
     fading=FadingModel.rician(5.0),
     cap_config=CapacityConfig(num_subcarriers=400),
+    autocorr_params=PARAMS,
 )
 
 
@@ -173,7 +178,7 @@ def test_engine_matches_reference_at_wide_master_seed():
     # the hypothesis test draws seeds of one 32-bit word; this one has three
     kw = dict(RAGGED, cap_config=CapacityConfig(num_subcarriers=32), num_drops=CHUNK_DROPS + 6, master_seed=2**70)
     got = run_monte_carlo(**kw)
-    want = reference_monte_carlo(**kw, params=PARAMS)
+    want = reference_monte_carlo(**kw)
     assert [(s.drop_index, s.seed) for s in got] == [(i, w) for i, w, _ in want]
     for s, (_, _, cap) in zip(got, want):
         assert abs(s.capacity - cap) <= CAPACITY_ATOL
@@ -202,7 +207,7 @@ def test_non_finite_capacity_raises():
     with pytest.raises(ValueError, match="non-finite capacity"):
         run_monte_carlo(
             SCEN, CirGenConfig(), ArrayGeometry(num_elements=4), ArrayGeometry(num_elements=2),
-            FadingModel.rayleigh(), CapacityConfig(), 3, 1, initial_cir=cir,
+            FadingModel.rayleigh(), CapacityConfig(), 3, 1, PARAMS, initial_cir=cir,
         )
 
 

@@ -257,7 +257,6 @@ class TestAssembleTap:
         cir = ChannelImpulseResponse.from_components([comp(delay=30e-9)], Scenario.parse("NLOS V-V"))
         tap = realize_taps(cir, np.eye(2), np.eye(2), FadingModel.rayleigh(), np.random.default_rng(0))[0]
         assert tap.delay == 30e-9
-        assert tap.mean_power == 1.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
