@@ -292,9 +292,9 @@ def _bin_track_grid(amps: np.ndarray, delays_s, bin_ns: float) -> np.ndarray:
 def cmd_simulate_cir(cfg: ScenarioConfig, out_dir: str) -> int:
     params = cfg.resolved_autocorr()
     os.makedirs(out_dir, exist_ok=True)
-    if cfg.cir_import_path:
-        cir = _fixed_cir(cfg)
-    else:
+    # the CIR a capacity run of this config fixes, if it fixes one
+    cir = _fixed_cir(cfg)
+    if cir is None:
         cir = generate_initial_cir(cfg.cir_gen, cfg.scenario, np.random.default_rng(cfg.master_seed))
     cir_path = os.path.join(out_dir, "cir.csv")
     export_cir(cir, cir_path)

@@ -9,6 +9,7 @@ silently as zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,18 +45,18 @@ class TrackMeasurement:
     delay_bin_ns: float = 2.5
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.amplitudes, dtype=float)
+        a = np.array(self.amplitudes, dtype=float)
         if a.ndim != 2:
             raise ValueError("amplitudes must be a 2-D grid (positions x delay bins)")
         if a.shape[0] < 2:
             raise ValueError("a track needs at least 2 positions")
-        if np.any(a < 0) or not np.all(np.isfinite(a)):
+        # NaN fails both comparisons, +inf the second, negatives the first
+        if not ((a >= 0.0) & (a < math.inf)).all():
             raise ValueError("amplitudes must be finite and non-negative")
-        if not self.delta_x > 0:
-            raise ValueError("delta_x must be > 0")
-        if not self.delay_bin_ns > 0:
-            raise ValueError("delay_bin_ns must be > 0")
-        a = a.copy()
+        if not 0 < self.delta_x < math.inf:
+            raise ValueError("delta_x must be finite and > 0")
+        if not 0 < self.delay_bin_ns < math.inf:
+            raise ValueError("delay_bin_ns must be finite and > 0")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
 
@@ -80,25 +81,41 @@ class AutocorrCurve:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        lags = np.asarray(self.lags, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
+        lags = np.array(self.lags, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if lags.shape != vals.shape or lags.ndim != 1:
             raise ValueError("lags and values must be matching 1-D arrays")
         finite = vals[np.isfinite(vals)]
-        if finite.size and np.max(np.abs(finite)) > 1.0 + 1e-9:
+        if finite.size and np.abs(finite).max() > 1.0 + 1e-9:
             raise ValueError("autocorrelation values must lie in [-1, 1]")
-        lags = lags.copy()
-        vals = vals.copy()
         lags.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "lags", lags)
         object.__setattr__(self, "values", vals)
 
 
-def _ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, adding in index order: ``np.add.accumulate``
-    does, where ``np.sum`` adds pairwise."""
-    return np.add.accumulate(terms, axis=-1)[..., -1]
+@functools.lru_cache(maxsize=8)
+def _window_layout(n_pos: int, num_bins: int, num_lags: int):
+    """Read-only gather indices, mask and lengths of the position-major
+    windows of :func:`_autocorr_grid` for a (n_pos x num_bins) grid.
+
+    ``take[k, 0, b, i]`` and ``take[k, 1, b, i]`` index term k of the x and
+    y windows of bin b at lag i in the grid raveled row-major and followed
+    by one 0.0: positions k - 1 and k - 1 + i for the terms
+    1 <= k <= n[i] = n_pos - i of the window, and the 0.0 for the terms
+    that ``outside`` marks.
+    """
+    k = np.arange(n_pos + 1)[:, None, None]
+    i = np.arange(num_lags)
+    n = n_pos - i
+    inside = (k >= 1) & (k <= n)
+    first = (k - 1) * num_bins + np.arange(num_bins)[:, None]
+    zero = n_pos * num_bins
+    take = np.stack((np.where(inside, first, zero), np.where(inside, first + i * num_bins, zero)), axis=1)
+    outside = np.broadcast_to(~inside[:, None], take.shape).copy()
+    for arr in (take, outside, n):
+        arr.setflags(write=False)
+    return take, outside, n
 
 
 def _autocorr_grid(amplitudes: np.ndarray, min_overlap: int) -> np.ndarray:
@@ -108,33 +125,34 @@ def _autocorr_grid(amplitudes: np.ndarray, min_overlap: int) -> np.ndarray:
     Lag i pairs position l with l + i over the n = positions - i overlapping
     samples, with means and variances over that window. Lags run from 0
     while n stays at least min(min_overlap, positions), and at least 2.
-    The windows are laid out as (bins, lags, 1 + positions) with a leading
-    0.0 term and masked-out terms set to 0.0, and every sum is an
-    :func:`_ordered_sum`, so each value comes from the same float operations
-    as a sequential double loop over its window, bit for bit. Bins are
-    independent and go through in groups under :data:`_BATCH_BYTES`.
+
+    The windows are laid out position-major: row k of a C-contiguous
+    (1 + positions, 2, bins, lags) array holds term k of the x and the y
+    window of every (bin, lag), row 0 is a leading 0.0 and masked-out terms
+    are 0.0. Every sum is a reduction over the rows, which numpy does as one
+    vector add per row, in row order, so each value comes from the same
+    float operations as a sequential double loop over its window, bit for
+    bit. numpy would sum a lone column pairwise instead; stacking x with y,
+    and the three products, keeps at least two columns in every sum. Bins
+    are independent and go through in groups under :data:`_BATCH_BYTES`.
     """
-    a = np.asarray(amplitudes, dtype=float).T
-    num_bins, n_pos = a.shape
+    a = np.asarray(amplitudes, dtype=float)
+    n_pos, num_bins = a.shape
     num_lags = n_pos - max(min(min_overlap, n_pos), 2) + 1
-    n = n_pos - np.arange(num_lags)
-    # term k of lag i's window is position k - 1; term 0 is the leading 0.0
-    k = np.arange(n_pos + 1)
-    inside = (k >= 1) & (k <= n[:, None])
-    # zero-padded so that window (i, k) of the sliding view reads position i + k - 1
-    padded = np.zeros((num_bins, n_pos + num_lags))
-    padded[:, 1 : n_pos + 1] = a
-    shifted = np.lib.stride_tricks.sliding_window_view(padded, n_pos + 1, axis=-1)
     out = np.full((num_bins, num_lags), math.nan)
     group = max(1, _BATCH_BYTES // (8 * num_lags * (n_pos + 1)))
     for lo in range(0, num_bins, group):
-        x = np.where(inside, padded[lo : lo + group, None, : n_pos + 1], 0.0)
-        y = np.where(inside, shifted[lo : lo + group], 0.0)
-        dx = np.where(inside, x - (_ordered_sum(x) / n)[..., None], 0.0)
-        dy = np.where(inside, y - (_ordered_sum(y) / n)[..., None], 0.0)
-        sxx, syy = _ordered_sum(dx * dx), _ordered_sum(dy * dy)
+        cols = a[:, lo : lo + group]
+        take, outside, n = _window_layout(n_pos, cols.shape[1], num_lags)
+        xy = np.append(cols, 0.0).take(take)
+        dxy = xy - xy.sum(axis=0) / n
+        np.copyto(dxy, 0.0, where=outside)
+        prod = np.empty((n_pos + 1, 3) + dxy.shape[2:])
+        np.multiply(dxy, dxy, out=prod[:, :2])
+        np.multiply(dxy[:, 0], dxy[:, 1], out=prod[:, 2])
+        sxx, syy, sxy = prod.sum(axis=0)
         ok = (sxx != 0.0) & (syy != 0.0)
-        out[lo : lo + group][ok] = _ordered_sum(dx * dy)[ok] / np.sqrt(sxx[ok] * syy[ok])
+        np.divide(sxy, np.sqrt(sxx * syy), out=out[lo : lo + group], where=ok)
     return out
 
 
@@ -368,6 +386,22 @@ def write_track(track: TrackMeasurement, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _header_value(path, name: str, cell: str, counts: bool):
+    """One value of a track file's header line: a finite number > 0, or,
+    for the ``counts`` fields, a whole number >= 1."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise TrackFileError(f"{path}: line 2: {name}: not a number: {cell!r}") from None
+    if counts:
+        if not (value.is_integer() and value >= 1):
+            raise TrackFileError(f"{path}: line 2: {name} must be a whole number >= 1, got {cell!r}")
+        return int(value)
+    if not 0 < value < math.inf:
+        raise TrackFileError(f"{path}: line 2: {name} must be finite and > 0, got {cell!r}")
+    return value
+
+
 def read_track(path) -> TrackMeasurement:
     """Parse and validate a track file; raises TrackFileError with
     line/field diagnostics."""
@@ -383,13 +417,10 @@ def read_track(path) -> TrackMeasurement:
     cells = [s.strip() for s in lines[1].split(",")]
     if len(cells) != 4:
         raise TrackFileError(f"{path}: line 2: expected 4 header values, got {len(cells)}")
-    try:
-        delta_x = float(cells[0])
-        delay_bin_ns = float(cells[1])
-        num_positions = int(float(cells[2]))
-        num_bins = int(float(cells[3]))
-    except ValueError as exc:
-        raise TrackFileError(f"{path}: line 2: bad header value: {exc}") from exc
+    delta_x, delay_bin_ns, num_positions, num_bins = (
+        _header_value(path, name, cell, counts=name.startswith("num_"))
+        for name, cell in zip(TRACK_HEADER_FIELDS, cells)
+    )
     rows = []
     for lineno0, line in enumerate(lines[2:], start=3):
         vals = [s.strip() for s in line.split(",")]

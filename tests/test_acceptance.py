@@ -224,14 +224,20 @@ def test_criterion_6_k_factor_round_trip():
 
 def test_criterion_7_estimator_oracle_equivalence():
     rng = np.random.default_rng(707)
-    mismatches = 0
+    cases = []
     for _ in range(50):
         n_pos = int(rng.integers(9, 17))
         n_bins = int(rng.integers(1, 9))
-        amps = rng.random((n_pos, n_bins)) * 2.0
+        cases.append((rng.random((n_pos, n_bins)) * 2.0, 8))
+    # the benchmark's 132 x 2 tracks, tracks past 40 positions, and one-lag
+    # grids, where a pairwise sum would differ from an index-order one
+    for n_pos, n_bins, min_overlap in ((132, 2, 112), (132, 2, 8), (75, 3, 8), (50, 1, 50), (50, 2, 50), (9, 2, 9)):
+        cases.append((rng.random((n_pos, n_bins)) * 2.0, min_overlap))
+    mismatches = 0
+    for amps, min_overlap in cases:
         track = TrackMeasurement(amplitudes=amps, delta_x=0.5)
-        for b in range(n_bins):
-            curve = spatial_autocorrelation(track, b)
+        for b in range(amps.shape[1]):
+            curve = spatial_autocorrelation(track, b, min_overlap=min_overlap)
             col = [float(x) for x in amps[:, b]]
             for lag, got in enumerate(curve.values):
                 ref = brute_force_autocorr(col, lag)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from mmwchan.cirgen import import_cir
+from mmwchan.cirgen import export_cir, generate_initial_cir, import_cir
 from mmwchan.cli import (
     ConfigError,
     ScenarioConfig,
@@ -180,7 +180,14 @@ class TestSimulateCapacity:
             out_dir = str(tmp_path / name)
             cmd_simulate_capacity(cfg, out_dir)
             outs[name] = open(os.path.join(out_dir, "capacity_rayleigh.csv")).read()
+            cmd_simulate_cir(cfg, out_dir)
         assert outs["fresh"] != outs["shared"]
+        # simulate-cir writes the CIR that the capacity run shares across drops
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=77, spawn_key=(1, 0)))
+        shared = tmp_path / "shared_cir.csv"
+        export_cir(generate_initial_cir(cfg.cir_gen, cfg.scenario, rng), shared)
+        assert (tmp_path / "shared" / "cir.csv").read_bytes() == shared.read_bytes()
+        assert (tmp_path / "fresh" / "cir.csv").read_bytes() != shared.read_bytes()
 
     def test_corr_matrix_dump_round_trips(self, tmp_path):
         from mmwchan.cli import read_corr_matrix_csv
@@ -381,6 +388,31 @@ class TestMainEntry:
         capsys.readouterr()
         assert main(["simulate-capacity", "--config", base, "--drops", "0", "--out", str(tmp_path / "o")]) == 2
         assert "--drops" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_positions", "inf"),
+            ("num_positions", "11.9"),
+            ("delta_x_wavelengths", "inf"),
+            ("delay_bin_ns", "inf"),
+        ],
+    )
+    def test_estimate_bad_track_header_exit_2_names_field(self, tmp_path, capsys, field, value):
+        fig4 = os.path.join(os.path.dirname(__file__), "..", "configs", "fig4.cfg")
+        cir_dir, out_dir = tmp_path / "cir", tmp_path / "est"
+        assert main(["simulate-cir", "--config", fig4, "--out", str(cir_dir)]) == 0
+        lines = (cir_dir / "track.csv").read_text().splitlines()
+        names = lines[0].split(",")
+        cells = lines[1].split(",")
+        cells[names.index(field)] = value
+        track = tmp_path / "track.csv"
+        track.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+        capsys.readouterr()
+        assert main(["estimate", str(track), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert str(track) in err and f"line 2: {field}" in err
+        assert not out_dir.exists()
 
     def test_estimate_missing_track_names_path(self, capsys):
         code = main(["estimate", "/no/such/track.csv"])

@@ -67,6 +67,7 @@ class TestSpatialAutocorrelation:
 
     def test_matches_brute_force_bitwise(self):
         rng = np.random.default_rng(42)
+        cases = []
         for trial in range(90):
             n = int(rng.integers(9, 17)) if trial < 25 else int(rng.integers(2, 41))
             col = rng.random(n) * 3.0
@@ -75,8 +76,15 @@ class TestSpatialAutocorrelation:
                 # windows at some lags only
                 start = int(rng.integers(0, n))
                 col[start : start + int(rng.integers(n // 2, n + 1))] = 0.0 if trial % 2 else col[start]
+            cases.append((col, (8, 0, 1, n + 3)))
+        # the benchmark's 132-position tracks and longer ones; min_overlap
+        # = n gives one lag, where a pairwise sum differs from an ordered one
+        for n in (41, 50, 64, 132, 200):
+            col = rng.random(n) * 3.0
+            cases.append((col, (8, n - 20, n)))
+        for col, overlaps in cases:
             t = track_from_columns(col)
-            for min_overlap in (8, 0, 1, n + 3):
+            for min_overlap in overlaps:
                 curve = spatial_autocorrelation(t, 0, min_overlap=min_overlap)
                 for i, v in enumerate(curve.values):
                     ref = brute_force_autocorr([float(x) for x in col], i)
@@ -128,13 +136,21 @@ class TestAverageAutocorr:
 
     def test_multi_bin_mean_of_bin_curves_bitwise(self):
         rng = np.random.default_rng(12)
+        cases = []
         for _ in range(30):
             n, bins = int(rng.integers(2, 41)), int(rng.integers(2, 40))
             amps = rng.random((n, bins))
             amps[:, rng.random(bins) < 0.3] = 1.5  # dead bins
             amps[: n // 2, 0] = 0.0  # undefined at some lags only
+            cases.append((amps, (0, 8, n)))
+        # the benchmark's shape (132 x 2, min_overlap 112), longer tracks,
+        # and two-bin one-lag grids (min_overlap = n)
+        for n, bins, overlaps in ((132, 2, (112, 8, 132)), (60, 5, (8, 60)), (9, 2, (9,)), (50, 2, (50,))):
+            cases.append((rng.random((n, bins)), overlaps))
+        for amps, overlaps in cases:
+            n, bins = amps.shape
             t = TrackMeasurement(amplitudes=amps, delta_x=0.5)
-            for min_overlap in (0, 8, n):
+            for min_overlap in overlaps:
                 curves = np.vstack(
                     [spatial_autocorrelation(t, b, min_overlap=min_overlap).values for b in range(bins)]
                 )
@@ -448,11 +464,48 @@ class TestTrackFiles:
         with pytest.raises(TrackFileError, match="grid rows"):
             read_track(path)
 
+    @pytest.mark.parametrize(
+        "header, field",
+        [
+            ("0.5,2.5,inf,1", "num_positions"),
+            ("0.5,2.5,2.9,1", "num_positions"),
+            ("0.5,2.5,3,0", "num_bins"),
+            ("inf,2.5,3,1", "delta_x_wavelengths"),
+            ("nan,2.5,3,1", "delta_x_wavelengths"),
+            ("0.5,inf,3,1", "delay_bin_ns"),
+            ("0.5,-1,3,1", "delay_bin_ns"),
+            ("0.5,x,3,1", "delay_bin_ns"),
+        ],
+    )
+    def test_bad_header_value_names_field(self, tmp_path, header, field):
+        path = tmp_path / "hdr.csv"
+        path.write_text("delta_x_wavelengths,delay_bin_ns,num_positions,num_bins\n" + header + "\n1.0\n2.0\n3.0\n")
+        with pytest.raises(TrackFileError, match=f"line 2: {field}"):
+            read_track(path)
+
+    def test_whole_float_counts_accepted(self, tmp_path):
+        path = tmp_path / "hdr.csv"
+        path.write_text("delta_x_wavelengths,delay_bin_ns,num_positions,num_bins\n0.5,2.5,3.0,1.0\n1.0\n2.0\n3.0\n")
+        assert read_track(path).amplitudes.shape == (3, 1)
+
 
 class TestTrackMeasurementInvariants:
     def test_needs_two_positions(self):
         with pytest.raises(ValueError):
             TrackMeasurement(amplitudes=np.ones((1, 3)))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -0.5])
+    @pytest.mark.parametrize("field", ["delta_x", "delay_bin_ns"])
+    def test_rejects_non_finite_or_non_positive_spacing(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            TrackMeasurement(amplitudes=np.ones((3, 2)), **{field: bad})
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1e-300])
+    def test_rejects_non_finite_or_negative_amplitudes(self, bad):
+        amps = np.ones((3, 2))
+        amps[1, 1] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            TrackMeasurement(amplitudes=amps)
 
     def test_rejects_negative_amplitudes(self):
         with pytest.raises(ValueError):
