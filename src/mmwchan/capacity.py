@@ -12,6 +12,7 @@ algebra runs batched over each chunk's groups of equal tap count.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -117,45 +118,111 @@ def wideband_capacity(fr: FrequencyResponse, config: CapacityConfig, n_t: int) -
     hf = fr.per_subcarrier
     if hf.shape[2] != n_t:
         raise ValueError(f"frequency response has N_t={hf.shape[2]}, expected {n_t}")
-    return float(_capacities(_response_gram(hf), config, n_t))
+    return float(_capacities(_response_gram(hf[None]), config, n_t)[0])
 
 
 def logdet_eye_plus(gram: np.ndarray, scale: float) -> np.ndarray:
     """Natural log of det(I + scale * G) for Hermitian PSD Grams G of shape
-    (..., d, d), over the leading axes.
-
-    Closed forms for d = 1 and d = 2; above that, Gaussian elimination
-    without pivoting, run on all matrices at once. It is stable here
-    because I + scale * G is Hermitian positive definite, and every pivot
-    is at least 1.
-    """
+    (..., d, d), over the leading axes: the upper triangles of the Grams go
+    through :func:`_logdet_packed`."""
     d = gram.shape[-1]
-    if d == 1:
-        return np.log1p(scale * gram[..., 0, 0].real)
-    if d == 2:
-        c = gram[..., 0, 1]
-        det = (1.0 + scale * gram[..., 0, 0].real) * (1.0 + scale * gram[..., 1, 1].real) - scale * scale * (
-            c.real * c.real + c.imag * c.imag
-        )
-        return np.log(det)
-    m = scale * gram
-    m.reshape(*m.shape[:-2], d * d)[..., :: d + 1] += 1.0
-    pivots = np.empty(m.shape[:-1])
+    packed = _pack(gram.reshape(-1, d, d)).T
+    return _logdet_packed(packed, scale).reshape(gram.shape[:-2])
+
+
+# Packed Grams. A Hermitian d x d Gram is stored as the d*d real numbers of
+# its upper triangle, row by row: row j holds G_jj, then Re G_jk and then
+# Im G_jk for k > j. The kernels keep these entries on the second-to-last
+# axis and the subcarriers on the last one, so every step below works on
+# whole rows of (drops x subcarriers) values.
+
+
+@functools.lru_cache(maxsize=16)
+def _pack_index(d: int) -> np.ndarray:
+    """Read-only positions of the packed entries in a complex d x d matrix
+    viewed as 2*d*d floats (real and imaginary parts interleaved)."""
+    flat = []
     for j in range(d):
-        pivots[..., j] = m[..., j, j].real
-        if j + 1 < d:
-            col = m[..., j + 1 :, j] / pivots[..., j, None]
-            m[..., j + 1 :, j + 1 :] -= col[..., :, None] * m[..., None, j, j + 1 :]
-    return np.log(pivots).sum(axis=-1)
+        row = j * d + np.arange(j + 1, d)
+        flat += [2 * (j * d + j), *(2 * row), *(2 * row + 1)]
+    index = np.array(flat)
+    index.setflags(write=False)
+    return index
+
+
+def _pack(z: np.ndarray) -> np.ndarray:
+    """The packed upper triangles (..., d*d) of complex (..., d, d)."""
+    d = z.shape[-1]
+    parts = np.ascontiguousarray(z).view(float).reshape(*z.shape[:-2], 2 * d * d)
+    return parts[..., _pack_index(d)]
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_index(num_taps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only first and second taps of the pairs l < l' of ``num_taps``
+    taps, in row-major order."""
+    first, second = np.triu_indices(num_taps, 1)
+    first.setflags(write=False)
+    second.setflags(write=False)
+    return first, second
+
+
+def _logdet_packed(gram: np.ndarray, scale: float) -> np.ndarray:
+    """Natural log of det(I + scale * G) for packed Hermitian PSD Grams
+    (..., d*d, F): shape (..., F).
+
+    Closed forms for d = 1 and d = 2; above that, an LDL^H elimination
+    without pivoting in real arithmetic on the upper triangle. It is stable
+    here because I + scale * G is Hermitian positive definite, so every
+    pivot is real and at least 1.
+    """
+    d = math.isqrt(gram.shape[-2])
+    if d == 1:
+        return np.log1p(scale * gram[..., 0, :])
+    if d == 2:
+        g00, re, im, g11 = (gram[..., e, :] for e in range(4))
+        return np.log((1.0 + scale * g00) * (1.0 + scale * g11) - scale * scale * (re * re + im * im))
+    # one row of m per packed entry, one column per (leading index, subcarrier)
+    shape = gram.shape[:-2] + gram.shape[-1:]
+    m = np.empty((d * d, *shape))
+    np.multiply(np.moveaxis(gram, -2, 0), scale, out=m)
+    m = m.reshape(d * d, -1)
+    offsets = [j * (2 * d - j) for j in range(d)]  # where each packed row starts
+    for start in offsets:
+        m[start] += 1.0
+    pivots = np.empty((d, m.shape[1]))
+    for j, start in enumerate(offsets):
+        pivots[j] = m[start]
+        n = d - 1 - j
+        if n == 0:
+            break
+        # row j is [p, x, y] with u = x + i*y; row k > j loses conj(u_k) u / p
+        x = m[start + 1 : start + 1 + n]
+        y = m[start + 1 + n : start + 1 + 2 * n]
+        inv = 1.0 / pivots[j]
+        w, v = x * inv, y * inv
+        for t, k in enumerate(offsets[j + 1 :]):
+            rest = n - 1 - t
+            m[k : k + 1 + rest] -= w[t] * x[t:] + v[t] * y[t:]
+            if rest:
+                m[k + 1 + rest : k + 1 + 2 * rest] -= w[t] * y[t + 1 :] - v[t] * x[t + 1 :]
+    return np.log(pivots).sum(axis=0).reshape(shape)
+
+
+def _phase_angles(delays: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """-2*pi*f*tau_l for delays (..., L), tau_l from the first tap, over
+    taps 1..L-1 (tap 0's phase is exactly 1): shape (..., L-1, F)."""
+    return (-2.0 * np.pi) * ((delays[..., 1:] - delays[..., :1])[..., None] * freqs)
 
 
 def _subcarrier_phases(delays: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """exp(-j*2*pi*f*tau_l) for delays (..., L), tau_l from the first tap:
-    shape (..., F, L)."""
-    theta = (-2.0 * np.pi) * (freqs[:, None] * (delays - delays[..., :1])[..., None, :])
-    out = np.empty(theta.shape, dtype=complex)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
+    shape (..., F, L). Tap 0's phase is exactly 1."""
+    theta = _phase_angles(delays, freqs).swapaxes(-1, -2)
+    out = np.empty(theta.shape[:-1] + delays.shape[-1:], dtype=complex)
+    out[..., 0] = 1.0
+    np.cos(theta, out=out.real[..., 1:])
+    np.sin(theta, out=out.imag[..., 1:])
     return out
 
 
@@ -168,45 +235,121 @@ def _response(phases: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
 
 def _response_gram(hf: np.ndarray) -> np.ndarray:
-    """Per-subcarrier Gram of the smaller side: H^H H, or H H^H when
-    N_t > N_r (Sylvester), for hf of shape (..., F, N_r, N_t)."""
-    hh = hf.conj().swapaxes(-1, -2)
-    return hh @ hf if hf.shape[-1] <= hf.shape[-2] else hf @ hh
+    """Packed per-subcarrier Grams (B, d*d, F) of the smaller side, H^H H
+    or, when N_t > N_r, the conjugate of H H^H (Sylvester: the same
+    determinant), for hf of shape (B, F, N_r, N_t).
+
+    With each column of H_f split into its real and imaginary parts,
+    Q = [Re H, Im H]^T [Re H, Im H] is one real product per subcarrier, and
+    G = Q_rr + Q_ii + i (Q_ri - Q_ir).
+    """
+    if hf.shape[-1] > hf.shape[-2]:
+        hf = hf.swapaxes(-1, -2)
+    batch, num_f, rows, d = hf.shape
+    parts = np.ascontiguousarray(hf).view(float)  # (B, F, rows, 2d)
+    q = (parts.swapaxes(-1, -2) @ parts).reshape(batch, num_f, 4 * d * d).swapaxes(1, 2)
+    first, second, sign = _response_index(d)
+    return q[:, first] + sign * q[:, second]
 
 
-def _cross_gram(phases: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """The Gram of :func:`_response_gram` without the response:
-    sum_{l,l'} conj(phase_l) phase_l' M_l^H M_l' over the tap cross-Grams
-    M_l^H M_l', for phases (B, F, L) and taps (B, L, N_r, N_t).
+@functools.lru_cache(maxsize=16)
+def _response_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only terms of :func:`_response_gram`: each packed entry is
+    Q[first] + sign * Q[second] over the (2d x 2d) Q raveled row-major."""
+    first, second, sign = [], [], []
+    for j in range(d):
+        re, im = 2 * j * 2 * d, (2 * j + 1) * 2 * d  # rows of Re and Im of column j
+        for k in range(j, d):
+            first.append(re + 2 * k)
+            second.append(im + 2 * k + 1)
+            sign.append(1.0)
+        for k in range(j + 1, d):
+            first.append(re + 2 * k + 1)
+            second.append(im + 2 * k)
+            sign.append(-1.0)
+    out = (np.array(first), np.array(second), np.array(sign)[:, None])
+    for array in out:
+        array.setflags(write=False)
+    return out
 
-    When N_t > N_r the taps are transposed first: that gives the conjugate
-    of H H^H, which has the same determinant.
+
+def _cross_gram(theta: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Packed Grams (B, d*d, F) of :func:`_response_gram` without the
+    response, from the tap cross-Grams and the phase angles theta
+    (B, L-1, F) of :func:`_phase_angles`: the pair coefficients of
+    :func:`_pair_coefficients` times the pair phases of
+    :func:`_pair_phases`, as one real product per drop."""
+    return _pair_coefficients(taps).swapaxes(1, 2) @ _pair_phases(theta)
+
+
+def _pair_coefficients(taps: np.ndarray) -> np.ndarray:
+    """Packed coefficients (B, L(L-1) + 1, d*d) of the Gram of taps
+    (B, L, N_r, N_t) in the pair phases of :func:`_pair_phases`.
+
+    With the cross-Grams C_ll' = M_l^H M_l', the Gram at a subcarrier is
+    G = sum_l C_ll + A + A^H with A = sum_{l<l'} p_ll' C_ll', where
+    p_ll' = conj(phi_l) phi_l' = a + i b. Each pair thus adds
+    a (C_ll' + C_ll'^H) + b i (C_ll' - C_ll'^H), and sum_l C_ll is the
+    coefficient of the row of ones. When N_t > N_r the taps are transposed
+    first: that gives the conjugate of H H^H, which has the same
+    determinant.
     """
     if taps.shape[-1] > taps.shape[-2]:
         taps = taps.swapaxes(-1, -2)
     batch, num_taps, rows, d = taps.shape
     side_by_side = taps.transpose(0, 2, 1, 3).reshape(batch, rows, num_taps * d)
     cross = side_by_side.conj().swapaxes(-1, -2) @ side_by_side  # (B, L*d, L*d)
-    cross = cross.reshape(batch, num_taps, d, num_taps, d).transpose(0, 1, 3, 2, 4)
-    pairs = phases.conj()[..., :, None] * phases[..., None, :]  # (B, F, L, L)
-    num_f = phases.shape[-2]
-    gram = pairs.reshape(batch, num_f, num_taps * num_taps) @ cross.reshape(batch, num_taps * num_taps, d * d)
-    return gram.reshape(batch, num_f, d, d)
+    cross = cross.reshape(batch, num_taps, d, num_taps, d).swapaxes(2, 3)
+    first, second = _pair_index(num_taps)
+    pairs = cross[:, first, second]  # (B, P, d, d)
+    pairs_h = pairs.conj().swapaxes(-1, -2)
+    num_pairs = first.size
+    z = np.empty((batch, 2 * num_pairs + 1, d, d), dtype=complex)
+    np.add(pairs, pairs_h, out=z[:, :num_pairs])
+    np.subtract(pairs, pairs_h, out=z[:, num_pairs:-1])
+    z[:, num_pairs:-1] *= 1j
+    diagonal = np.arange(num_taps)
+    np.sum(cross[:, diagonal, diagonal], axis=1, out=z[:, -1])
+    return _pack(z)
+
+
+def _pair_phases(theta: np.ndarray) -> np.ndarray:
+    """For phase angles theta (B, L-1, F) of taps 1..L-1: the real parts a
+    of p_ll' = conj(phi_l) phi_l' over the L(L-1)/2 tap pairs l < l' in
+    row-major order, then their imaginary parts b, then a row of ones:
+    shape (B, L(L-1) + 1, F). Pair (0, l) is phi_l itself."""
+    batch, m, num_f = theta.shape
+    num_pairs = m * (m + 1) // 2
+    out = np.empty((batch, 2 * num_pairs + 1, num_f))
+    cos, sin = out[:, :m], out[:, num_pairs : num_pairs + m]
+    np.cos(theta, out=cos)
+    np.sin(theta, out=sin)
+    if m > 1:
+        first, second = _pair_index(m)
+        a, b = out[:, m:num_pairs], out[:, num_pairs + m : 2 * num_pairs]
+        c1, c2, s2 = cos[:, first], cos[:, second], sin[:, second]
+        np.multiply(c1, c2, out=a)
+        np.multiply(c1, s2, out=b)
+        s1 = np.take(sin, first, axis=1, out=c1)
+        a += np.multiply(s1, s2, out=s2)
+        b -= np.multiply(s1, c2, out=c2)
+    out[:, -1] = 1.0
+    return out
 
 
 def _capacities(gram: np.ndarray, config: CapacityConfig, n_t: int) -> np.ndarray:
-    """Wideband capacities in bits/s/Hz from per-subcarrier Grams
-    (..., F, d, d): subcarrier mean of the log-det, floored at 0."""
-    logdet = logdet_eye_plus(gram, db_to_linear(config.snr_db) / n_t)
+    """Wideband capacities in bits/s/Hz from packed per-subcarrier Grams
+    (..., d*d, F): subcarrier mean of the log-det, floored at 0."""
+    logdet = _logdet_packed(gram, db_to_linear(config.snr_db) / n_t)
     return np.maximum(np.mean(logdet, axis=-1) / math.log(2.0), 0.0)
 
 
 #: Drops per chunk. Chunk c holds drops [c * CHUNK_DROPS, (c + 1) * CHUNK_DROPS),
 #: so chunk boundaries depend on the drop index alone, never on the number
 #: of drops or workers.
-CHUNK_DROPS = 64
-#: Bytes of complex temporaries one batch of drops may allocate; a group of
-#: drops with equal tap counts is cut into batches under this budget.
+CHUNK_DROPS = 256
+#: Bytes of temporaries one batch of drops may allocate; a group of drops
+#: with equal tap counts is cut into batches under this budget.
 BATCH_BYTES = 1 << 20
 
 
@@ -223,23 +366,35 @@ class _Campaign(NamedTuple):
 
 
 def _uses_cross_gram(num_taps: int, n_r: int, n_t: int) -> bool:
-    """Whether a drop's Gram comes from its tap cross-Grams. They cost
-    (L*d)^2 products per subcarrier, d = min(N_r, N_t); the response route
-    costs L*d*max(N_r, N_t) products plus one small matrix product per
-    subcarrier, which in numpy weighs about as much again, so the cross
-    route is taken up to L*d = 2*max(N_r, N_t)."""
-    return num_taps * min(n_r, n_t) <= 2 * max(n_r, n_t)
+    """Whether a drop's Gram comes from its tap cross-Grams. Per subcarrier
+    that route costs L(L-1) pair phases and their product with d*d
+    coefficients, d = min(N_r, N_t); the response route costs
+    L*d*max(N_r, N_t) products plus one small matrix product. Measured per
+    drop in the engine's batches (arrays from 1x4 to 64x4, 100
+    subcarriers), the two cost the same near L(L-1) = 64 + N_r*N_t/3."""
+    return 3 * num_taps * (num_taps - 1) <= 192 + n_r * n_t
 
 
 def _drop_bytes(num_taps: int, n_r: int, n_t: int, num_subcarriers: int) -> int:
-    """Bytes of the complex temporaries one drop adds to a batch."""
+    """Bytes of the temporaries one drop adds to a batch, summed over the
+    kernels: its tap matrices (four complex arrays), and per subcarrier its
+    packed Gram and the log-det's copy, pivots and scaled rows, plus what
+    its Gram route allocates. The cross route holds the cross-Grams and
+    their pair sums (complex), and per subcarrier the phase angles, the
+    pair phases and three gathered factors of the pairs of taps 1..L-1.
+    The response route holds per subcarrier the phases and the response
+    (complex), Q and the packing terms."""
     rows, d = max(n_r, n_t), min(n_r, n_t)
-    per_subcarrier = num_taps + 2 * d * d
+    # counted in floats
+    per_drop = 8 * num_taps * rows * d
+    per_subcarrier = 2 * d * d + 3 * d
     if _uses_cross_gram(num_taps, n_r, n_t):
-        per_subcarrier += num_taps * num_taps
+        pairs = num_taps * (num_taps - 1) // 2
+        per_drop += 2 * (num_taps * d) ** 2 + 4 * (2 * pairs + 1) * d * d
+        per_subcarrier += num_taps + 2 * pairs + 3 * (pairs - num_taps + 1)
     else:
-        per_subcarrier += 2 * rows * d
-    return 16 * (num_subcarriers * per_subcarrier + 4 * num_taps * rows * d)
+        per_subcarrier += 2 * num_taps + 2 * rows * d + 7 * d * d
+    return 8 * (num_subcarriers * per_subcarrier + per_drop)
 
 
 def _batch_capacities(delays, powers, white, psi, campaign: _Campaign) -> np.ndarray:
@@ -247,12 +402,12 @@ def _batch_capacities(delays, powers, white, psi, campaign: _Campaign) -> np.nda
     powers (B, L), white tap draws (B, L, 2, N_r, N_t) and dominant phases
     (B, L), or None for Rayleigh."""
     taps = tap_matrices(white, psi, powers, campaign.rr_sqrt, campaign.rt_sqrt, campaign.fading)
-    phases = _subcarrier_phases(delays, campaign.cap_config.baseband_frequencies())
+    freqs = campaign.cap_config.baseband_frequencies()
     n_r, n_t = taps.shape[-2:]
     if _uses_cross_gram(delays.shape[1], n_r, n_t):
-        gram = _cross_gram(phases, taps)
+        gram = _cross_gram(_phase_angles(delays, freqs), taps)
     else:
-        gram = _response_gram(_response(phases, taps))
+        gram = _response_gram(_response(_subcarrier_phases(delays, freqs), taps))
     return _capacities(gram, campaign.cap_config, n_t)
 
 

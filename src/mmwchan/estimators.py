@@ -85,9 +85,9 @@ class AutocorrCurve:
         vals = np.array(self.values, dtype=float)
         if lags.shape != vals.shape or lags.ndim != 1:
             raise ValueError("lags and values must be matching 1-D arrays")
-        finite = vals[np.isfinite(vals)]
-        if finite.size and np.abs(finite).max() > 1.0 + 1e-9:
-            raise ValueError("autocorrelation values must lie in [-1, 1]")
+        # NaN fails the comparison; +-inf and finite values outside [-1, 1] pass it
+        if (np.abs(vals) > 1.0 + 1e-9).any():
+            raise ValueError("autocorrelation values must lie in [-1, 1] or be NaN")
         lags.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "lags", lags)
@@ -370,11 +370,12 @@ def write_track(track: TrackMeasurement, path) -> None:
     grid row-major (one CSV row per track position)."""
     lines = [
         ",".join(TRACK_HEADER_FIELDS),
+        # plain Python numbers: the repr of a numpy scalar names its type
         ",".join(
             repr(v)
             for v in (
-                track.delta_x,
-                track.delay_bin_ns,
+                float(track.delta_x),
+                float(track.delay_bin_ns),
                 track.num_positions,
                 track.num_bins,
             )

@@ -320,8 +320,8 @@ class TestExactLawMultiTapAndRician:
 
     @pytest.mark.parametrize(
         "n_r,clusters,paths,cross",
-        [(2, (3, 4), (2, 3), False), (4, (1, 2), (1, 2), True)],
-        ids=["nr2-L6to12-response", "nr4-L1to4-cross"],
+        [(2, (3, 4), (3, 4), False), (4, (1, 2), (1, 2), True)],
+        ids=["nr2-L9to16-response", "nr4-L1to4-cross"],
     )
     def test_multi_tap_rayleigh_hypoexponential(self, n_r, clusters, paths, cross):
         taps = range(clusters[0] * paths[0], clusters[1] * paths[1] + 1)

@@ -23,6 +23,8 @@ from mmwchan.capacity import (
     BATCH_BYTES,
     CHUNK_DROPS,
     CapacityConfig,
+    _batch_capacities,
+    _Campaign,
     _drop_bytes,
     _uses_cross_gram,
     logdet_eye_plus,
@@ -140,7 +142,7 @@ def test_generated_cir_equals_reference_and_leaves_same_stream(spread_deg):
 
 
 def test_chunk_cirs_equal_per_drop_cirs():
-    # the chunk kernel on 64 drops' blocks gives each drop the CIR that
+    # the chunk kernel on a whole chunk's blocks gives each drop the CIR that
     # generate_initial_cir draws from that drop's stream alone
     from mmwchan.seeding import drop_streams
 
@@ -230,3 +232,61 @@ def test_logdet_kernel_matches_slogdet(d, rank):
     scale = 10.0 / d
     _, want = np.linalg.slogdet(np.eye(d) + scale * gram)
     np.testing.assert_allclose(logdet_eye_plus(gram, scale), want, rtol=1e-13, atol=1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(3, 6),
+    rank=st.integers(1, 6),
+    near_singular=st.booleans(),
+    log_scale=st.floats(-6.0, 6.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_logdet_kernel_matches_slogdet_on_psd_grams(d, rank, near_singular, log_scale, seed):
+    # The elimination is backward stable: its result is exact for I + sG
+    # moved by a few d * eps * ||I + sG||, and every eigenvalue of I + sG is
+    # at least 1, so the log-det moves by no more than that; slogdet's LU
+    # has the same bound.
+    rng = np.random.default_rng(seed)
+    rank = min(rank, d)
+    h = rng.standard_normal((4, d, rank)) + 1j * rng.standard_normal((4, d, rank))
+    gram = h @ h.conj().swapaxes(-1, -2)
+    if near_singular:
+        # the weakest direction 1e-16..1e-8 of the strongest
+        w, v = np.linalg.eigh(gram)
+        w[:, 0] = w[:, -1] * 10.0 ** rng.uniform(-16.0, -8.0, 4)
+        gram = (v * w[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    scale = 10.0**log_scale
+    m = np.eye(d) + scale * gram
+    _, want = np.linalg.slogdet(m)
+    bound = 4 * d * np.finfo(float).eps * np.linalg.norm(m, 2, axis=(-2, -1))
+    assert np.all(np.abs(logdet_eye_plus(gram, scale) - want) <= bound)
+
+
+def _route_taps(n_r, n_t, cross):
+    """The fewest taps (at least 2) that the route rule sends to a route."""
+    return next(num_taps for num_taps in range(2, 256) if _uses_cross_gram(num_taps, n_r, n_t) == cross)
+
+
+@pytest.mark.parametrize("cross", [True, False], ids=["cross", "response"])
+@pytest.mark.parametrize("n_r,n_t", [(6, 1), (2, 5), (5, 3), (4, 7)], ids=["d1", "d2", "d3", "d4"])
+@pytest.mark.parametrize("fading", [FadingModel.rayleigh(), FadingModel.rician(5.0)], ids=["rayleigh", "rician"])
+def test_batch_equals_its_drops_one_at_a_time(n_r, n_t, cross, fading):
+    # a drop's capacity must not depend on the batch it lands in
+    num_taps = _route_taps(n_r, n_t, cross)
+    rr = matrix_sqrt_psd(build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_r), FadingModel.rayleigh()))
+    rt = matrix_sqrt_psd(
+        build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_t), FadingModel.rayleigh(), side="transmit")
+    )
+    campaign = _Campaign(CirGenConfig(), rr, rt, fading, CapacityConfig(), 1, None)
+    rng = np.random.default_rng(num_taps)
+    batch = 7
+    delays = np.sort(rng.uniform(0.0, 200e-9, (batch, num_taps)), axis=1)
+    powers = rng.dirichlet(np.ones(num_taps), batch)
+    white = rng.standard_normal((batch, num_taps, 2, n_r, n_t))
+    psi = rng.uniform(0.0, 2 * math.pi, (batch, num_taps)) if fading.is_rician else None
+    together = _batch_capacities(delays, powers, white, psi, campaign)
+    for i in range(batch):
+        one = slice(i, i + 1)
+        alone = _batch_capacities(delays[one], powers[one], white[one], None if psi is None else psi[one], campaign)
+        assert alone[0] == together[i]

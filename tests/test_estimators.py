@@ -437,6 +437,14 @@ class TestTrackFiles:
         assert back.delay_bin_ns == t.delay_bin_ns
         assert np.array_equal(back.amplitudes, t.amplitudes)
 
+    def test_round_trip_numpy_scalar_spacings(self, tmp_path):
+        t = TrackMeasurement(amplitudes=np.ones((3, 2)), delta_x=np.float64(0.5), delay_bin_ns=np.float32(2.5))
+        path = tmp_path / "track.csv"
+        write_track(t, path)
+        assert path.read_text().splitlines()[1] == "0.5,2.5,3,2"
+        back = read_track(path)
+        assert (back.delta_x, back.delay_bin_ns) == (0.5, 2.5)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -487,6 +495,13 @@ class TestTrackFiles:
         path = tmp_path / "hdr.csv"
         path.write_text("delta_x_wavelengths,delay_bin_ns,num_positions,num_bins\n0.5,2.5,3.0,1.0\n1.0\n2.0\n3.0\n")
         assert read_track(path).amplitudes.shape == (3, 1)
+
+
+class TestAutocorrCurveInvariants:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_rejects_infinite_values(self, bad):
+        with pytest.raises(ValueError, match=r"\[-1, 1\] or be NaN"):
+            AutocorrCurve(lags=[0.0, 0.5, 1.0, 1.5, 2.0], values=[1.0, bad, 0.5, 0.3, 0.2])
 
 
 class TestTrackMeasurementInvariants:
