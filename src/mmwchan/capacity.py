@@ -29,6 +29,7 @@ from .core import (
     FadingModel,
     Scenario,
     db_to_linear,
+    require_count,
 )
 from .spatial import (
     draw_tap_noise,
@@ -53,8 +54,7 @@ class CapacityConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth_hz must be > 0")
-        if self.num_subcarriers < 1:
-            raise ValueError("num_subcarriers must be >= 1")
+        require_count("num_subcarriers", self.num_subcarriers)
 
     def baseband_frequencies(self) -> np.ndarray:
         """Uniform subcarrier grid over [-BW/2, +BW/2)."""
@@ -108,8 +108,7 @@ def frequency_response(taps, config: CapacityConfig) -> FrequencyResponse:
         raise ValueError("need at least one tap")
     delays = np.array([t.delay for t in taps])
     stack = np.stack([t.matrix for t in taps])  # (L, N_r, N_t)
-    phases = _subcarrier_phases(delays, config.baseband_frequencies())
-    return FrequencyResponse(per_subcarrier=_response(phases, stack))
+    return FrequencyResponse(per_subcarrier=_response(_subcarrier_phases(delays, config), stack))
 
 
 def wideband_capacity(fr: FrequencyResponse, config: CapacityConfig, n_t: int) -> float:
@@ -209,21 +208,47 @@ def _logdet_packed(gram: np.ndarray, scale: float) -> np.ndarray:
     return np.log(pivots).sum(axis=0).reshape(shape)
 
 
-def _phase_angles(delays: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """-2*pi*f*tau_l for delays (..., L), tau_l from the first tap, over
-    taps 1..L-1 (tap 0's phase is exactly 1): shape (..., L-1, F)."""
-    return (-2.0 * np.pi) * ((delays[..., 1:] - delays[..., :1])[..., None] * freqs)
+def _tap_phases(delays: np.ndarray, config: CapacityConfig) -> np.ndarray:
+    """exp(-j*2*pi*f_n*tau_l) on the subcarrier grid for delays (..., L),
+    tau_l from the first tap, over taps 1..L-1 (tap 0's phase is exactly
+    1): complex, shape (..., L-1, F).
+
+    The grid is uniform, f_n = f_0 + s*n. With n = K*a + b and
+    K = ceil(sqrt(F)), each phase is a coarse factor at f_(K*a) times a
+    fine one at s*b (:func:`_phase_grids`), so a tap takes a cosine and a
+    sine of K + ceil(F/K) angles instead of F.
+    """
+    grid, fine_count = _phase_grids(config)
+    theta = (delays[..., 1:, None] - delays[..., :1, None]) * grid
+    phasors = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=phasors.real)
+    np.sin(theta, out=phasors.imag)
+    phases = phasors[..., :-fine_count, None] * phasors[..., None, -fine_count:]
+    *lead, coarse_count, _ = phases.shape
+    return phases.reshape(*lead, coarse_count * fine_count)[..., : config.num_subcarriers]
 
 
-def _subcarrier_phases(delays: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+def _subcarrier_phases(delays: np.ndarray, config: CapacityConfig) -> np.ndarray:
     """exp(-j*2*pi*f*tau_l) for delays (..., L), tau_l from the first tap:
     shape (..., F, L). Tap 0's phase is exactly 1."""
-    theta = _phase_angles(delays, freqs).swapaxes(-1, -2)
-    out = np.empty(theta.shape[:-1] + delays.shape[-1:], dtype=complex)
+    phases = _tap_phases(delays, config)
+    out = np.empty(phases.shape[:-2] + phases.shape[-1:] + delays.shape[-1:], dtype=complex)
     out[..., 0] = 1.0
-    np.cos(theta, out=out.real[..., 1:])
-    np.sin(theta, out=out.imag[..., 1:])
+    out[..., 1:] = phases.swapaxes(-1, -2)
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _phase_grids(config: CapacityConfig) -> tuple[np.ndarray, int]:
+    """-2*pi times the coarse frequencies f_(K*a) and then the fine offsets
+    s*b of the subcarrier grid, read-only, and K = ceil(sqrt(F))."""
+    num_f = config.num_subcarriers
+    fine_count = math.isqrt(num_f - 1) + 1
+    coarse = config.baseband_frequencies()[::fine_count]
+    fine = (config.bandwidth_hz / num_f) * np.arange(fine_count)
+    grid = (-TWO_PI) * np.concatenate([coarse, fine])
+    grid.setflags(write=False)
+    return grid, fine_count
 
 
 def _response(phases: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -273,26 +298,27 @@ def _response_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-def _cross_gram(theta: np.ndarray, taps: np.ndarray) -> np.ndarray:
+def _cross_gram(delays: np.ndarray, taps: np.ndarray, config: CapacityConfig) -> np.ndarray:
     """Packed Grams (B, d*d, F) of :func:`_response_gram` without the
-    response, from the tap cross-Grams and the phase angles theta
-    (B, L-1, F) of :func:`_phase_angles`: the pair coefficients of
-    :func:`_pair_coefficients` times the pair phases of
+    response, from taps (B, L, N_r, N_t) and delays (B, L): the pair
+    coefficients of :func:`_pair_coefficients` times the pair phases of
     :func:`_pair_phases`, as one real product per drop."""
-    return _pair_coefficients(taps).swapaxes(1, 2) @ _pair_phases(theta)
+    coefficients = _pair_coefficients(taps).swapaxes(1, 2)
+    return coefficients @ _pair_phases(_tap_phases(delays, config))
 
 
 def _pair_coefficients(taps: np.ndarray) -> np.ndarray:
-    """Packed coefficients (B, L(L-1) + 1, d*d) of the Gram of taps
-    (B, L, N_r, N_t) in the pair phases of :func:`_pair_phases`.
+    """Packed coefficients (B, L(L-1) + 2, d*d) of the Gram of taps
+    (B, L, N_r, N_t) in the real and imaginary parts of the pair phases of
+    :func:`_pair_phases`.
 
     With the cross-Grams C_ll' = M_l^H M_l', the Gram at a subcarrier is
     G = sum_l C_ll + A + A^H with A = sum_{l<l'} p_ll' C_ll', where
     p_ll' = conj(phi_l) phi_l' = a + i b. Each pair thus adds
     a (C_ll' + C_ll'^H) + b i (C_ll' - C_ll'^H), and sum_l C_ll is the
-    coefficient of the row of ones. When N_t > N_r the taps are transposed
-    first: that gives the conjugate of H H^H, which has the same
-    determinant.
+    coefficient of the real part of the column of ones (its imaginary
+    part, 0, gets 0). When N_t > N_r the taps are transposed first: that
+    gives the conjugate of H H^H, which has the same determinant.
     """
     if taps.shape[-1] > taps.shape[-2]:
         taps = taps.swapaxes(-1, -2)
@@ -303,38 +329,37 @@ def _pair_coefficients(taps: np.ndarray) -> np.ndarray:
     first, second = _pair_index(num_taps)
     pairs = cross[:, first, second]  # (B, P, d, d)
     pairs_h = pairs.conj().swapaxes(-1, -2)
-    num_pairs = first.size
-    z = np.empty((batch, 2 * num_pairs + 1, d, d), dtype=complex)
-    np.add(pairs, pairs_h, out=z[:, :num_pairs])
-    np.subtract(pairs, pairs_h, out=z[:, num_pairs:-1])
-    z[:, num_pairs:-1] *= 1j
+    z = np.empty((batch, first.size + 1, 2, d, d), dtype=complex)
     diagonal = np.arange(num_taps)
-    np.sum(cross[:, diagonal, diagonal], axis=1, out=z[:, -1])
-    return _pack(z)
+    np.sum(cross[:, diagonal, diagonal], axis=1, out=z[:, 0, 0])
+    z[:, 0, 1] = 0.0
+    np.add(pairs, pairs_h, out=z[:, 1:, 0])
+    np.subtract(pairs, pairs_h, out=z[:, 1:, 1])
+    z[:, 1:, 1] *= 1j
+    return _pack(z).reshape(batch, -1, d * d)
 
 
-def _pair_phases(theta: np.ndarray) -> np.ndarray:
-    """For phase angles theta (B, L-1, F) of taps 1..L-1: the real parts a
-    of p_ll' = conj(phi_l) phi_l' over the L(L-1)/2 tap pairs l < l' in
-    row-major order, then their imaginary parts b, then a row of ones:
-    shape (B, L(L-1) + 1, F). Pair (0, l) is phi_l itself."""
-    batch, m, num_f = theta.shape
-    num_pairs = m * (m + 1) // 2
-    out = np.empty((batch, 2 * num_pairs + 1, num_f))
-    cos, sin = out[:, :m], out[:, num_pairs : num_pairs + m]
-    np.cos(theta, out=cos)
-    np.sin(theta, out=sin)
-    if m > 1:
-        first, second = _pair_index(m)
-        a, b = out[:, m:num_pairs], out[:, num_pairs + m : 2 * num_pairs]
-        c1, c2, s2 = cos[:, first], cos[:, second], sin[:, second]
-        np.multiply(c1, c2, out=a)
-        np.multiply(c1, s2, out=b)
-        s1 = np.take(sin, first, axis=1, out=c1)
-        a += np.multiply(s1, s2, out=s2)
-        b -= np.multiply(s1, c2, out=c2)
-    out[:, -1] = 1.0
-    return out
+def _pair_phases(phases: np.ndarray) -> np.ndarray:
+    """For the phases phi_l (B, L-1, F) of taps 1..L-1 (:func:`_tap_phases`):
+    a row of ones and a row of zeros, then the real and imaginary parts of
+    p_ll' = conj(phi_l) phi_l' for each of the L(L-1)/2 tap pairs l < l' in
+    row-major order: shape (B, L(L-1) + 2, F). Pair (0, l) is phi_l itself,
+    so only the pairs of taps 1..L-1 take a product, one broadcast product
+    per first tap."""
+    batch, m, num_f = phases.shape
+    pairs = np.empty((batch, m * (m - 1) // 2, num_f), dtype=complex)
+    conj = np.conj(phases[:, :-1])
+    row = 0
+    for tap in range(m - 1):
+        rows = slice(row, row + m - 1 - tap)
+        np.multiply(conj[:, tap, None], phases[:, tap + 1 :], out=pairs[:, rows])
+        row = rows.stop
+    out = np.empty((batch, 1 + m + pairs.shape[1], 2, num_f))
+    out[:, 0, 0] = 1.0
+    out[:, 0, 1] = 0.0
+    for rows, z in ((slice(1, m + 1), phases), (slice(m + 1, None), pairs)):
+        np.copyto(out[:, rows], z.view(float).reshape(*z.shape, 2).swapaxes(-1, -2))
+    return out.reshape(batch, -1, num_f)
 
 
 def _capacities(gram: np.ndarray, config: CapacityConfig, n_t: int) -> np.ndarray:
@@ -376,25 +401,32 @@ def _uses_cross_gram(num_taps: int, n_r: int, n_t: int) -> bool:
 
 
 def _drop_bytes(num_taps: int, n_r: int, n_t: int, num_subcarriers: int) -> int:
-    """Bytes of the temporaries one drop adds to a batch, summed over the
-    kernels: its tap matrices (four complex arrays), and per subcarrier its
-    packed Gram and the log-det's copy, pivots and scaled rows, plus what
-    its Gram route allocates. The cross route holds the cross-Grams and
-    their pair sums (complex), and per subcarrier the phase angles, the
-    pair phases and three gathered factors of the pairs of taps 1..L-1.
-    The response route holds per subcarrier the phases and the response
-    (complex), Q and the packing terms."""
-    rows, d = max(n_r, n_t), min(n_r, n_t)
-    # counted in floats
-    per_drop = 8 * num_taps * rows * d
-    per_subcarrier = 2 * d * d + 3 * d
+    """Bytes one drop adds to a batch at its peak: the largest of the
+    stages, each counting what is alive then, plus a quarter for what the
+    count leaves out. Making the tap matrices holds up to eight complex
+    arrays of their size. The cross route holds the tap matrices and, while
+    forming the coefficients, four copies of them, the cross-Grams, the
+    pair terms and the packed coefficients; then, per subcarrier, the tap
+    phases, their conjugates and the pair products (complex), the real and
+    imaginary parts of all pair phases and the Gram. The response route
+    holds the tap matrices and, per subcarrier, the phases of taps 1..L-1
+    and of all taps (complex), the response and, when N_t > N_r, its
+    transpose, Q and the packing terms. The log-det holds per subcarrier
+    the packed Gram, its copy and a few rows of d values. Both routes also
+    hold the coarse and fine angles and phasors of each tap."""
+    rows, d, f = max(n_r, n_t), min(n_r, n_t), num_subcarriers
+    taps = 2 * num_taps * rows * d  # counted in floats
+    angles = 6 * num_taps * (math.isqrt(4 * f) + 2)
     if _uses_cross_gram(num_taps, n_r, n_t):
         pairs = num_taps * (num_taps - 1) // 2
-        per_drop += 2 * (num_taps * d) ** 2 + 4 * (2 * pairs + 1) * d * d
-        per_subcarrier += num_taps + 2 * pairs + 3 * (pairs - num_taps + 1)
+        coefficients = 2 * (pairs + 1) * d * d
+        gram = max(
+            4 * taps + 2 * (num_taps * d) ** 2 + 2 * num_taps * d * d + 6 * pairs * d * d + 3 * coefficients,
+            coefficients + angles + f * (4 * pairs + 2 * num_taps + d * d),
+        )
     else:
-        per_subcarrier += 2 * num_taps + 2 * rows * d + 7 * d * d
-    return 8 * (num_subcarriers * per_subcarrier + per_drop)
+        gram = angles + f * (4 * num_taps + 2 * rows * d * (1 + (n_t > n_r)) + 7 * d * d)
+    return 8 * max(8 * taps, taps + gram, f * (3 * d * d + 3 * d)) * 5 // 4
 
 
 def _batch_capacities(delays, powers, white, psi, campaign: _Campaign) -> np.ndarray:
@@ -402,13 +434,13 @@ def _batch_capacities(delays, powers, white, psi, campaign: _Campaign) -> np.nda
     powers (B, L), white tap draws (B, L, 2, N_r, N_t) and dominant phases
     (B, L), or None for Rayleigh."""
     taps = tap_matrices(white, psi, powers, campaign.rr_sqrt, campaign.rt_sqrt, campaign.fading)
-    freqs = campaign.cap_config.baseband_frequencies()
+    cap_config = campaign.cap_config
     n_r, n_t = taps.shape[-2:]
     if _uses_cross_gram(delays.shape[1], n_r, n_t):
-        gram = _cross_gram(_phase_angles(delays, freqs), taps)
+        gram = _cross_gram(delays, taps, cap_config)
     else:
-        gram = _response_gram(_response(_subcarrier_phases(delays, freqs), taps))
-    return _capacities(gram, campaign.cap_config, n_t)
+        gram = _response_gram(_response(_subcarrier_phases(delays, cap_config), taps))
+    return _capacities(gram, cap_config, n_t)
 
 
 def _drop_draws(campaign: _Campaign, rngs):

@@ -12,12 +12,22 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
 #: Relative tolerance for the cached total power of a CIR.
 TOTAL_POWER_RTOL = 1e-12
+
+
+def require_count(name: str, value) -> None:
+    """Reject a count that is not an integer (a bool is not one) or is
+    below 1, naming the field. numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
 
 
 class Environment(enum.Enum):
@@ -153,8 +163,7 @@ class ArrayGeometry:
     spacing: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.num_elements < 1:
-            raise ValueError("num_elements must be >= 1")
+        require_count("num_elements", self.num_elements)
         if not (self.spacing > 0 and math.isfinite(self.spacing)):
             raise ValueError(f"spacing must be finite and > 0, got {self.spacing}")
 

@@ -8,6 +8,7 @@ from oracles import hypoexponential_cdf, rician_eigen_pair_cdf, rician_power_cdf
 from mmwchan.capacity import (
     CapacityConfig,
     CapacitySample,
+    _subcarrier_phases,
     _uses_cross_gram,
     capacity_cdf,
     capacity_quantiles,
@@ -49,6 +50,38 @@ class TestCapacityConfig:
             CapacityConfig(bandwidth_hz=0.0)
         with pytest.raises(ValueError):
             CapacityConfig(num_subcarriers=0)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0), True, np.True_, "3"])
+    def test_subcarrier_count_must_be_an_integer(self, count):
+        with pytest.raises(ValueError, match="num_subcarriers"):
+            CapacityConfig(num_subcarriers=count)
+
+    def test_numpy_integer_subcarrier_count(self):
+        assert len(CapacityConfig(num_subcarriers=np.int64(3)).baseband_frequencies()) == 3
+
+
+class TestSubcarrierPhases:
+    """The coarse x fine phase kernel against one direct exponential per
+    subcarrier and tap. Both round the angle -2*pi*f*tau, so they may differ
+    by a few ulps of the largest angle: the bound is C*eps*(1 + max|theta|)."""
+
+    C = 4
+
+    @pytest.mark.parametrize("num_f", [1, 2, 3, 7, 99, 100, 101, 1000])
+    @pytest.mark.parametrize("spread", [0.0, 1e-9, 50e-9, 500e-9, 2e-6])
+    def test_matches_direct_exponential(self, num_f, spread):
+        cfg = CapacityConfig(num_subcarriers=num_f)
+        f = cfg.baseband_frequencies()
+        rng = np.random.default_rng(num_f)
+        delays = 3e-7 + np.sort(rng.uniform(0.0, spread, (4, 6)), axis=1)
+        got = _subcarrier_phases(delays, cfg)
+        assert got.shape == (4, num_f, 6)
+        assert np.all(got[..., 0] == 1.0)
+        for phases, row in zip(got, delays):
+            tau = row - row[0]
+            want = np.exp(-2j * np.pi * np.outer(f, tau))
+            bound = self.C * np.finfo(float).eps * (1.0 + np.max(np.abs(2 * np.pi * np.outer(f, tau))))
+            assert np.max(np.abs(phases - want)) <= bound
 
 
 class TestFrequencyResponse:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from mmwchan.core import (
@@ -149,6 +150,14 @@ class TestOtherTypes:
     def test_array_geometry_invalid(self, kwargs):
         with pytest.raises(ValueError):
             ArrayGeometry(**kwargs)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(3.0), True, np.True_, "3"])
+    def test_array_element_count_must_be_an_integer(self, count):
+        with pytest.raises(ValueError, match="num_elements"):
+            ArrayGeometry(num_elements=count)
+
+    def test_numpy_integer_element_count(self):
+        assert ArrayGeometry(num_elements=np.int32(4)).num_elements == 4
 
     def test_fading_model(self):
         r = FadingModel.rician(5.0)

@@ -8,6 +8,7 @@ seed and i: neither the run length nor the worker count may change it.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,3 +291,34 @@ def test_batch_equals_its_drops_one_at_a_time(n_r, n_t, cross, fading):
         one = slice(i, i + 1)
         alone = _batch_capacities(delays[one], powers[one], white[one], None if psi is None else psi[one], campaign)
         assert alone[0] == together[i]
+
+
+@pytest.mark.parametrize("taps", ["fewest", "most"])
+@pytest.mark.parametrize("cross", [True, False], ids=["cross", "response"])
+@pytest.mark.parametrize("n_r,n_t", [(6, 1), (2, 5), (5, 3), (4, 7)], ids=["d1", "d2", "d3", "d4"])
+def test_drop_bytes_bounds_the_batch_peak(n_r, n_t, cross, taps):
+    # _drop_bytes sets the batch sizes, so it must bound what a batch allocates
+    num_taps = _route_taps(n_r, n_t, cross)
+    if taps == "most":
+        num_taps = max(t for t in range(2, 256) if _uses_cross_gram(t, n_r, n_t)) if cross else num_taps + 8
+    rr = matrix_sqrt_psd(build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_r), FadingModel.rayleigh()))
+    rt = matrix_sqrt_psd(
+        build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_t), FadingModel.rayleigh(), side="transmit")
+    )
+    cap_config = CapacityConfig()
+    campaign = _Campaign(CirGenConfig(), rr, rt, FadingModel.rician(5.0), cap_config, 1, None)
+    drop_bytes = _drop_bytes(num_taps, n_r, n_t, cap_config.num_subcarriers)
+    batch = max(1, BATCH_BYTES // drop_bytes)
+    rng = np.random.default_rng(num_taps)
+    delays = np.sort(rng.uniform(0.0, 200e-9, (batch, num_taps)), axis=1)
+    powers = rng.dirichlet(np.ones(num_taps), batch)
+    white = rng.standard_normal((batch, num_taps, 2, n_r, n_t))
+    psi = rng.uniform(0.0, 2 * math.pi, (batch, num_taps))
+    _batch_capacities(delays, powers, white, psi, campaign)  # fills the index caches
+    tracemalloc.start()
+    try:
+        _batch_capacities(delays, powers, white, psi, campaign)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= batch * drop_bytes
