@@ -31,13 +31,11 @@ from .core import (
     ChannelImpulseResponse,
     Environment,
     FadingModel,
-    MultipathComponent,
     Polarization,
     Scenario,
     ScenarioDefaults,
     all_scenarios,
     lookup_default_params,
-    validate_cir,
 )
 from .estimators import (
     AutocorrCurve,

@@ -39,6 +39,11 @@ from .spatial import (
 )
 
 
+#: SNR range in dB. The d = 2 log-det squares the linear SNR, so the top,
+#: 1e30 linear, stays far from overflow.
+SNR_DB_MIN, SNR_DB_MAX = -300.0, 300.0
+
+
 @dataclass(frozen=True)
 class CapacityConfig:
     """Wideband simulation settings; center frequency is metadata only."""
@@ -52,6 +57,8 @@ class CapacityConfig:
         for name in ("bandwidth_hz", "snr_db", "center_frequency_hz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not SNR_DB_MIN <= self.snr_db <= SNR_DB_MAX:
+            raise ValueError(f"snr_db must lie in [{SNR_DB_MIN:g}, {SNR_DB_MAX:g}] dB, got {self.snr_db}")
         if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth_hz must be > 0")
         require_count("num_subcarriers", self.num_subcarriers)
@@ -543,8 +550,6 @@ def run_monte_carlo(
     """
     if num_drops < 1:
         raise ValueError("num_drops must be >= 1")
-    if initial_cir is not None and initial_cir.num_components < 1:
-        raise ValueError("initial_cir needs at least one component")
     # The amplitude-matched pipeline matrices are deterministic; hoist them.
     rr, rt = pipeline_corr_matrices(autocorr_params, rx_geometry, tx_geometry)
     campaign = _Campaign(
@@ -554,9 +559,7 @@ def run_monte_carlo(
         fading=fading,
         cap_config=cap_config,
         master_seed=master_seed,
-        shared_cir=None if initial_cir is None else tuple(
-            np.array(v) for v in (initial_cir.delays(), initial_cir.power_gains())
-        ),
+        shared_cir=None if initial_cir is None else (initial_cir.delays, initial_cir.powers),
     )
 
     tasks = [

@@ -18,13 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    TWO_PI,
-    ChannelImpulseResponse,
-    MultipathComponent,
-    Scenario,
-    validate_cir,
-)
+from .core import TWO_PI, ChannelImpulseResponse, ComponentError, Scenario
 
 NS = 1e-9
 #: Standard normal angle offsets drawn per component: departure azimuth and
@@ -214,34 +208,31 @@ def lobe_choices(config: CirGenConfig, u: np.ndarray) -> tuple[np.ndarray, np.nd
     return counts, _uniform_ints(picks, 0, counts[:, None, :])
 
 
-def _components(
-    config: CirGenConfig, u: np.ndarray, rows: CirRows, offsets: np.ndarray
-) -> list[MultipathComponent]:
-    """The components of the one drop in ``u`` (1, width) and ``rows``,
-    with the standard normal angle ``offsets`` (L, ANGLE_OFFSETS) of its L
-    components. Each angle is the chosen lobe's centre plus the angular
-    spread times its offset. Lobe centres are uniform in azimuth on
-    [0, 2pi) and in elevation on [-pi/4, pi/4); azimuths wrap to [0, 2pi)
-    and elevations are clamped to [-pi/2, pi/2]."""
+def _phases_and_angles(
+    config: CirGenConfig, u: np.ndarray, slots: list[int], offsets: np.ndarray
+) -> tuple[list[float], list[tuple[float, float]], list[tuple[float, float]]]:
+    """The phases, departure angles and arrival angles of the components in
+    ``slots`` of the one drop in ``u`` (1, width), with the standard normal
+    angle ``offsets`` (L, ANGLE_OFFSETS) of its L components. Each angle is
+    the chosen lobe's centre plus the angular spread times its offset. Lobe
+    centres are uniform in azimuth on [0, 2pi) and in elevation on
+    [-pi/4, pi/4); azimuths wrap to [0, 2pi) and elevations are clamped to
+    [-pi/2, pi/2]."""
     lay = drop_layout(config)
     row = u[0].tolist()
     centres = row[lay.lobes]  # (azimuth, elevation) pairs, departure lobes first
     num_lobes = config.num_lobes_range[1]
     lobes = lobe_choices(config, u)[1][0].tolist()  # (departure, arrival) per cluster
     spread = math.radians(config.lobe_angular_spread_deg)
-    slots = np.flatnonzero(rows.valid[0]).tolist()
-    comps = []
-    for slot, power, delay, z in zip(slots, rows.powers[0, slots].tolist(), rows.delays[0, slots].tolist(),
-                                     offsets.tolist()):
-        angles = []
+    phases, sides = [], ([], [])
+    for slot, z in zip(slots, offsets.tolist()):
         for side, lobe in enumerate(lobes[slot // config.paths_per_cluster_range[1]]):
             centre = 2 * (side * num_lobes + lobe)
             el = _LOBE_EL_LOW + _LOBE_EL_SPAN * centres[centre + 1] + spread * z[2 * side + 1]
-            angles.append(((TWO_PI * centres[centre] + spread * z[2 * side]) % TWO_PI,
-                           min(max(el, -math.pi / 2), math.pi / 2)))
-        phase = TWO_PI * row[lay.phases.start + slot]
-        comps.append(MultipathComponent(power_gain=power, phase=phase, delay=delay, aod=angles[0], aoa=angles[1]))
-    return comps
+            sides[side].append(((TWO_PI * centres[centre] + spread * z[2 * side]) % TWO_PI,
+                                min(max(el, -math.pi / 2), math.pi / 2)))
+        phases.append(TWO_PI * row[lay.phases.start + slot])
+    return phases, *sides
 
 
 def generate_initial_cir(
@@ -254,8 +245,11 @@ def generate_initial_cir(
     The same stream gives the same CIR."""
     u = rng.random((1, drop_layout(config).width))
     rows = cir_rows(config, u)
-    offsets = rng.standard_normal((int(rows.valid.sum()), ANGLE_OFFSETS))
-    return ChannelImpulseResponse.from_components(_components(config, u, rows, offsets), scenario)
+    slots = np.flatnonzero(rows.valid[0])
+    offsets = rng.standard_normal((slots.size, ANGLE_OFFSETS))
+    phases, aod, aoa = _phases_and_angles(config, u, slots.tolist(), offsets)
+    return ChannelImpulseResponse(delays=rows.delays[0, slots], powers=rows.powers[0, slots],
+                                  phases=phases, aod=aod, aoa=aoa, scenario=scenario)
 
 
 def partition_by_void(delays_s, void_s: float) -> list[list[int]]:
@@ -279,7 +273,7 @@ def check_void_intervals(cir: ChannelImpulseResponse, void_ns: float) -> bool:
     """True iff the void-partition of the CIR is internally consistent:
     every inter-group gap >= void and every intra-group gap < void."""
     void_s = void_ns * NS
-    delays = cir.delays()
+    delays = cir.delays.tolist()
     groups = partition_by_void(delays, void_s)
     for g_prev, g_next in zip(groups, groups[1:]):
         if delays[g_next[0]] - delays[g_prev[-1]] < void_s:
@@ -304,19 +298,14 @@ CIR_FILE_FIELDS = (
 
 def export_cir(cir: ChannelImpulseResponse, path) -> None:
     """Write a CIR file: scenario comment, header row, one CSV record per
-    component. Values carry 17 significant digits, so import is an exact
-    round trip."""
+    component. Values carry 17 significant digits, so import gives back
+    powers and phases exactly; delays and angles pass through the s <-> ns
+    and rad <-> deg conversions and may come back off in the last bits."""
     lines = [f"# scenario: {cir.scenario.label()}", ",".join(CIR_FILE_FIELDS)]
-    for c in cir.components:
-        vals = (
-            c.delay / NS,
-            c.power_gain,
-            c.phase,
-            math.degrees(c.aod[0]),
-            math.degrees(c.aod[1]),
-            math.degrees(c.aoa[0]),
-            math.degrees(c.aoa[1]),
-        )
+    for delay, power, phase, aod, aoa in zip(
+        cir.delays.tolist(), cir.powers.tolist(), cir.phases.tolist(), cir.aod.tolist(), cir.aoa.tolist()
+    ):
+        vals = (delay / NS, power, phase, *map(math.degrees, aod + aoa))
         lines.append(",".join(f"{v:.16e}" for v in vals))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -326,8 +315,9 @@ def import_cir(path, scenario: Scenario) -> ChannelImpulseResponse:
     """Parse and validate a CIR file.
 
     The scenario is taken from the file's ``# scenario:`` comment when
-    present, else from the argument. Raises
-    :class:`CirFileError` with line/field diagnostics on schema violations.
+    present, else from the argument. Raises :class:`CirFileError` with
+    line/field diagnostics on schema violations and on records that
+    :class:`ChannelImpulseResponse` rejects.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
@@ -353,8 +343,8 @@ def import_cir(path, scenario: Scenario) -> ChannelImpulseResponse:
             f"expected fields {CIR_FILE_FIELDS}"
         )
 
-    comps: list[MultipathComponent] = []
-    prev_delay_ns = -math.inf
+    linenos: list[int] = []
+    records: list[tuple[float, ...]] = []  # delay (s), power, phase, aod and aoa (rad)
     for lineno0 in range(header_idx + 1, len(raw_lines)):
         line = raw_lines[lineno0].strip()
         if not line or line.startswith("#"):
@@ -365,36 +355,24 @@ def import_cir(path, scenario: Scenario) -> ChannelImpulseResponse:
                 f"{path}: line {lineno0 + 1}: expected {len(CIR_FILE_FIELDS)} "
                 f"fields, got {len(cells)}"
             )
-        rec = {}
+        values = []
         for name, cell in zip(CIR_FILE_FIELDS, cells):
             try:
-                rec[name] = float(cell)
+                values.append(float(cell))
             except ValueError as exc:
                 raise CirFileError(
                     f"{path}: line {lineno0 + 1}: field {name!r}: "
                     f"not a number: {cell!r}"
                 ) from exc
-        if rec["delay_ns"] < prev_delay_ns:
-            raise CirFileError(
-                f"{path}: line {lineno0 + 1}: delay_ns {rec['delay_ns']} "
-                f"breaks non-decreasing delay order (previous {prev_delay_ns})"
-            )
-        prev_delay_ns = rec["delay_ns"]
-        try:
-            comps.append(
-                MultipathComponent(
-                    power_gain=rec["power_linear"],
-                    phase=rec["phase_rad"],
-                    delay=rec["delay_ns"] * NS,
-                    aod=(math.radians(rec["aod_az_deg"]), math.radians(rec["aod_el_deg"])),
-                    aoa=(math.radians(rec["aoa_az_deg"]), math.radians(rec["aoa_el_deg"])),
-                )
-            )
-        except ValueError as exc:
-            raise CirFileError(f"{path}: line {lineno0 + 1}: {exc}") from exc
+        delay_ns, power, phase, *degrees = values
+        linenos.append(lineno0 + 1)
+        records.append((delay_ns * NS, power, phase, *map(math.radians, degrees)))
 
-    cir = ChannelImpulseResponse.from_components(comps, scenario)
-    violations = validate_cir(cir)
-    if violations:
-        raise CirFileError(f"{path}: invalid CIR: " + "; ".join(violations))
-    return cir
+    table = np.array(records, dtype=float).reshape(-1, len(CIR_FILE_FIELDS))
+    try:
+        return ChannelImpulseResponse(delays=table[:, 0], powers=table[:, 1], phases=table[:, 2],
+                                      aod=table[:, 3:5], aoa=table[:, 5:], scenario=scenario)
+    except ComponentError as exc:
+        raise CirFileError(f"{path}: line {linenos[exc.index]}: {exc}") from exc
+    except ValueError as exc:
+        raise CirFileError(f"{path}: {exc}") from exc

@@ -304,7 +304,7 @@ def cmd_simulate_cir(cfg: ScenarioConfig, out_dir: str) -> int:
     amps = simulate_amplitude_track(
         cir, params, cfg.track_positions, cfg.track_delta_x, fading, rng
     )
-    grid = _bin_track_grid(amps, cir.delays(), cfg.track_delay_bin_ns)
+    grid = _bin_track_grid(amps, cir.delays.tolist(), cfg.track_delay_bin_ns)
     track = TrackMeasurement(
         amplitudes=grid, delta_x=cfg.track_delta_x, delay_bin_ns=cfg.track_delay_bin_ns
     )

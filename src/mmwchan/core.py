@@ -15,10 +15,9 @@ import math
 import numbers
 from dataclasses import dataclass
 
-TWO_PI = 2.0 * math.pi
+import numpy as np
 
-#: Relative tolerance for the cached total power of a CIR.
-TOTAL_POWER_RTOL = 1e-12
+TWO_PI = 2.0 * math.pi
 
 
 def require_count(name: str, value) -> None:
@@ -65,94 +64,76 @@ class Scenario:
         return cls(env, pol)
 
 
-def _check_angle_pair(name: str, pair: tuple[float, float]) -> None:
-    az, el = pair
-    if not (0.0 <= az < TWO_PI):
-        raise ValueError(f"{name} azimuth {az} outside [0, 2pi)")
-    if not (-math.pi / 2 <= el <= math.pi / 2):
-        raise ValueError(f"{name} elevation {el} outside [-pi/2, pi/2]")
+class ComponentError(ValueError):
+    """A CIR component that breaks an invariant; ``index`` is its position."""
+
+    def __init__(self, index: int, message: str) -> None:
+        super().__init__(f"component {index}: {message}")
+        self.index = index
 
 
-@dataclass(frozen=True)
-class MultipathComponent:
-    """One resolvable propagation path.
+_HALF_PI = math.pi / 2
+#: The columns of the table that :class:`ChannelImpulseResponse` checks:
+#: (name, lo, hi, rule); a value holds where lo <= value < hi, which NaN
+#: fails. The least positive float as the power's lo reads "> 0", the float
+#: above pi/2 as an elevation's hi reads "<= pi/2".
+_CIR_CHECKS = (
+    ("delay", 0.0, math.inf, "finite and >= 0 s"),
+    ("delay step", 0.0, math.inf, ">= 0: delays must not decrease"),
+    ("power", math.ulp(0.0), math.inf, "finite and > 0"),
+    ("phase", 0.0, TWO_PI, "in [0, 2pi)"),
+    ("aod azimuth", 0.0, TWO_PI, "in [0, 2pi)"),
+    ("aod elevation", -_HALF_PI, math.nextafter(_HALF_PI, math.inf), "in [-pi/2, pi/2]"),
+    ("aoa azimuth", 0.0, TWO_PI, "in [0, 2pi)"),
+    ("aoa elevation", -_HALF_PI, math.nextafter(_HALF_PI, math.inf), "in [-pi/2, pi/2]"),
+)
+_CHECK_LO = np.array([c[1] for c in _CIR_CHECKS])
+_CHECK_HI = np.array([c[2] for c in _CIR_CHECKS])
 
-    power_gain is the linear path power (|amplitude|^2, relative units),
-    phase the path phase in [0, 2pi), delay the absolute propagation delay
-    in seconds, aod/aoa the (azimuth, elevation) departure/arrival angles.
+
+@dataclass(frozen=True, eq=False)
+class ChannelImpulseResponse:
+    """The L multipath components of one CIR, in delay order, plus scenario
+    metadata.
+
+    ``delays`` (L,) are absolute propagation delays in seconds, ``powers``
+    (L,) linear path powers (|amplitude|^2, relative units), ``phases`` (L,)
+    path phases in [0, 2pi), and ``aod``/``aoa`` (L, 2) the (azimuth,
+    elevation) departure/arrival angles. The arrays are read-only copies.
+    A component that breaks a rule raises :class:`ComponentError`.
     """
 
-    power_gain: float
-    phase: float
-    delay: float
-    aod: tuple[float, float]
-    aoa: tuple[float, float]
+    delays: np.ndarray
+    powers: np.ndarray
+    phases: np.ndarray
+    aod: np.ndarray
+    aoa: np.ndarray
+    scenario: Scenario
 
     def __post_init__(self) -> None:
-        if not (self.power_gain > 0 and math.isfinite(self.power_gain)):
-            raise ValueError(f"power_gain must be finite and > 0, got {self.power_gain}")
-        if not (0.0 <= self.phase < TWO_PI):
-            raise ValueError(f"phase {self.phase} outside [0, 2pi)")
-        if not (self.delay >= 0 and math.isfinite(self.delay)):
-            raise ValueError(f"delay must be finite and >= 0, got {self.delay}")
-        _check_angle_pair("aod", self.aod)
-        _check_angle_pair("aoa", self.aoa)
-
-
-@dataclass(frozen=True)
-class ChannelImpulseResponse:
-    """Ordered multipath components plus scenario metadata.
-
-    ``total_power`` caches the sum of component power gains; use
-    :func:`validate_cir` to check structural invariants without raising.
-    """
-
-    components: tuple[MultipathComponent, ...]
-    scenario: Scenario
-    total_power: float
-
-    @classmethod
-    def from_components(
-        cls, components, scenario: Scenario
-    ) -> "ChannelImpulseResponse":
-        comps = tuple(components)
-        total = sum(c.power_gain for c in comps)
-        return cls(components=comps, scenario=scenario, total_power=total)
+        arrays = {name: np.array(getattr(self, name), dtype=float)
+                  for name in ("delays", "powers", "phases", "aod", "aoa")}
+        d = arrays["delays"]
+        if d.ndim != 1 or d.size < 1:
+            raise ValueError(f"a CIR needs at least one component and 1-D delays, got shape {d.shape}")
+        num = d.size
+        for name, shape in (("powers", (num,)), ("phases", (num,)), ("aod", (num, 2)), ("aoa", (num, 2))):
+            if arrays[name].shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arrays[name].shape}")
+        steps = d - np.append(d[:1], d[:-1])
+        table = np.column_stack((d, steps, arrays["powers"], arrays["phases"], arrays["aod"], arrays["aoa"]))
+        holds = (table >= _CHECK_LO) & (table < _CHECK_HI)
+        if not holds.all():
+            i, column = divmod(int(np.argmin(holds)), len(_CIR_CHECKS))  # the first failure, row-major
+            name, _, _, rule = _CIR_CHECKS[column]
+            raise ComponentError(i, f"{name} {table[i, column]} must be {rule}")
+        for name, a in arrays.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def num_components(self) -> int:
-        return len(self.components)
-
-    def delays(self) -> list[float]:
-        return [c.delay for c in self.components]
-
-    def power_gains(self) -> list[float]:
-        return [c.power_gain for c in self.components]
-
-
-def validate_cir(cir: ChannelImpulseResponse) -> list[str]:
-    """Return the list of violated CIR invariants (empty means valid)."""
-    violations: list[str] = []
-    if cir.num_components < 1:
-        violations.append("K >= 1: CIR must contain at least one component")
-    prev_delay = -math.inf
-    for i, comp in enumerate(cir.components):
-        if comp.delay < prev_delay:
-            violations.append(
-                f"non-decreasing delays: component {i} at {comp.delay} s "
-                f"precedes component {i - 1} at {prev_delay} s"
-            )
-        prev_delay = comp.delay
-        if not comp.power_gain > 0:
-            violations.append(f"component {i}: power_gain must be > 0")
-    total = sum(c.power_gain for c in cir.components)
-    if cir.num_components >= 1:
-        scale = max(abs(total), abs(cir.total_power), 1e-300)
-        if abs(total - cir.total_power) > TOTAL_POWER_RTOL * scale:
-            violations.append(
-                f"total_power cache {cir.total_power} != component sum {total}"
-            )
-    return violations
+        return self.delays.shape[0]
 
 
 @dataclass(frozen=True)

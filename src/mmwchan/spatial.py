@@ -304,12 +304,8 @@ def realize_taps(
     white, psi = draw_tap_noise(
         rng, cir.num_components, r_r_sqrt.shape[0], r_t_sqrt.shape[1], fading.is_rician
     )
-    powers = np.array(cir.power_gains())
-    matrices = tap_matrices(white, psi, powers, r_r_sqrt, r_t_sqrt, fading)
-    return [
-        CorrelatedTap(matrix=m, delay=comp.delay)
-        for m, comp in zip(matrices, cir.components)
-    ]
+    matrices = tap_matrices(white, psi, cir.powers, r_r_sqrt, r_t_sqrt, fading)
+    return [CorrelatedTap(matrix=m, delay=d) for m, d in zip(matrices, cir.delays.tolist())]
 
 
 def simulate_amplitude_track(
@@ -331,5 +327,5 @@ def simulate_amplitude_track(
     geom = ArrayGeometry(num_elements=num_positions, spacing=delta_x)
     corr = build_amplitude_matched_corr(params, geom, fading)
     white, psi = draw_tap_noise(rng, cir.num_components, num_positions, 1, fading.is_rician)
-    taps = tap_matrices(white, psi, np.array(cir.power_gains()), matrix_sqrt_psd(corr), np.ones((1, 1)), fading)
+    taps = tap_matrices(white, psi, cir.powers, matrix_sqrt_psd(corr), np.ones((1, 1)), fading)
     return np.abs(taps[:, :, 0]).T

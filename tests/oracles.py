@@ -3,17 +3,18 @@
 These deliberately avoid the library's code paths: the autocorrelation
 oracle is a literal double loop over the defining expectation, the Rician
 power CDF comes from the noncentral chi-square law, the MMSE fit scans its
-decay grid one rate at a time, and the Monte Carlo reference runs one drop
-at a time with one object per component and tap, seeded through numpy's
-``SeedSequence``.
+decay grid one rate at a time, the Rayleigh SIMO mean capacity is one
+quadrature, and the Monte Carlo reference runs one drop at a time with
+scalar arithmetic per component and one object per tap, seeded through
+numpy's ``SeedSequence``.
 """
 
 import math
 
 import numpy as np
-from scipy import stats
+from scipy import integrate, stats
 
-from mmwchan.core import TWO_PI, ChannelImpulseResponse, FadingModel, MultipathComponent, db_to_linear
+from mmwchan.core import TWO_PI, ChannelImpulseResponse, FadingModel, db_to_linear
 from mmwchan.spatial import (
     K_LINEAR_MAX,
     K_LINEAR_MIN,
@@ -80,6 +81,21 @@ def hypoexponential_cdf(x, means):
         others = np.delete(means, i)
         survival += np.prod(lam / (lam - others)) * np.exp(-x / lam)
     return 1.0 - survival
+
+
+def rayleigh_simo_mean_capacity(rho, eigenvalues):
+    """E[log2(1 + rho X)] for X = sum_i lambda_i |z_i|^2 with z_i i.i.d.
+    CN(0, 1), the law of g^H R g for the eigenvalues lambda_i of R. From
+    ln(1 + a) = int_0^inf (1 - e^(-s a)) e^(-s) / s ds and E[e^(-s rho X)] =
+    prod_i (1 + s rho lambda_i)^-1, the mean is one quadrature:
+    int_0^inf (1 - prod_i (1 + s rho lambda_i)^-1) e^(-s) / s ds / ln 2."""
+    lam = rho * np.clip(np.asarray(eigenvalues, dtype=float), 0.0, None)
+
+    def integrand(s):
+        return -math.expm1(-float(np.sum(np.log1p(s * lam)))) * math.exp(-s) / s
+
+    value, _ = integrate.quad(integrand, 0.0, math.inf, epsabs=1e-12, epsrel=1e-12)
+    return value / math.log(2.0)
 
 
 def rician_eigen_pair_cdf(x, k_linear, lam_dominant, lam_other, num_nodes=128):
@@ -293,12 +309,9 @@ def _normalized_cir(comps, scenario):
     total = 0.0
     for _, weight, _, _, _ in comps:
         total += weight
-    return ChannelImpulseResponse.from_components(
-        [
-            MultipathComponent(power_gain=w / total, phase=phase, delay=t, aod=aod, aoa=aoa)
-            for t, w, phase, aod, aoa in comps
-        ],
-        scenario,
+    delays, weights, phases, aods, aoas = zip(*comps)
+    return ChannelImpulseResponse(
+        delays=delays, powers=[w / total for w in weights], phases=phases, aod=aods, aoa=aoas, scenario=scenario
     )
 
 
@@ -309,7 +322,7 @@ def _reference_taps(cir, r_r_sqrt, r_t_sqrt, fading, whites, psi_uniforms):
     n_t = r_t_sqrt.shape[1]
     ones = np.ones((n_r, n_t))
     taps = []
-    for comp, (re, im), u in zip(cir.components, whites, psi_uniforms):
+    for power, delay, (re, im), u in zip(cir.powers.tolist(), cir.delays.tolist(), whites, psi_uniforms):
         g = (re + 1j * im) / math.sqrt(2.0)
         diffuse = r_r_sqrt @ g @ r_t_sqrt
         if fading.is_rician:
@@ -317,20 +330,20 @@ def _reference_taps(cir, r_r_sqrt, r_t_sqrt, fading, whites, psi_uniforms):
             h = math.sqrt(k / (k + 1.0)) * np.exp(1j * (TWO_PI * u)) * ones + math.sqrt(1.0 / (k + 1.0)) * diffuse
         else:
             h = diffuse
-        taps.append(CorrelatedTap(matrix=math.sqrt(comp.power_gain) * h, delay=comp.delay))
+        taps.append(CorrelatedTap(matrix=math.sqrt(power) * h, delay=delay))
     return taps
 
 
 def _reference_whites(cir, n_r, n_t, rng):
     """Tap by tap, the real then the imaginary white draws."""
-    return [(rng.standard_normal((n_r, n_t)), rng.standard_normal((n_r, n_t))) for _ in cir.components]
+    return [(rng.standard_normal((n_r, n_t)), rng.standard_normal((n_r, n_t))) for _ in range(cir.num_components)]
 
 
 def reference_realize_taps(cir, r_r_sqrt, r_t_sqrt, fading, rng):
     """The taps of a fixed CIR: the white draws tap by tap, then one
     uniform per tap for its dominant phase."""
     whites = _reference_whites(cir, r_r_sqrt.shape[0], r_t_sqrt.shape[1], rng)
-    psi_uniforms = [rng.random() for _ in cir.components]
+    psi_uniforms = [rng.random() for _ in range(cir.num_components)]
     return _reference_taps(cir, r_r_sqrt, r_t_sqrt, fading, whites, psi_uniforms)
 
 

@@ -1,10 +1,18 @@
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import hypoexponential_cdf, rician_eigen_pair_cdf, rician_power_cdf, rician_two_tap_cdf
+from oracles import (
+    hypoexponential_cdf,
+    rayleigh_simo_mean_capacity,
+    rician_eigen_pair_cdf,
+    rician_power_cdf,
+    rician_two_tap_cdf,
+)
 from mmwchan.capacity import (
     CapacityConfig,
     CapacitySample,
@@ -17,17 +25,18 @@ from mmwchan.capacity import (
     wideband_capacity,
 )
 from mmwchan.cirgen import CirGenConfig
-from mmwchan.cli import ScenarioConfig, _fixed_cir
+from mmwchan.cli import ScenarioConfig, _fixed_cir, parse_config
 from mmwchan.core import (
     ArrayGeometry,
     ChannelImpulseResponse,
     FadingModel,
-    MultipathComponent,
     Scenario,
     db_to_linear,
     lookup_default_params,
 )
-from mmwchan.spatial import CorrelatedTap, build_amplitude_matched_corr
+from mmwchan.spatial import CorrelatedTap, build_amplitude_matched_corr, pipeline_corr_matrices
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 SCEN = Scenario.parse("NLOS V-V")
 PARAMS = lookup_default_params(SCEN).autocorr
@@ -35,6 +44,12 @@ PARAMS = lookup_default_params(SCEN).autocorr
 
 def tap(matrix, delay=0.0):
     return CorrelatedTap(matrix=np.asarray(matrix, dtype=complex), delay=delay)
+
+
+def cir_of(delays, powers):
+    """A CIR of the given delays and powers, all angles and phases 0."""
+    zeros = np.zeros((len(delays), 2))
+    return ChannelImpulseResponse(delays=delays, powers=powers, phases=zeros[:, 0], aod=zeros, aoa=zeros, scenario=SCEN)
 
 
 class TestCapacityConfig:
@@ -201,10 +216,7 @@ class TestWidebandCapacity:
         assert caps[5] >= caps[4] - 0.05
 
     def test_explicit_initial_cir_fixed_across_drops(self):
-        from mmwchan.core import ChannelImpulseResponse, MultipathComponent
-
-        comp0 = MultipathComponent(power_gain=1.0, phase=0.0, delay=0.0, aod=(0.0, 0.0), aoa=(0.0, 0.0))
-        cir = ChannelImpulseResponse.from_components([comp0], SCEN)
+        cir = cir_of([0.0], [1.0])
         samples = run_monte_carlo(
             SCEN, CirGenConfig(), ArrayGeometry(num_elements=3),
             ArrayGeometry(num_elements=1), FadingModel.rician(120.0),
@@ -300,17 +312,53 @@ class TestExactCapacityLaw:
         corr = build_amplitude_matched_corr(params, rx, FadingModel.rayleigh(), side="receive")
         means = np.linalg.eigvalsh(corr.entries)
         assert np.min(np.diff(means)) > 0.05  # distinct enough for the closed form
-        comp = MultipathComponent(power_gain=1.0, phase=0.0, delay=0.0, aod=(0.0, 0.0), aoa=(0.0, 0.0))
         cap_config = CapacityConfig(num_subcarriers=1)
         samples = run_monte_carlo(
             SCEN, CirGenConfig(), rx, ArrayGeometry(num_elements=1), FadingModel.rayleigh(),
             cap_config, self.DROPS, 20150601 + n_r, params,
-            initial_cir=ChannelImpulseResponse.from_components([comp], SCEN),
+            initial_cir=cir_of([0.0], [1.0]),
         )
         rho = db_to_linear(cap_config.snr_db)
         gains = (2.0 ** np.array([s.capacity for s in samples]) - 1.0) / rho
         result = stats.kstest(gains, lambda x: hypoexponential_cdf(x, means))
         assert result.pvalue > self.ALPHA
+
+
+class TestExactSimoWidebandMean:
+    """Rayleigh SIMO drops over the full band. At each subcarrier h_f =
+    R_r^(1/2) sum_l sqrt(p_l) e^(j theta_lf) g_l with sum p_l = 1 is
+    CN(0, R_r) whatever the delays and component phases, so the mean
+    wideband capacity is the narrowband E[log2(1 + rho X)], X = g^H R_r g,
+    which :func:`oracles.rayleigh_simo_mean_capacity` gives exactly. A
+    two-sided z-test at alpha = 0.01 on a fixed seed checks the tap powers
+    and the correlation root across the 100 subcarriers of both Gram
+    routes. The drops of a run are independent, so the sample standard
+    deviation gives the standard error."""
+
+    ALPHA = 0.01
+    DROPS = 4000
+    SEED = 12345
+
+    @pytest.mark.parametrize("rich", [False, True])
+    def test_mean_capacity_matches_exact(self, rich):
+        cfg = parse_config(os.path.join(CONFIG_DIR, "fig5.cfg"))
+        gen = cfg.cir_gen
+        if rich:  # 2-12 taps: drops of L >= 9 take the response route
+            gen = dataclasses.replace(gen, num_clusters_range=(2, 4), paths_per_cluster_range=(1, 3))
+            assert _uses_cross_gram(8, 20, 1) and not _uses_cross_gram(9, 20, 1)
+        params = cfg.resolved_autocorr()
+        rr, _ = pipeline_corr_matrices(params, cfg.rx_array, cfg.tx_array)
+        rho = db_to_linear(cfg.capacity.snr_db) / cfg.tx_array.num_elements
+        exact = rayleigh_simo_mean_capacity(rho, np.linalg.eigvalsh(rr.entries))
+        assert cfg.rx_array.num_elements == 20 and cfg.capacity.num_subcarriers == 100
+        assert exact == pytest.approx(7.4862, abs=1e-4)
+        samples = run_monte_carlo(
+            cfg.scenario, gen, cfg.rx_array, cfg.tx_array, FadingModel.rayleigh(), cfg.capacity,
+            self.DROPS, self.SEED, params,
+        )
+        caps = np.array([s.capacity for s in samples])
+        z = (caps.mean() - exact) / (caps.std(ddof=1) / math.sqrt(caps.size))
+        assert abs(z) < stats.norm.ppf(1.0 - self.ALPHA / 2.0)
 
 
 def _one_subcarrier_gains(samples, cap_config):
@@ -370,17 +418,17 @@ class TestExactLawMultiTapAndRician:
         gains = _one_subcarrier_gains(samples, cap_config)
         assert stats.kstest(gains, lambda x: hypoexponential_cdf(x, means)).pvalue > self.ALPHA
 
-    def _rician_gains(self, n_r, k_db, comps, seed):
+    def _rician_gains(self, n_r, k_db, cir, seed):
         cap_config = CapacityConfig(num_subcarriers=1)
         samples = run_monte_carlo(
             SCEN, CirGenConfig(), self._rx(n_r), ArrayGeometry(num_elements=1), FadingModel.rician(k_db),
-            cap_config, self.DROPS, seed, PARAMS, initial_cir=ChannelImpulseResponse.from_components(comps, SCEN),
+            cap_config, self.DROPS, seed, PARAMS, initial_cir=cir,
         )
         return _one_subcarrier_gains(samples, cap_config)
 
     @pytest.mark.parametrize("k_db", K_DB)
     def test_rician_single_tap_siso_ncx2(self, k_db):
-        gains = self._rician_gains(1, k_db, [_unit_component(1.0, 0.0)], 31 + int(k_db))
+        gains = self._rician_gains(1, k_db, cir_of([0.0], [1.0]), 31 + int(k_db))
         k = db_to_linear(k_db)
         assert stats.kstest(gains, lambda x: rician_power_cdf(x, k)).pvalue > self.ALPHA
 
@@ -390,21 +438,16 @@ class TestExactLawMultiTapAndRician:
         assert np.all(corr.imag == 0.0) and corr[0, 0] == corr[1, 1]
         dominant = 1.0 + corr[0, 1].real  # eigenvalue of the all-ones vector
         other = 1.0 - corr[0, 1].real
-        gains = self._rician_gains(2, k_db, [_unit_component(1.0, 0.0)], 47 + int(k_db))
+        gains = self._rician_gains(2, k_db, cir_of([0.0], [1.0]), 47 + int(k_db))
         k = db_to_linear(k_db)
         assert stats.kstest(gains, lambda x: rician_eigen_pair_cdf(x, k, dominant, other)).pvalue > self.ALPHA
 
     @pytest.mark.parametrize("k_db", K_DB)
     def test_rician_two_taps_dominant_phases(self, k_db):
         # 2.5 ns apart: the subcarrier at -400 MHz sees the taps in phase
-        comps = [_unit_component(0.6, 0.0), _unit_component(0.4, 2.5e-9)]
-        gains = self._rician_gains(1, k_db, comps, 59 + int(k_db))
+        gains = self._rician_gains(1, k_db, cir_of([0.0, 2.5e-9], [0.6, 0.4]), 59 + int(k_db))
         k = db_to_linear(k_db)
         assert stats.kstest(gains, lambda x: rician_two_tap_cdf(x, k, (0.6, 0.4))).pvalue > self.ALPHA
-
-
-def _unit_component(power, delay):
-    return MultipathComponent(power_gain=power, phase=0.0, delay=delay, aod=(0.0, 0.0), aoa=(0.0, 0.0))
 
 
 class TestCapacityCdf:

@@ -14,18 +14,20 @@ from mmwchan.cirgen import (
     lobe_choices,
     partition_by_void,
 )
-from mmwchan.core import (
-    ChannelImpulseResponse,
-    MultipathComponent,
-    Scenario,
-    validate_cir,
-)
+from mmwchan.core import ChannelImpulseResponse, Scenario
 
 SCEN = Scenario.parse("NLOS V-V")
+CIR_FIELDS = ("delays", "powers", "phases", "aod", "aoa")
 
 
-def comp(delay, power):
-    return MultipathComponent(power_gain=power, phase=0.0, delay=delay, aod=(0.0, 0.0), aoa=(0.0, 0.0))
+def cir_of(delays, powers):
+    """A CIR of the given delays and powers, all angles and phases 0."""
+    zeros = np.zeros((len(delays), 2))
+    return ChannelImpulseResponse(delays=delays, powers=powers, phases=zeros[:, 0], aod=zeros, aoa=zeros, scenario=SCEN)
+
+
+def same_cir(a, b):
+    return a.scenario == b.scenario and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in CIR_FIELDS)
 
 
 def rng(seed):
@@ -46,19 +48,19 @@ class TestGenerator:
         cfg = CirGenConfig()
         a = generate_initial_cir(cfg, SCEN, rng(99))
         b = generate_initial_cir(cfg, SCEN, rng(99))
-        assert a == b
+        assert same_cir(a, b)
 
     def test_different_seeds_differ(self):
         a = generate_initial_cir(CirGenConfig(), SCEN, rng(1))
         b = generate_initial_cir(CirGenConfig(), SCEN, rng(2))
-        assert a != b
+        assert not same_cir(a, b)
 
     def test_degenerate_config_single_component(self):
         cfg = CirGenConfig(num_clusters_range=(1, 1), paths_per_cluster_range=(1, 1))
         cir = generate_initial_cir(cfg, SCEN, rng(5))
         assert cir.num_components == 1
-        assert cir.components[0].delay == 0.0
-        assert cir.components[0].power_gain == pytest.approx(1.0, abs=1e-15)
+        assert cir.delays[0] == 0.0
+        assert cir.powers[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_three_clusters_respect_void_interval(self):
         for seed in range(30):
@@ -74,8 +76,7 @@ class TestGenerator:
         for seed in range(40):
             cfg = CirGenConfig(num_clusters_range=(1, 4), paths_per_cluster_range=(1, 5))
             cir = generate_initial_cir(cfg, SCEN, rng(seed))
-            assert validate_cir(cir) == []
-            assert abs(cir.total_power - 1.0) < 1e-9
+            assert abs(cir.powers.sum() - 1.0) < 1e-9
             assert check_void_intervals(cir, cfg.intercluster_void_ns)
 
     def test_subpath_delays_nondecreasing_within_cluster(self):
@@ -164,7 +165,7 @@ class TestDrawnMarginals:
 
 class TestVoidPartition:
     def test_single_component(self):
-        cir = ChannelImpulseResponse.from_components([comp(0.0, 1.0)], SCEN)
+        cir = cir_of([0.0], [1.0])
         assert check_void_intervals(cir, 25.0)
         assert partition_by_void([0.0], 25e-9) == [[0]]
 
@@ -172,37 +173,37 @@ class TestVoidPartition:
         delays = [0.0, 30e-9]
         groups = partition_by_void(delays, 25e-9)
         assert groups == [[0], [1]]
-        cir = ChannelImpulseResponse.from_components(
-            [comp(0.0, 0.5), comp(30e-9, 0.5)], SCEN
-        )
+        cir = cir_of([0.0, 30e-9], [0.5, 0.5])
         assert check_void_intervals(cir, 25.0)
 
     def test_two_components_10ns_apart_one_cluster(self):
         delays = [0.0, 10e-9]
         groups = partition_by_void(delays, 25e-9)
         assert groups == [[0, 1]]
-        cir = ChannelImpulseResponse.from_components(
-            [comp(0.0, 0.5), comp(10e-9, 0.5)], SCEN
-        )
+        cir = cir_of([0.0, 10e-9], [0.5, 0.5])
         assert check_void_intervals(cir, 25.0)
 
 
 class TestCirFiles:
+    #: Delays and angles pass through two rounded unit conversions (s -> ns
+    #: -> s, rad -> deg -> rad), each a product with a rounded constant.
+    #: Over 3000 such CIRs none came back more than 1 ulp off.
+    ROUND_TRIP_ULPS = 2
+
     def test_round_trip_identity(self, tmp_path):
-        cir = generate_initial_cir(
-            CirGenConfig(num_clusters_range=(2, 3), paths_per_cluster_range=(2, 4)), SCEN, rng(11)
-        )
+        cfg = CirGenConfig(num_clusters_range=(2, 4), paths_per_cluster_range=(1, 3))
         path = tmp_path / "cir.csv"
-        export_cir(cir, path)
-        back = import_cir(path, SCEN)
-        assert back.scenario == cir.scenario
-        assert back.num_components == cir.num_components
-        for a, b in zip(cir.components, back.components):
-            assert b.power_gain == pytest.approx(a.power_gain, rel=1e-12)
-            assert b.phase == pytest.approx(a.phase, rel=1e-12)
-            assert b.delay == pytest.approx(a.delay, rel=1e-12)
-            for u, v in zip(a.aod + a.aoa, b.aod + b.aoa):
-                assert v == pytest.approx(u, rel=1e-12, abs=1e-15)
+        for seed in range(300):
+            cir = generate_initial_cir(cfg, SCEN, rng(seed))
+            export_cir(cir, path)
+            back = import_cir(path, SCEN)
+            assert back.scenario == cir.scenario
+            # 17 significant digits carry powers and phases exactly
+            assert np.array_equal(back.powers, cir.powers)
+            assert np.array_equal(back.phases, cir.phases)
+            for field in ("delays", "aod", "aoa"):
+                want, got = getattr(cir, field), getattr(back, field)
+                assert np.all(np.abs(got - want) <= self.ROUND_TRIP_ULPS * np.spacing(np.abs(want)))
 
     def test_single_record_file(self, tmp_path):
         path = tmp_path / "one.csv"
@@ -212,8 +213,8 @@ class TestCirFiles:
         )
         cir = import_cir(path, SCEN)
         assert cir.num_components == 1
-        assert cir.components[0].delay == 0.0
-        assert cir.components[0].power_gain == 1.0
+        assert cir.delays[0] == 0.0
+        assert cir.powers[0] == 1.0
         assert cir.scenario == SCEN  # the argument, for files without a scenario comment
 
     def test_descending_delays_error_names_record(self, tmp_path):
@@ -224,6 +225,25 @@ class TestCirFiles:
             "5.0,0.5,0.0,0.0,0.0,0.0,0.0\n"
         )
         with pytest.raises(CirFileError, match="line 3"):
+            import_cir(path, SCEN)
+
+    def test_range_error_names_record_line(self, tmp_path):
+        # the constructor's component index maps past blank and comment lines
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "delay_ns,power_linear,phase_rad,aod_az_deg,aod_el_deg,aoa_az_deg,aoa_el_deg\n"
+            "0.0,0.5,0.0,0.0,0.0,0.0,0.0\n"
+            "\n"
+            "# a comment\n"
+            "1.0,0.5,0.0,0.0,0.0,0.0,95.0\n"
+        )
+        with pytest.raises(CirFileError, match="line 5: component 1: aoa elevation"):
+            import_cir(path, SCEN)
+
+    def test_header_only_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("delay_ns,power_linear,phase_rad,aod_az_deg,aod_el_deg,aoa_az_deg,aoa_el_deg\n")
+        with pytest.raises(CirFileError, match="at least one component"):
             import_cir(path, SCEN)
 
     def test_bad_header_error(self, tmp_path):

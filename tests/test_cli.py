@@ -328,6 +328,12 @@ class TestMainEntry:
         "key,value",
         [
             ("capacity.snr_db", "nan"),
+            # finite SNRs outside [-300, 300] dB: 4000 exited 3 on an
+            # overflow, 1600 on non-finite capacities
+            ("capacity.snr_db", "4000"),
+            ("capacity.snr_db", "1600"),
+            ("--snr-db", "4000"),
+            ("--snr-db", "1600"),
             ("capacity.bandwidth_hz", "inf"),
             ("rx_array.spacing", "inf"),
             ("rx_array.spacing", "0"),
@@ -461,7 +467,7 @@ class TestLocalAreaPdpGrid:
             amps = simulate_amplitude_track(
                 cir, params, cfg.track_positions, cfg.track_delta_x, fading, rng
             )
-            grid = _bin_track_grid(amps, cir.delays(), cfg.track_delay_bin_ns)
+            grid = _bin_track_grid(amps, cir.delays.tolist(), cfg.track_delay_bin_ns)
             assert grid.shape[0] == 11
             power = grid**2
             for b in range(power.shape[1]):

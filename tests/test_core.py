@@ -9,22 +9,27 @@ from mmwchan.core import (
     ChannelImpulseResponse,
     Environment,
     FadingModel,
-    MultipathComponent,
     Polarization,
     Scenario,
     all_scenarios,
     lookup_default_params,
-    validate_cir,
 )
 
 
-def comp(power=1.0, phase=0.0, delay=0.0, aod=(0.0, 0.0), aoa=(0.0, 0.0)):
-    return MultipathComponent(power_gain=power, phase=phase, delay=delay, aod=aod, aoa=aoa)
+def cir(power=1.0, phase=0.0, delay=0.0, aod=(0.0, 0.0), aoa=(0.0, 0.0)):
+    """A one-component CIR."""
+    return ChannelImpulseResponse(
+        delays=[delay], powers=[power], phases=[phase], aod=[aod], aoa=[aoa], scenario=Scenario.parse("NLOS V-V")
+    )
 
 
-class TestMultipathComponent:
+class TestChannelImpulseResponse:
     def test_valid(self):
-        comp(power=0.5, phase=1.0, delay=10e-9, aod=(3.0, 0.2), aoa=(0.1, -0.3))
+        c = cir(power=0.5, phase=1.0, delay=10e-9, aod=(3.0, 0.2), aoa=(0.1, -0.3))
+        assert c.num_components == 1
+        assert c.aod.tolist() == [[3.0, 0.2]]
+        with pytest.raises(ValueError):
+            c.powers[0] = 1.0  # read-only
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -41,36 +46,36 @@ class TestMultipathComponent:
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            comp(**kwargs)
+        with pytest.raises(ValueError, match="component 0"):
+            cir(**kwargs)
 
+    def test_empty_cir_rejected(self):
+        with pytest.raises(ValueError, match="at least one component"):
+            ChannelImpulseResponse(
+                delays=[], powers=[], phases=[], aod=np.zeros((0, 2)), aoa=np.zeros((0, 2)),
+                scenario=Scenario.parse("NLOS V-V"),
+            )
 
-class TestValidateCir:
-    def test_minimal_legal_cir(self):
-        cir = ChannelImpulseResponse.from_components([comp()], Scenario.parse("NLOS V-V"))
-        assert validate_cir(cir) == []
+    def test_descending_delays_rejected(self):
+        with pytest.raises(ValueError, match="component 1: delay"):
+            ChannelImpulseResponse(
+                delays=[10e-9, 5e-9], powers=[0.5, 0.5], phases=[0.0, 0.0], aod=[(0.0, 0.0)] * 2,
+                aoa=[(0.0, 0.0)] * 2, scenario=Scenario.parse("NLOS V-V"),
+            )
 
-    def test_empty_cir_reports_k_violation(self):
-        cir = ChannelImpulseResponse.from_components([], Scenario.parse("NLOS V-V"))
-        violations = validate_cir(cir)
-        assert any("K >= 1" in v for v in violations)
+    def test_first_bad_component_named(self):
+        with pytest.raises(ValueError, match="component 1: aoa elevation"):
+            ChannelImpulseResponse(
+                delays=[0.0, 1e-9, 2e-9], powers=[0.5, 0.3, -0.2], phases=[0.0] * 3, aod=[(0.0, 0.0)] * 3,
+                aoa=[(0.0, 0.0), (0.0, 2.0), (0.0, 0.0)], scenario=Scenario.parse("NLOS V-V"),
+            )
 
-    def test_descending_delays_reported(self):
-        cir = ChannelImpulseResponse.from_components(
-            [comp(delay=10e-9, power=0.5), comp(delay=5e-9, power=0.5)],
-            Scenario.parse("NLOS V-V"),
-        )
-        violations = validate_cir(cir)
-        assert any("non-decreasing delays" in v for v in violations)
-
-    def test_stale_total_power_reported(self):
-        cir = ChannelImpulseResponse(
-            components=(comp(power=0.5),),
-            scenario=Scenario.parse("NLOS V-V"),
-            total_power=1.0,
-        )
-        violations = validate_cir(cir)
-        assert any("total_power" in v for v in violations)
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match="aod must have shape"):
+            ChannelImpulseResponse(
+                delays=[0.0, 1e-9], powers=[0.5, 0.5], phases=[0.0, 0.0], aod=[(0.0, 0.0)],
+                aoa=[(0.0, 0.0)] * 2, scenario=Scenario.parse("NLOS V-V"),
+            )
 
 
 class TestScenario:

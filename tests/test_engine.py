@@ -23,6 +23,8 @@ from oracles import (
 from mmwchan.capacity import (
     BATCH_BYTES,
     CHUNK_DROPS,
+    SNR_DB_MAX,
+    SNR_DB_MIN,
     CapacityConfig,
     _batch_capacities,
     _Campaign,
@@ -37,7 +39,6 @@ from mmwchan.core import (
     ArrayGeometry,
     ChannelImpulseResponse,
     FadingModel,
-    MultipathComponent,
     Scenario,
     lookup_default_params,
 )
@@ -49,6 +50,7 @@ PARAMS = lookup_default_params(SCEN).autocorr
 #: K_LINEAR_MAX) and in between.
 FADINGS = [FadingModel.rayleigh(), FadingModel.rician(-80.0), FadingModel.rician(5.0), FadingModel.rician(130.0)]
 CAPACITY_ATOL = 1e-12
+CIR_FIELDS = ("delays", "powers", "phases", "aod", "aoa")
 
 
 def _gen_config(clusters_hi, paths_hi, spread_deg):
@@ -134,12 +136,14 @@ def test_generated_cir_equals_reference_and_leaves_same_stream(spread_deg):
     for cfg in (_gen_config(4, 4, spread_deg), CirGenConfig(num_lobes_range=(2, 2), lobe_angular_spread_deg=spread_deg)):
         for seed in range(100):
             rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert generate_initial_cir(cfg, SCEN, rng_a) == reference_initial_cir(cfg, SCEN, rng_b)
+            got, want = generate_initial_cir(cfg, SCEN, rng_a), reference_initial_cir(cfg, SCEN, rng_b)
+            assert got.scenario == want.scenario
+            for field in CIR_FIELDS:
+                assert np.array_equal(getattr(got, field), getattr(want, field))
             assert rng_a.random() == rng_b.random()
             rows = cir_rows(cfg, np.random.default_rng(seed).random((1, drop_layout(cfg).width)))
-            want = reference_initial_cir(cfg, SCEN, np.random.default_rng(seed)).components
-            assert rows.delays[rows.valid].tolist() == [c.delay for c in want]
-            assert rows.powers[rows.valid].tolist() == [c.power_gain for c in want]
+            assert np.array_equal(rows.delays[rows.valid], want.delays)
+            assert np.array_equal(rows.powers[rows.valid], want.powers)
 
 
 def test_chunk_cirs_equal_per_drop_cirs():
@@ -154,9 +158,9 @@ def test_chunk_cirs_equal_per_drop_cirs():
         rng.random(out=row)
     rows = cir_rows(cfg, u)
     for i, rng in enumerate(drop_streams(99, 0, CHUNK_DROPS)[0]):
-        comps = generate_initial_cir(cfg, SCEN, rng).components
-        assert rows.delays[i][rows.valid[i]].tolist() == [c.delay for c in comps]
-        assert rows.powers[i][rows.valid[i]].tolist() == [c.power_gain for c in comps]
+        cir = generate_initial_cir(cfg, SCEN, rng)
+        assert np.array_equal(rows.delays[i][rows.valid[i]], cir.delays)
+        assert np.array_equal(rows.powers[i][rows.valid[i]], cir.powers)
 
 
 # Ragged MIMO drops: 2-12 taps over both Gram routes, and enough
@@ -205,8 +209,8 @@ def test_worker_counts_agree_over_several_chunks():
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_non_finite_capacity_raises():
     # finite but enormous path power overflows the Gram
-    huge = MultipathComponent(power_gain=1e300, phase=0.0, delay=0.0, aod=(0.0, 0.0), aoa=(0.0, 0.0))
-    cir = ChannelImpulseResponse.from_components([huge], SCEN)
+    cir = ChannelImpulseResponse(delays=[0.0], powers=[1e300], phases=[0.0], aod=[(0.0, 0.0)], aoa=[(0.0, 0.0)],
+                                 scenario=SCEN)
     with pytest.raises(ValueError, match="non-finite capacity"):
         run_monte_carlo(
             SCEN, CirGenConfig(), ArrayGeometry(num_elements=4), ArrayGeometry(num_elements=2),
@@ -214,11 +218,27 @@ def test_non_finite_capacity_raises():
         )
 
 
-@pytest.mark.parametrize("field", ["snr_db", "bandwidth_hz", "center_frequency_hz"])
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_capacity_config_rejects_non_finite(field, value):
+@pytest.mark.parametrize(
+    "value,field",
+    [(v, f) for v in (math.nan, math.inf, -math.inf) for f in ("snr_db", "bandwidth_hz", "center_frequency_hz")]
+    # finite SNRs that failed in the pipeline: 4000 dB overflowed the dB
+    # conversion, 1600 dB the d = 2 closed-form log-det
+    + [(4000.0, "snr_db"), (1600.0, "snr_db"), (-4000.0, "snr_db")],
+)
+def test_capacity_config_rejects_non_finite(value, field):
     with pytest.raises(ValueError, match=field):
         CapacityConfig(**{field: value})
+
+
+@pytest.mark.parametrize("snr_db", [SNR_DB_MIN, SNR_DB_MAX])
+@pytest.mark.parametrize("n_t", [1, 2, 4])
+def test_snr_range_ends_give_finite_capacities(snr_db, n_t):
+    samples = run_monte_carlo(
+        SCEN, RAGGED["gen_config"], ArrayGeometry(num_elements=20), ArrayGeometry(num_elements=n_t),
+        FadingModel.rayleigh(), CapacityConfig(snr_db=snr_db), 40, 3, PARAMS,
+    )
+    caps = np.array([s.capacity for s in samples])
+    assert np.all(np.isfinite(caps)) and np.all(caps >= 0.0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])

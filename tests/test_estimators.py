@@ -189,7 +189,6 @@ class TestAverageAutocorr:
             AutocorrParams,
             ChannelImpulseResponse,
             FadingModel,
-            MultipathComponent,
             Scenario,
         )
         from mmwchan.spatial import (
@@ -202,11 +201,10 @@ class TestAverageAutocorr:
         params = AutocorrParams(*abc)
         fading = FadingModel.rician(k_db)
         scen = Scenario.parse("NLOS V-V")
-        comps = [
-            MultipathComponent(power_gain=0.6, phase=0.0, delay=0.0, aod=(0, 0), aoa=(0, 0)),
-            MultipathComponent(power_gain=0.4, phase=0.0, delay=60e-9, aod=(0, 0), aoa=(0, 0)),
-        ]
-        cir = ChannelImpulseResponse.from_components(comps, scen)
+        zeros = np.zeros((2, 2))
+        cir = ChannelImpulseResponse(
+            delays=[0.0, 60e-9], powers=[0.6, 0.4], phases=zeros[:, 0], aod=zeros, aoa=zeros, scenario=scen
+        )
         n_pos = 66
         corr = build_amplitude_matched_corr(params, ArrayGeometry(num_elements=n_pos, spacing=0.5), fading)
         a = matrix_sqrt_psd(corr)

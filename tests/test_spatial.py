@@ -11,7 +11,6 @@ from mmwchan.core import (
     AutocorrParams,
     ChannelImpulseResponse,
     FadingModel,
-    MultipathComponent,
     Scenario,
 )
 from mmwchan.spatial import (
@@ -31,8 +30,12 @@ NLOS_VV = AutocorrParams(0.9, 1.0, -0.1)
 LOS_VV = AutocorrParams(0.99, 1.95, 0.0)
 
 
-def comp(power=1.0, delay=0.0):
-    return MultipathComponent(power_gain=power, phase=0.0, delay=delay, aod=(0.0, 0.0), aoa=(0.0, 0.0))
+def cir_of(delays=(0.0,), powers=(1.0,)):
+    """A CIR of the given delays and powers, all angles and phases 0."""
+    zeros = np.zeros((len(delays), 2))
+    return ChannelImpulseResponse(
+        delays=delays, powers=powers, phases=zeros[:, 0], aod=zeros, aoa=zeros, scenario=Scenario.parse("NLOS V-V")
+    )
 
 
 class TestEvalAutocorr:
@@ -254,7 +257,7 @@ class TestAssembleTap:
         assert np.allclose(matrix[0], matrix[1], atol=1e-9)
 
     def test_delay_copied(self):
-        cir = ChannelImpulseResponse.from_components([comp(delay=30e-9)], Scenario.parse("NLOS V-V"))
+        cir = cir_of(delays=[30e-9])
         tap = realize_taps(cir, np.eye(2), np.eye(2), FadingModel.rayleigh(), np.random.default_rng(0))[0]
         assert tap.delay == 30e-9
 
@@ -296,25 +299,20 @@ class TestSecondMomentIdentities:
         assert np.max(np.abs(mean_power - 0.37)) < 0.01 * 0.37
 
     def test_realize_taps_power_preservation_rician(self):
-        from mmwchan.core import ChannelImpulseResponse, Scenario
-
-        cir = ChannelImpulseResponse.from_components(
-            [comp(power=0.6, delay=0.0), comp(power=0.4, delay=40e-9)],
-            Scenario.parse("NLOS V-V"),
-        )
+        cir = cir_of(delays=[0.0, 40e-9], powers=[0.6, 0.4])
         fading = FadingModel.rician(5.0)
         rr = build_amplitude_matched_corr(NLOS_VV, ArrayGeometry(num_elements=5), FadingModel.rayleigh())
         rt = build_amplitude_matched_corr(NLOS_VV, ArrayGeometry(num_elements=2), FadingModel.rayleigh())
         a, b = matrix_sqrt_psd(rr), matrix_sqrt_psd(rt)
         rng = np.random.default_rng(31)
-        acc = [np.zeros((5, 2)) for _ in cir.components]
+        acc = [np.zeros((5, 2)) for _ in range(cir.num_components)]
         n = 30_000
         for _ in range(n):
             for j, tap in enumerate(realize_taps(cir, a, b, fading, rng)):
                 acc[j] += np.abs(tap.matrix) ** 2
-        for j, c in enumerate(cir.components):
+        for j, power in enumerate(cir.powers.tolist()):
             mean_power = acc[j] / n
-            assert np.max(np.abs(mean_power - c.power_gain)) < 0.02 * c.power_gain
+            assert np.max(np.abs(mean_power - power)) < 0.02 * power
 
 
 class TestAmplitudeMatchedMapping:
@@ -353,10 +351,9 @@ class TestCorrelationRealization:
         """Rician K=5 dB fields over a measured-length track (33 wavelengths,
         66 half-wavelength steps) must realize the fitted amplitude
         autocorrelation at one half-wavelength lag."""
-        from mmwchan.core import ChannelImpulseResponse, Scenario
         from mmwchan.estimators import TrackMeasurement, spatial_autocorrelation
 
-        cir = ChannelImpulseResponse.from_components([comp()], Scenario.parse("NLOS V-V"))
+        cir = cir_of()
         fading = FadingModel.rician(5.0)
         corr = build_amplitude_matched_corr(NLOS_VV, ArrayGeometry(num_elements=66, spacing=0.5), fading)
         a = matrix_sqrt_psd(corr)
