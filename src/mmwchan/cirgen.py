@@ -191,9 +191,10 @@ def cir_rows(config: CirGenConfig, u: np.ndarray) -> CirRows:
     )
     weights *= valid
     weights = weights.reshape(n, -1)
+    valid = weights > 0.0  # a path whose weight underflows to 0 is no component
     return CirRows(
-        valid=valid.reshape(n, -1),
-        delays=delays.reshape(n, -1) * valid.reshape(n, -1),
+        valid=valid,
+        delays=delays.reshape(n, -1) * valid,
         powers=weights / weights.cumsum(axis=1)[:, -1:],  # summed in slot order
     )
 

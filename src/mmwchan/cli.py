@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import numbers
 import os
 import re
 import sys
@@ -29,6 +30,7 @@ from .core import (
     Scenario,
     all_scenarios,
     lookup_default_params,
+    require_count,
 )
 from .estimators import (
     MIN_K_SAMPLES,
@@ -41,24 +43,25 @@ from .estimators import (
     read_track,
     write_track,
 )
-from .spatial import K_DB_MAX, K_DB_MIN, pipeline_corr_matrices, simulate_amplitude_track
+from .spatial import pipeline_corr_matrices, simulate_amplitude_track
 
 
 class ConfigError(ValueError):
     """Raised for unparseable or invalid run configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """One fully specified run: scenario, channel source, arrays, fading
-    models to compare, autocorrelation params, capacity settings, seeds."""
+    models to compare, autocorrelation params, capacity settings, seeds.
+    Each section dataclass checks its own fields; this one checks the rest."""
 
     scenario: Scenario = field(default_factory=lambda: Scenario.parse("NLOS V-V"))
     cir_gen: CirGenConfig = field(default_factory=CirGenConfig)
     cir_import_path: str | None = None
     rx_array: ArrayGeometry = field(default_factory=lambda: ArrayGeometry(num_elements=20))
     tx_array: ArrayGeometry = field(default_factory=lambda: ArrayGeometry(num_elements=1))
-    fading_models: list[FadingModel] = field(default_factory=lambda: [FadingModel.rician(5.0)])
+    fading_models: tuple[FadingModel, ...] = (FadingModel.rician(5.0),)
     autocorr: AutocorrParams | None = None  # None = table default for the scenario
     capacity: CapacityConfig = field(default_factory=CapacityConfig)
     num_drops: int = 2000
@@ -69,6 +72,27 @@ class ScenarioConfig:
     track_positions: int = 11
     track_delta_x: float = TrackMeasurement.delta_x
     track_delay_bin_ns: float = TrackMeasurement.delay_bin_ns
+
+    def __post_init__(self) -> None:
+        require_count("num_drops", self.num_drops)
+        require_count("num_workers", self.num_workers)
+        require_count("track_positions", self.track_positions)
+        if self.track_positions < 2:
+            raise ValueError(f"track_positions must be >= 2, got {self.track_positions}")
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"master_seed must be an integer >= 0, got {seed!r}")
+        for name in ("track_delta_x", "track_delay_bin_ns"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not self.fading_models:
+            raise ValueError("at least one fading model required")
+        labels = [m.label() for m in self.fading_models]
+        for label in labels:
+            if labels.count(label) > 1:
+                # each model's outputs are named after its label
+                raise ValueError(f"fading model {label!r} is given more than once")
 
     def resolved_autocorr(self) -> AutocorrParams:
         if self.autocorr is not None:
@@ -89,30 +113,6 @@ def _parse_int_pair(value: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _parse_int_at_least(low: int):
-    def parse(value: str) -> int:
-        n = int(value)
-        if n < low:
-            raise ValueError(f"must be >= {low}, got {n}")
-        return n
-
-    return parse
-
-
-def _parse_finite(value: str) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"must be finite, got {value!r}")
-    return x
-
-
-def _parse_positive_finite(value: str) -> float:
-    x = _parse_finite(value)
-    if not x > 0:
-        raise ValueError(f"must be > 0, got {x!r}")
-    return x
-
-
 def _parse_bool(value: str) -> bool:
     low = value.strip().lower()
     if low in ("true", "yes", "1"):
@@ -122,30 +122,19 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
-def _parse_fading(value: str) -> list[FadingModel]:
+def _parse_fading(value: str) -> tuple[FadingModel, ...]:
     models = []
     for token in value.split():
         if token.lower() == "rayleigh":
             models.append(FadingModel.rayleigh())
         elif token.lower().startswith("rician:"):
             try:
-                k_db = float(token.split(":", 1)[1])
+                models.append(FadingModel.rician(float(token.split(":", 1)[1])))
             except ValueError as exc:
-                raise ValueError(f"bad Rician entry {token!r}") from exc
-            if not K_DB_MIN <= k_db <= K_DB_MAX:
-                # the sampler would clamp K, or overflow converting it
-                raise ValueError(f"Rician K of {token!r} is outside [{K_DB_MIN:g}, {K_DB_MAX:g}] dB")
-            models.append(FadingModel.rician(k_db))
+                raise ValueError(f"bad Rician entry {token!r}: {exc}") from exc
         else:
             raise ValueError(f"unknown model {token!r} (use 'rayleigh' or 'rician:<K dB>')")
-    if not models:
-        raise ValueError("at least one model required")
-    labels = [m.label() for m in models]
-    for label in labels:
-        if labels.count(label) > 1:
-            # each model's outputs are named after its label
-            raise ValueError(f"model {label!r} is given more than once")
-    return models
+    return tuple(models)
 
 
 def _parse_autocorr(value: str) -> AutocorrParams | None:
@@ -154,39 +143,40 @@ def _parse_autocorr(value: str) -> AutocorrParams | None:
     vals = value.split()
     if len(vals) != 3:
         raise ValueError("expected 'table-default' or three numbers 'A B C'")
-    return AutocorrParams(*(_parse_finite(v) for v in vals))
+    return AutocorrParams(*map(float, vals))
 
 
 #: Config key -> (ScenarioConfig field, field of that section or None, parser).
-#: Keys absent from a config keep the dataclass defaults.
+#: Keys absent from a config keep the dataclass defaults. A parser only
+#: converts text; the dataclass that holds the value checks it.
 _CONFIG_KEYS = {
     "scenario": ("scenario", None, Scenario.parse),
     "cir.num_clusters_range": ("cir_gen", "num_clusters_range", _parse_int_pair),
     "cir.paths_per_cluster_range": ("cir_gen", "paths_per_cluster_range", _parse_int_pair),
-    "cir.intercluster_void_ns": ("cir_gen", "intercluster_void_ns", _parse_finite),
-    "cir.cluster_decay_ns": ("cir_gen", "cluster_decay_ns", _parse_finite),
-    "cir.intracluster_decay_ns": ("cir_gen", "intracluster_decay_ns", _parse_finite),
+    "cir.intercluster_void_ns": ("cir_gen", "intercluster_void_ns", float),
+    "cir.cluster_decay_ns": ("cir_gen", "cluster_decay_ns", float),
+    "cir.intracluster_decay_ns": ("cir_gen", "intracluster_decay_ns", float),
     "cir.num_lobes_range": ("cir_gen", "num_lobes_range", _parse_int_pair),
-    "cir.lobe_angular_spread_deg": ("cir_gen", "lobe_angular_spread_deg", _parse_finite),
+    "cir.lobe_angular_spread_deg": ("cir_gen", "lobe_angular_spread_deg", float),
     "cir.import_path": ("cir_import_path", None, str),
     "rx_array.num_elements": ("rx_array", "num_elements", int),
-    "rx_array.spacing": ("rx_array", "spacing", _parse_finite),
+    "rx_array.spacing": ("rx_array", "spacing", float),
     "tx_array.num_elements": ("tx_array", "num_elements", int),
-    "tx_array.spacing": ("tx_array", "spacing", _parse_finite),
+    "tx_array.spacing": ("tx_array", "spacing", float),
     "fading.models": ("fading_models", None, _parse_fading),
     "autocorr": ("autocorr", None, _parse_autocorr),
-    "capacity.bandwidth_hz": ("capacity", "bandwidth_hz", _parse_finite),
+    "capacity.bandwidth_hz": ("capacity", "bandwidth_hz", float),
     "capacity.num_subcarriers": ("capacity", "num_subcarriers", int),
-    "capacity.snr_db": ("capacity", "snr_db", _parse_finite),
-    "capacity.center_frequency_hz": ("capacity", "center_frequency_hz", _parse_finite),
-    "run.num_drops": ("num_drops", None, _parse_int_at_least(1)),
-    "run.master_seed": ("master_seed", None, _parse_int_at_least(0)),
-    "run.num_workers": ("num_workers", None, _parse_int_at_least(1)),
+    "capacity.snr_db": ("capacity", "snr_db", float),
+    "capacity.center_frequency_hz": ("capacity", "center_frequency_hz", float),
+    "run.num_drops": ("num_drops", None, int),
+    "run.master_seed": ("master_seed", None, int),
+    "run.num_workers": ("num_workers", None, int),
     "run.share_initial_cir": ("share_initial_cir", None, _parse_bool),
     "run.output_dir": ("output_dir", None, str),
-    "track.num_positions": ("track_positions", None, _parse_int_at_least(2)),
-    "track.delta_x": ("track_delta_x", None, _parse_positive_finite),
-    "track.delay_bin_ns": ("track_delay_bin_ns", None, _parse_positive_finite),
+    "track.num_positions": ("track_positions", None, int),
+    "track.delta_x": ("track_delta_x", None, float),
+    "track.delay_bin_ns": ("track_delay_bin_ns", None, float),
 }
 
 #: Command-line flag -> (argparse destination, the config key it overrides).
@@ -198,20 +188,22 @@ _OVERRIDE_FLAGS = {
 }
 
 
-def _set_values(cfg: ScenarioConfig, items) -> None:
-    """Parse each (name, key, text) of ``items`` into ``cfg`` through
-    :data:`_CONFIG_KEYS`. A value of a section dataclass replaces one field
-    of that section, so the dataclass checks it; any error becomes a
-    :class:`ConfigError` naming ``name``, the key or the flag it came from."""
+def _set_values(cfg: ScenarioConfig, items) -> ScenarioConfig:
+    """``cfg`` with each (name, key, text) of ``items`` parsed in through
+    :data:`_CONFIG_KEYS`. Each value replaces one field of the dataclass
+    that holds it (a section, then the config), so that dataclass checks
+    it; any error becomes a :class:`ConfigError` naming ``name``, the key
+    or the flag it came from."""
     for name, key, text in items:
         field_name, sub_field, parse = _CONFIG_KEYS[key]
         try:
             value = parse(text)
             if sub_field is not None:
                 value = dataclasses.replace(getattr(cfg, field_name), **{sub_field: value})
+            cfg = dataclasses.replace(cfg, **{field_name: value})
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
-        setattr(cfg, field_name, value)
+    return cfg
 
 
 #: A comment starts with '#' at the start of a line or after whitespace, so
@@ -243,9 +235,7 @@ def parse_config(path) -> ScenarioConfig:
     unknown = sorted(set(pairs) - set(_CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    cfg = ScenarioConfig()
-    _set_values(cfg, ((key, key, text) for key, text in pairs.items()))
-    return cfg
+    return _set_values(ScenarioConfig(), ((key, key, text) for key, text in pairs.items()))
 
 
 def _write_csv(path, header: str, rows) -> None:
@@ -487,9 +477,8 @@ def main(argv=None) -> int:
             return cmd_dump_defaults()
         if args.command == "estimate":
             return cmd_estimate(args.track, args.out or ScenarioConfig.output_dir)
-        cfg = parse_config(args.config)
-        _set_values(
-            cfg,
+        cfg = _set_values(
+            parse_config(args.config),
             (
                 (flag, key, getattr(args, dest))
                 for flag, (dest, key) in _OVERRIDE_FLAGS.items()

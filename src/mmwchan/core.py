@@ -18,6 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+#: The Rician K factors in dB that a FadingModel accepts: from an almost
+#: pure diffuse term (1e-6) to an almost fixed dominant one (1e12).
+K_DB_MIN = -60.0
+K_DB_MAX = 120.0
 
 
 def require_count(name: str, value) -> None:
@@ -26,7 +30,7 @@ def require_count(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
-        raise ValueError(f"{name} must be >= 1")
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 class Environment(enum.Enum):
@@ -153,7 +157,8 @@ class ArrayGeometry:
 class FadingModel:
     """Small-scale fading law for the local-area copies.
 
-    kind is "rayleigh" or "rician"; k_factor_db is present iff Rician.
+    kind is "rayleigh" or "rician"; k_factor_db is present iff Rician and
+    lies in [K_DB_MIN, K_DB_MAX].
     """
 
     kind: str
@@ -163,8 +168,10 @@ class FadingModel:
         if self.kind not in ("rayleigh", "rician"):
             raise ValueError(f"unknown fading kind {self.kind!r}")
         if self.kind == "rician":
-            if self.k_factor_db is None or not math.isfinite(self.k_factor_db):
-                raise ValueError("Rician fading requires a finite k_factor_db")
+            if self.k_factor_db is None or not K_DB_MIN <= self.k_factor_db <= K_DB_MAX:
+                raise ValueError(
+                    f"Rician fading needs k_factor_db in [{K_DB_MIN:g}, {K_DB_MAX:g}] dB, got {self.k_factor_db}"
+                )
         elif self.k_factor_db is not None:
             raise ValueError("k_factor_db is only meaningful for Rician fading")
 
@@ -196,6 +203,8 @@ class AutocorrParams:
     c: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.a, self.b, self.c))):
+            raise ValueError(f"a, b and c must be finite, got ({self.a}, {self.b}, {self.c})")
         if not self.a > 0:
             raise ValueError("a must be > 0")
         if not self.b >= 0:

@@ -40,12 +40,6 @@ from .core import (
 HERMITIAN_ATOL = 1e-12
 #: Eigenvalues above this (tiny negative) threshold count as nonnegative.
 EIGENVALUE_TOL = -1e-10
-#: Rician K factor range in dB: a run config must give K inside it, and the
-#: sampler clamps the linear K of any other FadingModel to it.
-K_DB_MIN = -60.0
-K_DB_MAX = 120.0
-K_LINEAR_MIN = db_to_linear(K_DB_MIN)  # 1e-6
-K_LINEAR_MAX = db_to_linear(K_DB_MAX)  # 1e12
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,11 +176,6 @@ def matrix_sqrt_psd(corr) -> np.ndarray:
     return (s + s.conj().T) / 2.0
 
 
-def _clamped_k(fading: FadingModel) -> float:
-    k = db_to_linear(fading.k_factor_db)
-    return min(max(k, K_LINEAR_MIN), K_LINEAR_MAX)
-
-
 # ---------------------------------------------------------------------------
 # Amplitude-matched construction used by the simulation pipelines
 # ---------------------------------------------------------------------------
@@ -204,7 +193,7 @@ def amplitude_matched_magnitude(f_target, fading: FadingModel):
     if not fading.is_rician:
         out = np.sign(f) * np.sqrt(np.abs(f))
     else:
-        k = _clamped_k(fading)
+        k = db_to_linear(fading.k_factor_db)
         s2 = k / (k + 1.0)
         sig2 = 1.0 / (k + 1.0)
         radicand = s2**2 + f * (2.0 * s2 * sig2 + sig2**2)
@@ -280,7 +269,7 @@ def tap_matrices(
     g = (white[..., 0, :, :] + 1j * white[..., 1, :, :]) / math.sqrt(2.0)
     h = r_r_sqrt @ g @ r_t_sqrt
     if fading.is_rician:
-        k = _clamped_k(fading)
+        k = db_to_linear(fading.k_factor_db)
         h = math.sqrt(k / (k + 1.0)) * np.exp(1j * psi[..., None, None]) + math.sqrt(1.0 / (k + 1.0)) * h
     return np.sqrt(powers)[..., None, None] * h
 

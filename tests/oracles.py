@@ -16,8 +16,6 @@ from scipy import integrate, stats
 
 from mmwchan.core import TWO_PI, ChannelImpulseResponse, FadingModel, db_to_linear
 from mmwchan.spatial import (
-    K_LINEAR_MAX,
-    K_LINEAR_MIN,
     CorrelatedTap,
     build_amplitude_matched_corr,
     matrix_sqrt_psd,
@@ -285,7 +283,8 @@ def _read_drop_cir(config, rng):
             if p > 0:
                 t = t + -intra_decay_s * np.log1p(-path_gaps[c * (max_paths - 1) + p - 1])
             weight = np.exp(-start / cluster_decay_s) * np.exp(-(t - start) / intra_decay_s)
-            subs.append((float(t), float(weight), TWO_PI * phases[c * max_paths + p], dep, arr))
+            if weight > 0.0:  # a path whose weight underflows to 0 is no component
+                subs.append((float(t), float(weight), TWO_PI * phases[c * max_paths + p], dep, arr))
 
     spread = math.radians(config.lobe_angular_spread_deg)
     comps = []
@@ -326,7 +325,7 @@ def _reference_taps(cir, r_r_sqrt, r_t_sqrt, fading, whites, psi_uniforms):
         g = (re + 1j * im) / math.sqrt(2.0)
         diffuse = r_r_sqrt @ g @ r_t_sqrt
         if fading.is_rician:
-            k = min(max(db_to_linear(fading.k_factor_db), K_LINEAR_MIN), K_LINEAR_MAX)
+            k = db_to_linear(fading.k_factor_db)
             h = math.sqrt(k / (k + 1.0)) * np.exp(1j * (TWO_PI * u)) * ones + math.sqrt(1.0 / (k + 1.0)) * diffuse
         else:
             h = diffuse

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 
@@ -15,6 +16,7 @@ from mmwchan.cli import (
     main,
     parse_config,
 )
+from mmwchan.core import FadingModel
 from mmwchan.estimators import read_track
 
 BASE_CFG = """
@@ -74,6 +76,32 @@ class TestConfigParsing:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config("/nonexistent/path.cfg")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_drops", 0),
+            ("num_drops", 2.0),
+            ("num_workers", 0),
+            ("master_seed", -1),
+            ("master_seed", True),
+            ("track_positions", 1),
+            ("track_delta_x", float("inf")),
+            ("track_delay_bin_ns", 0.0),
+            ("fading_models", ()),
+            ("fading_models", (FadingModel.rician(5.0), FadingModel.rayleigh(), FadingModel.rician(5.0))),
+        ],
+    )
+    def test_scenario_config_checks_its_fields(self, field, value):
+        # the config checks its own fields, whoever builds it
+        with pytest.raises(ValueError, match="fading model" if field == "fading_models" else field):
+            ScenarioConfig(**{field: value})
+
+    def test_parsed_config_is_frozen(self, tmp_path):
+        cfg = parse_config(write_cfg(tmp_path, BASE_CFG))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.num_drops = 0
+        assert hash(cfg) == hash(parse_config(write_cfg(tmp_path, BASE_CFG)))  # no mutable field
 
 
 class TestDumpDefaults:
@@ -230,6 +258,17 @@ class TestSimulateCirAndEstimate:
         track = read_track(os.path.join(out_dir, "track.csv"))
         assert track.num_bins == 1
 
+    def test_underflowed_paths_are_no_components(self, tmp_path, capsys):
+        # fig4 with a cluster decay so short that the second cluster's
+        # powers underflow to 0: only the first cluster's 1-3 paths remain
+        with open(os.path.join(os.path.dirname(__file__), "..", "configs", "fig4.cfg"), encoding="utf-8") as fh:
+            text = fh.read() + "\ncir.num_clusters_range = 2 2\ncir.cluster_decay_ns = 0.001\n"
+        path = write_cfg(tmp_path, text)
+        out_dir = tmp_path / "cir"
+        assert main(["simulate-cir", "--config", path, "--out", str(out_dir)]) == 0
+        cir = import_cir(str(out_dir / "cir.csv"), parse_config(path).scenario)
+        assert 1 <= cir.num_components <= 3
+
     def test_estimate_round_trip_fit(self, tmp_path, capsys):
         # synthesize a measured-length track under the LOS V-V model and
         # recover the exponential-model constants from it
@@ -346,6 +385,7 @@ class TestMainEntry:
             ("track.delta_x", "0"),
             ("track.delay_bin_ns", "0"),
             ("--seed", "-3"),
+            ("autocorr", "0.9 inf 0"),
         ],
     )
     def test_non_finite_value_exit_2_names_key(self, tmp_path, capsys, key, value):

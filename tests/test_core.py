@@ -175,6 +175,12 @@ class TestOtherTypes:
         with pytest.raises(ValueError):
             FadingModel(kind="rician", k_factor_db=math.inf)
 
+    @pytest.mark.parametrize("k_db", [120.5, -60.5, math.nan, -math.inf, 1e308])
+    def test_rician_k_outside_range_rejected(self, k_db):
+        # rejected, not clamped to the range
+        with pytest.raises(ValueError, match=r"\[-60, 120\] dB"):
+            FadingModel.rician(k_db)
+
     def test_autocorr_params_bounds(self):
         AutocorrParams(0.9, 1.0, -0.1)  # a - c = 1.0, allowed
         with pytest.raises(ValueError):
@@ -185,3 +191,9 @@ class TestOtherTypes:
             AutocorrParams(-0.5, 1.0, -1.0)
         with pytest.raises(ValueError):
             AutocorrParams(0.9, -1.0, 0.0)
+
+    @pytest.mark.parametrize("abc", [(0.9, math.inf, 0.0), (math.inf, 1.0, math.inf), (0.9, math.nan, 0.0)])
+    def test_autocorr_params_must_be_finite(self, abc):
+        # b = inf would make eval_autocorr NaN at zero separation
+        with pytest.raises(ValueError, match="finite"):
+            AutocorrParams(*abc)

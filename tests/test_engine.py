@@ -36,6 +36,8 @@ from mmwchan.capacity import (
 from mmwchan.cirgen import CirGenConfig, cir_rows, drop_layout, generate_initial_cir
 from mmwchan.cli import ScenarioConfig, _fixed_cir
 from mmwchan.core import (
+    K_DB_MAX,
+    K_DB_MIN,
     ArrayGeometry,
     ChannelImpulseResponse,
     FadingModel,
@@ -46,9 +48,9 @@ from mmwchan.spatial import build_amplitude_matched_corr, matrix_sqrt_psd, reali
 
 SCEN = Scenario.parse("NLOS V-V")
 PARAMS = lookup_default_params(SCEN).autocorr
-#: Rayleigh, Rician at both K clamps (-80 dB -> K_LINEAR_MIN, 130 dB ->
-#: K_LINEAR_MAX) and in between.
-FADINGS = [FadingModel.rayleigh(), FadingModel.rician(-80.0), FadingModel.rician(5.0), FadingModel.rician(130.0)]
+#: Rayleigh, and Rician at both ends of the K range (K_DB_MIN, K_DB_MAX)
+#: and in between.
+FADINGS = [FadingModel.rayleigh(), FadingModel.rician(K_DB_MIN), FadingModel.rician(5.0), FadingModel.rician(K_DB_MAX)]
 CAPACITY_ATOL = 1e-12
 CIR_FIELDS = ("delays", "powers", "phases", "aod", "aoa")
 
@@ -184,6 +186,20 @@ def test_ragged_config_cuts_groups_into_batches():
 def test_engine_matches_reference_at_wide_master_seed():
     # the hypothesis test draws seeds of one 32-bit word; this one has three
     kw = dict(RAGGED, cap_config=CapacityConfig(num_subcarriers=32), num_drops=CHUNK_DROPS + 6, master_seed=2**70)
+    got = run_monte_carlo(**kw)
+    want = reference_monte_carlo(**kw)
+    assert [(s.drop_index, s.seed) for s in got] == [(i, w) for i, w, _ in want]
+    for s, (_, _, cap) in zip(got, want):
+        assert abs(s.capacity - cap) <= CAPACITY_ATOL
+
+
+def test_underflowed_paths_are_no_taps_and_engine_matches_reference():
+    # the second cluster starts at least 25 ns in, where exp(-t / 0.001 ns)
+    # is 0: its paths are no taps, so a drop has at most the first's 3
+    gen = CirGenConfig(num_clusters_range=(2, 2), paths_per_cluster_range=(1, 3), cluster_decay_ns=0.001)
+    rows = cir_rows(gen, np.random.default_rng(3).random((200, drop_layout(gen).width)))
+    assert np.all(rows.powers[rows.valid] > 0) and rows.valid.sum(axis=1).max() <= 3
+    kw = dict(RAGGED, gen_config=gen, cap_config=CapacityConfig(num_subcarriers=32), num_drops=40, master_seed=8)
     got = run_monte_carlo(**kw)
     want = reference_monte_carlo(**kw)
     assert [(s.drop_index, s.seed) for s in got] == [(i, w) for i, w, _ in want]

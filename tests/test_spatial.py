@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import expected_autocorr, rician_power_cdf
 from mmwchan.core import (
+    K_DB_MAX,
     ArrayGeometry,
     AutocorrParams,
     ChannelImpulseResponse,
@@ -190,7 +191,7 @@ class TestSampleHw:
     :func:`tap_matrices` with identity correlations."""
 
     def test_huge_k_removes_fading(self):
-        h = unit_tap(8, 8, FadingModel.rician(200.0), 0)
+        h = unit_tap(8, 8, FadingModel.rician(K_DB_MAX), 0)
         assert np.max(np.abs(np.abs(h) - 1.0)) < 1e-5
 
     def test_rayleigh_unit_mean_square(self):
