@@ -9,7 +9,6 @@ the generative model against its own outputs.
 
 from .capacity import (
     CapacityConfig,
-    CapacitySample,
     FrequencyResponse,
     capacity_cdf,
     frequency_response,

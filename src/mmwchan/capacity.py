@@ -30,6 +30,7 @@ from .core import (
     Scenario,
     db_to_linear,
     require_count,
+    require_seed,
 )
 from .spatial import (
     draw_tap_noise,
@@ -91,19 +92,6 @@ class FrequencyResponse:
         return self.per_subcarrier.shape[0]
 
 
-@dataclass(frozen=True)
-class CapacitySample:
-    """One Monte Carlo drop's wideband capacity in bits/s/Hz."""
-
-    capacity: float
-    drop_index: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not self.capacity >= 0:
-            raise ValueError(f"capacity must be >= 0, got {self.capacity}")
-
-
 def frequency_response(taps, config: CapacityConfig) -> FrequencyResponse:
     """DFT of the tapped delay line onto the subcarrier grid.
 
@@ -125,15 +113,6 @@ def wideband_capacity(fr: FrequencyResponse, config: CapacityConfig, n_t: int) -
     if hf.shape[2] != n_t:
         raise ValueError(f"frequency response has N_t={hf.shape[2]}, expected {n_t}")
     return float(_capacities(_response_gram(hf[None]), config, n_t)[0])
-
-
-def logdet_eye_plus(gram: np.ndarray, scale: float) -> np.ndarray:
-    """Natural log of det(I + scale * G) for Hermitian PSD Grams G of shape
-    (..., d, d), over the leading axes: the upper triangles of the Grams go
-    through :func:`_logdet_packed`."""
-    d = gram.shape[-1]
-    packed = _pack(gram.reshape(-1, d, d)).T
-    return _logdet_packed(packed, scale).reshape(gram.shape[:-2])
 
 
 # Packed Grams. A Hermitian d x d Gram is stored as the d*d real numbers of
@@ -269,40 +248,10 @@ def _response(phases: np.ndarray, taps: np.ndarray) -> np.ndarray:
 def _response_gram(hf: np.ndarray) -> np.ndarray:
     """Packed per-subcarrier Grams (B, d*d, F) of the smaller side, H^H H
     or, when N_t > N_r, the conjugate of H H^H (Sylvester: the same
-    determinant), for hf of shape (B, F, N_r, N_t).
-
-    With each column of H_f split into its real and imaginary parts,
-    Q = [Re H, Im H]^T [Re H, Im H] is one real product per subcarrier, and
-    G = Q_rr + Q_ii + i (Q_ri - Q_ir).
-    """
+    determinant), for hf of shape (B, F, N_r, N_t)."""
     if hf.shape[-1] > hf.shape[-2]:
         hf = hf.swapaxes(-1, -2)
-    batch, num_f, rows, d = hf.shape
-    parts = np.ascontiguousarray(hf).view(float)  # (B, F, rows, 2d)
-    q = (parts.swapaxes(-1, -2) @ parts).reshape(batch, num_f, 4 * d * d).swapaxes(1, 2)
-    first, second, sign = _response_index(d)
-    return q[:, first] + sign * q[:, second]
-
-
-@functools.lru_cache(maxsize=16)
-def _response_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only terms of :func:`_response_gram`: each packed entry is
-    Q[first] + sign * Q[second] over the (2d x 2d) Q raveled row-major."""
-    first, second, sign = [], [], []
-    for j in range(d):
-        re, im = 2 * j * 2 * d, (2 * j + 1) * 2 * d  # rows of Re and Im of column j
-        for k in range(j, d):
-            first.append(re + 2 * k)
-            second.append(im + 2 * k + 1)
-            sign.append(1.0)
-        for k in range(j + 1, d):
-            first.append(re + 2 * k + 1)
-            second.append(im + 2 * k)
-            sign.append(-1.0)
-    out = (np.array(first), np.array(second), np.array(sign)[:, None])
-    for array in out:
-        array.setflags(write=False)
-    return out
+    return _pack(hf.conj().swapaxes(-1, -2) @ hf).swapaxes(1, 2)
 
 
 def _cross_gram(delays: np.ndarray, taps: np.ndarray, config: CapacityConfig) -> np.ndarray:
@@ -383,6 +332,8 @@ CHUNK_DROPS = 256
 #: Bytes of temporaries one batch of drops may allocate; a group of drops
 #: with equal tap counts is cut into batches under this budget.
 BATCH_BYTES = 1 << 20
+#: One record of :func:`run_monte_carlo`'s result per drop.
+RESULT_DTYPE = np.dtype([("drop_index", np.int64), ("seed", np.uint64), ("capacity", np.float64)])
 
 
 class _Campaign(NamedTuple):
@@ -416,11 +367,12 @@ def _drop_bytes(num_taps: int, n_r: int, n_t: int, num_subcarriers: int) -> int:
     pair terms and the packed coefficients; then, per subcarrier, the tap
     phases, their conjugates and the pair products (complex), the real and
     imaginary parts of all pair phases and the Gram. The response route
-    holds the tap matrices and, per subcarrier, the phases of taps 1..L-1
-    and of all taps (complex), the response and, when N_t > N_r, its
-    transpose, Q and the packing terms. The log-det holds per subcarrier
-    the packed Gram, its copy and a few rows of d values. Both routes also
-    hold the coarse and fine angles and phasors of each tap."""
+    holds the tap matrices and, per subcarrier, first the phases of taps
+    1..L-1 and of all taps, then the phases of all taps and the response,
+    then the response, its conjugate, the Gram and the packed Gram (all
+    complex but the last). The log-det holds per subcarrier the packed
+    Gram, its copy and a few rows of d values. Both routes also hold the
+    coarse and fine angles and phasors of each tap."""
     rows, d, f = max(n_r, n_t), min(n_r, n_t), num_subcarriers
     taps = 2 * num_taps * rows * d  # counted in floats
     angles = 6 * num_taps * (math.isqrt(4 * f) + 2)
@@ -432,7 +384,7 @@ def _drop_bytes(num_taps: int, n_r: int, n_t: int, num_subcarriers: int) -> int:
             coefficients + angles + f * (4 * pairs + 2 * num_taps + d * d),
         )
     else:
-        gram = angles + f * (4 * num_taps + 2 * rows * d * (1 + (n_t > n_r)) + 7 * d * d)
+        gram = max(angles + 4 * num_taps * f, f * (2 * num_taps + 2 * rows * d), f * (4 * rows * d + 3 * d * d))
     return 8 * max(8 * taps, taps + gram, f * (3 * d * d + 3 * d)) * 5 // 4
 
 
@@ -494,12 +446,12 @@ def _drop_draws(campaign: _Campaign, rngs):
         )
 
 
-def _simulate_chunk(task) -> list[CapacitySample]:
+def _simulate_chunk(task) -> np.ndarray:
     """Drops [start, stop) of a campaign, which must not cross a chunk
-    boundary.
+    boundary, as ``RESULT_DTYPE`` records.
 
     Each drop draws from its own stream (:func:`_drop_draws`), so its
-    sample depends only on the campaign and its index. The math runs per
+    record depends only on the campaign and its index. The math runs per
     group of drops with equal tap counts, in batches under
     ``BATCH_BYTES``.
     """
@@ -508,7 +460,10 @@ def _simulate_chunk(task) -> list[CapacitySample]:
     campaign, start, stop = task
     n_r, n_t = campaign.rr_sqrt.shape[0], campaign.rt_sqrt.shape[1]
     rngs, seeds = drop_streams(campaign.master_seed, start, stop)
-    caps = np.empty(len(rngs))
+    result = np.empty(stop - start, dtype=RESULT_DTYPE)
+    result["drop_index"] = np.arange(start, stop)
+    result["seed"] = seeds
+    caps = result["capacity"]
     num_f = campaign.cap_config.num_subcarriers
     for members, delays, powers, white, psi in _drop_draws(campaign, rngs):
         step = max(1, BATCH_BYTES // _drop_bytes(delays.shape[1], n_r, n_t, num_f))
@@ -519,10 +474,7 @@ def _simulate_chunk(task) -> list[CapacitySample]:
             )
     if not np.all(np.isfinite(caps)):
         raise ValueError(f"non-finite capacity in drops {start}..{stop - 1}")
-    return [
-        CapacitySample(capacity=c, drop_index=start + i, seed=seed)
-        for i, (c, seed) in enumerate(zip(caps.tolist(), seeds))
-    ]
+    return result
 
 
 def run_monte_carlo(
@@ -537,8 +489,10 @@ def run_monte_carlo(
     autocorr_params: AutocorrParams,
     initial_cir: ChannelImpulseResponse | None = None,
     num_workers: int = 1,
-) -> list[CapacitySample]:
-    """Monte Carlo capacity campaign.
+) -> np.recarray:
+    """Monte Carlo capacity campaign: one ``RESULT_DTYPE`` record per drop,
+    in drop order, with fields ``drop_index``, ``seed`` (the first word of
+    the drop's stream state) and ``capacity`` in bits/s/Hz.
 
     Each drop draws its own initial CIR, or reuses ``initial_cir`` when one
     is given (e.g. an imported or a shared one); the drop then realizes
@@ -548,8 +502,9 @@ def run_monte_carlo(
     results are identical for any ``num_workers``, and a longer run starts
     with the drops of a shorter one.
     """
-    if num_drops < 1:
-        raise ValueError("num_drops must be >= 1")
+    require_count("num_drops", num_drops)
+    require_count("num_workers", num_workers)
+    require_seed("master_seed", master_seed)
     # The amplitude-matched pipeline matrices are deterministic; hoist them.
     rr, rt = pipeline_corr_matrices(autocorr_params, rx_geometry, tx_geometry)
     campaign = _Campaign(
@@ -566,16 +521,18 @@ def run_monte_carlo(
         (campaign, start, min(start + CHUNK_DROPS, num_drops))
         for start in range(0, num_drops, CHUNK_DROPS)
     ]
-    if num_workers <= 1 or len(tasks) == 1:
-        results = map(_simulate_chunk, tasks)
-        return [s for chunk in results for s in chunk]
-    with ProcessPoolExecutor(max_workers=min(num_workers, len(tasks))) as pool:
-        return [s for chunk in pool.map(_simulate_chunk, tasks) for s in chunk]
+    if num_workers == 1 or len(tasks) == 1:
+        chunks = list(map(_simulate_chunk, tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=min(num_workers, len(tasks))) as pool:
+            chunks = list(pool.map(_simulate_chunk, tasks))
+    return np.concatenate(chunks).view(np.recarray)
 
 
-def capacity_cdf(samples):
-    """Empirical CDF of capacity samples: sorted (capacity, rank/N) arrays."""
-    caps = np.array([s.capacity for s in samples], dtype=float)
+def capacity_cdf(capacities):
+    """Empirical CDF of capacities (e.g. the ``capacity`` column of
+    :func:`run_monte_carlo`'s result): sorted (capacity, rank/N) arrays."""
+    caps = np.asarray(capacities, dtype=float)
     if caps.size < 1:
         raise ValueError("need at least one capacity sample")
     order = np.sort(caps)
@@ -583,7 +540,7 @@ def capacity_cdf(samples):
     return order, probs
 
 
-def capacity_quantiles(samples, qs=(0.1, 0.5, 0.9)):
-    """Selected quantiles of the capacity samples (linear interpolation)."""
-    caps = np.array([s.capacity for s in samples], dtype=float)
+def capacity_quantiles(capacities, qs=(0.1, 0.5, 0.9)):
+    """Selected quantiles of capacities (linear interpolation)."""
+    caps = np.asarray(capacities, dtype=float)
     return {q: float(np.quantile(caps, q)) for q in qs}

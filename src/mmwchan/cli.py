@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import numbers
 import os
 import re
 import sys
@@ -31,6 +30,7 @@ from .core import (
     all_scenarios,
     lookup_default_params,
     require_count,
+    require_seed,
 )
 from .estimators import (
     MIN_K_SAMPLES,
@@ -79,9 +79,7 @@ class ScenarioConfig:
         require_count("track_positions", self.track_positions)
         if self.track_positions < 2:
             raise ValueError(f"track_positions must be >= 2, got {self.track_positions}")
-        seed = self.master_seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"master_seed must be an integer >= 0, got {seed!r}")
+        require_seed("master_seed", self.master_seed)
         for name in ("track_delta_x", "track_delay_bin_ns"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -354,12 +352,12 @@ def cmd_simulate_capacity(cfg: ScenarioConfig, out_dir: str, dump_corr: bool = F
         _write_csv(
             cap_path,
             "drop_index,seed,capacity_bps_hz",
-            ((s.drop_index, s.seed, s.capacity) for s in samples),
+            zip(samples.drop_index.tolist(), samples.seed.tolist(), samples.capacity.tolist()),
         )
-        values, probs = capacity_cdf(samples)
+        values, probs = capacity_cdf(samples.capacity)
         cdf_path = os.path.join(out_dir, f"cdf_{label}.csv")
         _write_csv(cdf_path, "capacity_bps_hz,cum_prob", zip(map(float, values), map(float, probs)))
-        q = capacity_quantiles(samples)
+        q = capacity_quantiles(samples.capacity)
         print(
             f"{label}: median={q[0.5]:.4f} p10={q[0.1]:.4f} p90={q[0.9]:.4f} b/s/Hz "
             f"({len(samples)} drops)"

@@ -33,6 +33,13 @@ def require_count(name: str, value) -> None:
         raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def require_seed(name: str, value) -> None:
+    """Reject a seed that is not an integer >= 0 (a bool is not one),
+    naming the field. numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+
+
 class Environment(enum.Enum):
     LOS = "LOS"
     NLOS = "NLOS"

@@ -118,9 +118,9 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
-def drop_streams(master_seed: int, start: int, stop: int) -> tuple[list[Generator], list[int]]:
-    """The generator and the seed word of each drop in [start, stop): the
-    generator equals ``default_rng(SeedSequence(master_seed, spawn_key=(0,
-    i)))`` and the seed word is the first uint64 of its state."""
+def drop_streams(master_seed: int, start: int, stop: int) -> tuple[list[Generator], np.ndarray]:
+    """The generator of each drop i in [start, stop), equal to
+    ``default_rng(SeedSequence(master_seed, spawn_key=(0, i)))``, and the
+    drops' seed words, the first uint64 of each state, as a uint64 array."""
     words = spawn_state_words(master_seed, np.arange(start, stop, dtype=np.uint64))
-    return [Generator(PCG64(_StateWords(w))) for w in words], words[:, 0].tolist()
+    return [Generator(PCG64(_StateWords(w))) for w in words], words[:, 0]

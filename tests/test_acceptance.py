@@ -63,7 +63,7 @@ def _run_recipe(cfg):
             master_seed=cfg.master_seed,
             autocorr_params=cfg.resolved_autocorr(),
         )
-        medians[fading.label()] = capacity_quantiles(samples)[0.5]
+        medians[fading.label()] = capacity_quantiles(samples.capacity)[0.5]
     return medians
 
 
@@ -289,9 +289,9 @@ def test_criterion_8_structural_invariants():
     serial_a = run_monte_carlo(**kwargs, num_workers=1)
     serial_b = run_monte_carlo(**kwargs, num_workers=1)
     parallel = run_monte_carlo(**kwargs, num_workers=2)
-    if serial_a != serial_b:
+    if not np.array_equal(serial_a, serial_b):
         problems.append("rerun determinism")
-    if serial_a != parallel:
+    if not np.array_equal(serial_a, parallel):
         problems.append("worker-count determinism")
 
     ok = not problems
