@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -281,18 +280,22 @@ def _pair_coefficients(taps: np.ndarray) -> np.ndarray:
     batch, num_taps, rows, d = taps.shape
     side_by_side = taps.transpose(0, 2, 1, 3).reshape(batch, rows, num_taps * d)
     cross = side_by_side.conj().swapaxes(-1, -2) @ side_by_side  # (B, L*d, L*d)
-    cross = cross.reshape(batch, num_taps, d, num_taps, d).swapaxes(2, 3)
+    # block (l, l') of each drop at l * L + l', contiguous: (B, L*L, d, d)
+    cross = cross.reshape(batch, num_taps, d, num_taps, d).swapaxes(2, 3).reshape(batch, -1, d, d)
     first, second = _pair_index(num_taps)
-    pairs = cross[:, first, second]  # (B, P, d, d)
+    pairs = cross.take(first * num_taps + second, axis=1)  # (B, P, d, d)
     pairs_h = pairs.conj().swapaxes(-1, -2)
-    z = np.empty((batch, first.size + 1, 2, d, d), dtype=complex)
-    diagonal = np.arange(num_taps)
-    np.sum(cross[:, diagonal, diagonal], axis=1, out=z[:, 0, 0])
-    z[:, 0, 1] = 0.0
-    np.add(pairs, pairs_h, out=z[:, 1:, 0])
-    np.subtract(pairs, pairs_h, out=z[:, 1:, 1])
-    z[:, 1:, 1] *= 1j
-    return _pack(z).reshape(batch, -1, d * d)
+    differences = pairs - pairs_h
+    differences *= 1j
+    # laid out entries x drops x rows, so that each drop's (d*d, rows) slice
+    # in _cross_gram's product is row-major: BLAS rounds other layouts
+    # differently
+    out = np.empty((d * d, batch, first.size + 1, 2))
+    out[:, :, 0, 0] = _pack(np.sum(cross[:, np.arange(num_taps) * (num_taps + 1)], axis=1)).T
+    out[:, :, 0, 1] = 0.0
+    out[:, :, 1:, 0] = _pack(pairs + pairs_h).transpose(2, 0, 1)
+    out[:, :, 1:, 1] = _pack(differences).transpose(2, 0, 1)
+    return out.transpose(1, 2, 3, 0).reshape(batch, -1, d * d)
 
 
 def _pair_phases(phases: np.ndarray) -> np.ndarray:
@@ -364,7 +367,9 @@ def _drop_bytes(num_taps: int, n_r: int, n_t: int, num_subcarriers: int) -> int:
     count leaves out. Making the tap matrices holds up to eight complex
     arrays of their size. The cross route holds the tap matrices and, while
     forming the coefficients, four copies of them, the cross-Grams, the
-    pair terms and the packed coefficients; then, per subcarrier, the tap
+    pair terms and the packed coefficients (the second copy of the
+    cross-Grams, while they are regrouped, is outweighed by the pair terms
+    that come after it); then, per subcarrier, the tap
     phases, their conjugates and the pair products (complex), the real and
     imaginary parts of all pair phases and the Gram. The response route
     holds the tap matrices and, per subcarrier, first the phases of taps
@@ -431,7 +436,8 @@ def _drop_draws(campaign: _Campaign, rngs):
         rng.random(out=row)
     rows = cir_rows(campaign.gen_config, u)
     num_taps = rows.valid.sum(axis=1)
-    for group_taps in np.unique(num_taps).tolist():
+    # the tap counts present, ascending (np.unique would import numpy.ma)
+    for group_taps in np.flatnonzero(np.bincount(num_taps)).tolist():
         members = np.flatnonzero(num_taps == group_taps)
         normals = np.empty((members.size, group_taps * (ANGLE_OFFSETS + 2 * n_r * n_t)))
         for i, row in zip(members.tolist(), normals):
@@ -524,23 +530,54 @@ def run_monte_carlo(
     if num_workers == 1 or len(tasks) == 1:
         chunks = list(map(_simulate_chunk, tasks))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # imports multiprocessing
+
         with ProcessPoolExecutor(max_workers=min(num_workers, len(tasks))) as pool:
             chunks = list(pool.map(_simulate_chunk, tasks))
     return np.concatenate(chunks).view(np.recarray)
 
 
-def capacity_cdf(capacities):
-    """Empirical CDF of capacities (e.g. the ``capacity`` column of
-    :func:`run_monte_carlo`'s result): sorted (capacity, rank/N) arrays."""
+def _checked_capacities(capacities) -> np.ndarray:
+    """``capacities`` as a float array of at least one finite value."""
     caps = np.asarray(capacities, dtype=float)
     if caps.size < 1:
         raise ValueError("need at least one capacity sample")
+    if not np.all(np.isfinite(caps)):
+        raise ValueError("capacities must be finite")
+    return caps
+
+
+def capacity_cdf(capacities):
+    """Empirical CDF of capacities (e.g. the ``capacity`` column of
+    :func:`run_monte_carlo`'s result): sorted (capacity, rank/N) arrays."""
+    caps = _checked_capacities(capacities)
     order = np.sort(caps)
     probs = np.arange(1, caps.size + 1) / caps.size
     return order, probs
 
 
 def capacity_quantiles(capacities, qs=(0.1, 0.5, 0.9)):
-    """Selected quantiles of capacities (linear interpolation)."""
-    caps = np.asarray(capacities, dtype=float)
-    return {q: float(np.quantile(caps, q)) for q in qs}
+    """Selected quantiles of capacities by linear interpolation, equal bit
+    for bit to ``np.quantile`` (which would import numpy.ma) unless the
+    capacities hold -0.0, which the engine's floor at 0 never gives.
+
+    Quantile q sits at the virtual index h = (N - 1) q of the sorted
+    values. Between neighbours a and b, with t = h - floor(h), it is
+    a + (b - a) t, or b - (b - a)(1 - t) when t >= 0.5; from h = N - 1 on,
+    it is the last value.
+    """
+    caps = np.sort(_checked_capacities(capacities), axis=None).tolist()
+    last = len(caps) - 1
+    out = {}
+    for q in qs:
+        if not 0 <= q <= 1:
+            raise ValueError(f"quantiles must lie in [0, 1], got {q!r}")
+        h = last * q
+        if h >= last:
+            out[q] = caps[-1]
+        else:
+            below = math.floor(h)
+            a, b = caps[below], caps[below + 1]
+            t = h - below
+            out[q] = b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+    return out

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacity import CapacityConfig, capacity_cdf, capacity_quantiles, run_monte_carlo
+from .capacity import CapacityConfig, capacity_quantiles, run_monte_carlo
 from .cirgen import CirFileError, CirGenConfig, export_cir, generate_initial_cir, import_cir
 from .core import (
     ArrayGeometry,
@@ -333,6 +333,8 @@ def cmd_simulate_capacity(cfg: ScenarioConfig, out_dir: str, dump_corr: bool = F
         rr, rt = pipeline_corr_matrices(params, cfg.rx_array, cfg.tx_array)
         write_corr_matrix_csv(rr.entries, os.path.join(out_dir, "corr_rx.csv"))
         write_corr_matrix_csv(rt.entries, os.path.join(out_dir, "corr_tx.csv"))
+    # the cum_prob column of capacity_cdf, the same for every model
+    cum_probs = list(map(str, (np.arange(1, cfg.num_drops + 1) / cfg.num_drops).tolist()))
     for fading in cfg.fading_models:
         label = fading.label()
         samples = run_monte_carlo(
@@ -348,15 +350,18 @@ def cmd_simulate_capacity(cfg: ScenarioConfig, out_dir: str, dump_corr: bool = F
             initial_cir=initial_cir,
             num_workers=cfg.num_workers,
         )
-        cap_path = os.path.join(out_dir, f"capacity_{label}.csv")
+        cells = list(map(str, samples.capacity.tolist()))  # each capacity formatted once, for both files
         _write_csv(
-            cap_path,
+            os.path.join(out_dir, f"capacity_{label}.csv"),
             "drop_index,seed,capacity_bps_hz",
-            zip(samples.drop_index.tolist(), samples.seed.tolist(), samples.capacity.tolist()),
+            zip(samples.drop_index.tolist(), samples.seed.tolist(), cells),
         )
-        values, probs = capacity_cdf(samples.capacity)
-        cdf_path = os.path.join(out_dir, f"cdf_{label}.csv")
-        _write_csv(cdf_path, "capacity_bps_hz,cum_prob", zip(map(float, values), map(float, probs)))
+        order = np.argsort(samples.capacity, kind="stable").tolist()
+        _write_csv(
+            os.path.join(out_dir, f"cdf_{label}.csv"),
+            "capacity_bps_hz,cum_prob",
+            zip(map(cells.__getitem__, order), cum_probs),
+        )
         q = capacity_quantiles(samples.capacity)
         print(
             f"{label}: median={q[0.5]:.4f} p10={q[0.1]:.4f} p90={q[0.9]:.4f} b/s/Hz "

@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import (
@@ -486,3 +488,44 @@ class TestCapacityCdf:
         # it (test_engine.py::test_non_finite_capacity_raises)
         cfg = CapacityConfig(num_subcarriers=4)
         assert np.all(np.isnan(_capacities(np.full((2, 1, 4), math.nan), cfg, 1)))
+
+
+@pytest.mark.parametrize("summary", [capacity_cdf, capacity_quantiles])
+@pytest.mark.parametrize(
+    "capacities",
+    [[], [math.nan, 1.0, 2.0], [1.0, math.inf], [-math.inf, 3.0], np.empty((0, 2))],
+)
+def test_empty_or_non_finite_capacities_rejected(summary, capacities):
+    with pytest.raises(ValueError, match="at least one capacity sample|capacities must be finite"):
+        summary(capacities)
+
+
+QUANTILES = (0, 0.1, 0.5, 0.9, 1, 0.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    size=st.integers(1, 3000),
+    distinct=st.integers(1, 3000),
+    zeros=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    q=st.floats(0.0, 1.0),
+)
+@example(size=1, distinct=1, zeros=0.0, seed=0, q=0.5)
+@example(size=2000, distinct=2000, zeros=0.0, seed=1, q=0.25)
+def test_quantiles_equal_numpy_quantile_bit_for_bit(size, distinct, zeros, seed, q):
+    # the printed summary and acceptance criteria 1-2 read these quantiles;
+    # few distinct values and the floor at 0 give repeated values
+    rng = np.random.default_rng(seed)
+    pool = np.maximum(20.0 * rng.random(distinct) - 20.0 * zeros, 0.0)
+    caps = rng.choice(pool, size)
+    for quantile in (*QUANTILES, q):
+        got = capacity_quantiles(caps, (quantile,))[quantile]
+        assert type(got) is float
+        assert got.hex() == float(np.quantile(caps, quantile)).hex()
+
+
+def test_quantiles_reject_q_outside_unit_interval():
+    with pytest.raises(ValueError, match="quantiles must lie in"):
+        capacity_quantiles([1.0, 2.0], (1.5,))
+

@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 
+import mmwchan.cli
+from mmwchan.capacity import RESULT_DTYPE, capacity_cdf, run_monte_carlo
 from mmwchan.cirgen import export_cir, generate_initial_cir, import_cir
 from mmwchan.cli import (
     ConfigError,
@@ -46,6 +48,16 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def per_row_csvs(result):
+    """The capacity and CDF files of one model, each row formatted from
+    its floats with '%s'."""
+    cap = ["drop_index,seed,capacity_bps_hz"]
+    cap += ["%s,%s,%s" % (int(r.drop_index), int(r.seed), float(r.capacity)) for r in result]
+    cdf = ["capacity_bps_hz,cum_prob"]
+    cdf += ["%s,%s" % (float(v), float(p)) for v, p in zip(*capacity_cdf(result.capacity))]
+    return "\n".join(cap) + "\n", "\n".join(cdf) + "\n"
 
 
 class TestConfigParsing:
@@ -148,6 +160,33 @@ class TestSimulateCapacity:
                 }
             )
         assert outs[0] == outs[1]
+
+    def test_csv_bytes_equal_per_row_float_formatting(self, tmp_path):
+        text = BASE_CFG.replace("fading.models = rayleigh rician:5", "fading.models = rayleigh rician:5 rician:15")
+        cfg = parse_config(write_cfg(tmp_path, text))
+        out_dir = tmp_path / "out"
+        assert cmd_simulate_capacity(cfg, str(out_dir)) == 0
+        for fading in cfg.fading_models:
+            result = run_monte_carlo(
+                cfg.scenario, cfg.cir_gen, cfg.rx_array, cfg.tx_array, fading, cfg.capacity,
+                cfg.num_drops, cfg.master_seed, cfg.resolved_autocorr(),
+            )
+            cap, cdf = per_row_csvs(result)
+            assert (out_dir / f"capacity_{fading.label()}.csv").read_text() == cap
+            assert (out_dir / f"cdf_{fading.label()}.csv").read_text() == cdf
+
+    def test_tied_capacities_keep_per_row_bytes(self, tmp_path, monkeypatch):
+        caps = [2.5, 0.0, 1 / 3, 2.5, 0.0, 1e-17, 7.25, 1 / 3]
+        result = np.rec.fromarrays(
+            [np.arange(8), np.arange(8, dtype=np.uint64) * 2**61, caps], dtype=RESULT_DTYPE
+        )
+        monkeypatch.setattr(mmwchan.cli, "run_monte_carlo", lambda **kw: result)
+        cfg = parse_config(write_cfg(tmp_path, BASE_CFG))
+        out_dir = tmp_path / "out"
+        assert cmd_simulate_capacity(cfg, str(out_dir)) == 0
+        cap, cdf = per_row_csvs(result)
+        assert (out_dir / "capacity_rayleigh.csv").read_text() == cap
+        assert (out_dir / "cdf_rayleigh.csv").read_text() == cdf
 
     def test_single_drop_single_row(self, tmp_path):
         text = BASE_CFG.replace("run.num_drops = 8", "run.num_drops = 1")

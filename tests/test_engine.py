@@ -31,6 +31,7 @@ from mmwchan.capacity import (
     _drop_bytes,
     _logdet_packed,
     _pack,
+    _pair_coefficients,
     _uses_cross_gram,
     run_monte_carlo,
 )
@@ -114,6 +115,32 @@ def test_both_gram_routes_are_exercised():
     # the hypothesis examples above cover each side of the route choice
     assert _uses_cross_gram(1, 5, 3) and not _uses_cross_gram(16, 5, 3)
     assert _uses_cross_gram(2, 2, 5) and not _uses_cross_gram(16, 2, 5)
+
+
+def _packed(g):
+    """A Hermitian matrix packed row by row: G_jj, then Re and Im of G_jk, k > j."""
+    d = g.shape[0]
+    rows = [[g[j, j].real, *g[j, j + 1 :].real, *g[j, j + 1 :].imag] for j in range(d)]
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("batch,num_taps,n_r,n_t", [(1, 1, 3, 1), (3, 2, 20, 1), (5, 4, 6, 2), (2, 6, 3, 5), (4, 10, 20, 4)])
+def test_pair_coefficients_match_per_pair_cross_grams(batch, num_taps, n_r, n_t):
+    rng = np.random.default_rng(batch * 100 + num_taps)
+    taps = rng.standard_normal((batch, num_taps, n_r, n_t)) + 1j * rng.standard_normal((batch, num_taps, n_r, n_t))
+    got = _pair_coefficients(taps)
+    side = taps if n_t <= n_r else taps.swapaxes(-1, -2)
+    for b in range(batch):
+        m = side[b]
+        want = [_packed(sum(t.conj().T @ t for t in m)), np.zeros(min(n_r, n_t) ** 2)]
+        for first in range(num_taps):
+            for second in range(first + 1, num_taps):
+                c = m[first].conj().T @ m[second]
+                want += [_packed(c + c.conj().T), _packed(1j * (c - c.conj().T))]
+        np.testing.assert_allclose(got[b], np.array(want), rtol=0, atol=1e-12 * np.abs(got[b]).max())
+        # the drop's (d*d, rows) slice, which _cross_gram multiplies, is
+        # row-major: BLAS rounds a column-major one differently
+        assert got[b].T.strides[1] == got.itemsize
 
 
 @pytest.mark.parametrize("fading", FADINGS[:3])
