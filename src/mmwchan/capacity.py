@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cirgen import ANGLE_OFFSETS, CirGenConfig, cir_rows, drop_layout
+from .cirgen import ANGLE_OFFSETS, CirGenConfig, block_width, cir_rows, drop_layout
 from .core import (
     TWO_PI,
     ArrayGeometry,
@@ -61,6 +61,8 @@ class CapacityConfig:
             raise ValueError(f"snr_db must lie in [{SNR_DB_MIN:g}, {SNR_DB_MAX:g}] dB, got {self.snr_db}")
         if not self.bandwidth_hz > 0:
             raise ValueError("bandwidth_hz must be > 0")
+        if not math.isfinite(TWO_PI * (self.bandwidth_hz / 2.0)):  # the widest subcarrier phase angle
+            raise ValueError(f"bandwidth_hz must keep 2*pi*bandwidth_hz/2 finite, got {self.bandwidth_hz!r}")
         require_count("num_subcarriers", self.num_subcarriers)
 
     def baseband_frequencies(self) -> np.ndarray:
@@ -331,10 +333,12 @@ def _capacities(gram: np.ndarray, config: CapacityConfig, n_t: int) -> np.ndarra
 #: Drops per chunk. Chunk c holds drops [c * CHUNK_DROPS, (c + 1) * CHUNK_DROPS),
 #: so chunk boundaries depend on the drop index alone, never on the number
 #: of drops or workers.
-CHUNK_DROPS = 256
+CHUNK_DROPS = 1024
 #: Bytes of temporaries one batch of drops may allocate; a group of drops
 #: with equal tap counts is cut into batches under this budget.
-BATCH_BYTES = 1 << 20
+BATCH_BYTES = 2 << 20
+#: Most bytes one chunk's draws and temporaries may take (:func:`chunk_bytes`).
+CHUNK_BYTES_MAX = 1 << 28
 #: One record of :func:`run_monte_carlo`'s result per drop.
 RESULT_DTYPE = np.dtype([("drop_index", np.int64), ("seed", np.uint64), ("capacity", np.float64)])
 
@@ -393,6 +397,25 @@ def _drop_bytes(num_taps: int, n_r: int, n_t: int, num_subcarriers: int) -> int:
     return 8 * max(8 * taps, taps + gram, f * (3 * d * d + 3 * d)) * 5 // 4
 
 
+def chunk_bytes(gen_config: CirGenConfig, n_r: int, n_t: int, num_subcarriers: int) -> int:
+    """An upper estimate of the bytes a chunk of ``CHUNK_DROPS`` drops that
+    draw their CIRs holds at its peak, from the config's maxima and by
+    arithmetic alone, so that it can size configs too large to run: the
+    uniform blocks and CIR rows (at most ten floats per cluster-path slot
+    besides the block), then one batch, which holds at least one drop of
+    the most taps with its normal block."""
+    slots = gen_config.num_clusters_range[1] * gen_config.paths_per_cluster_range[1]
+    rows = 8 * CHUNK_DROPS * (block_width(gen_config) + 10 * slots)
+    one_drop = _drop_bytes(slots, n_r, n_t, num_subcarriers) + 8 * slots * (ANGLE_OFFSETS + 2 * n_r * n_t)
+    return rows + max(BATCH_BYTES, one_drop)
+
+
+def _batch_drops(num_taps: int, n_r: int, n_t: int, num_subcarriers: int) -> int:
+    """Drops of L = ``num_taps`` taps per batch: as many as ``BATCH_BYTES``
+    holds, and at least one."""
+    return max(1, BATCH_BYTES // _drop_bytes(num_taps, n_r, n_t, num_subcarriers))
+
+
 def _batch_capacities(delays, powers, white, psi, campaign: _Campaign) -> np.ndarray:
     """Capacities of drops that all have the same tap count L: delays and
     powers (B, L), white tap draws (B, L, 2, N_r, N_t) and dominant phases
@@ -407,11 +430,13 @@ def _batch_capacities(delays, powers, white, psi, campaign: _Campaign) -> np.nda
     return _capacities(gram, cap_config, n_t)
 
 
-def _drop_draws(campaign: _Campaign, rngs):
-    """The draws of a chunk's drops, one group of drops with equal tap
-    count L at a time: (positions in the chunk, delays and powers (B, L),
-    white draws (B, L, 2, N_r, N_t), dominant phases (B, L) or None for
-    Rayleigh).
+def _drop_batches(campaign: _Campaign, rngs):
+    """The draws of a chunk's drops, one batch of drops with equal tap count
+    L at a time: (positions in the chunk, delays and powers (B, L), white
+    draws (B, L, 2, N_r, N_t), dominant phases (B, L) or None for
+    Rayleigh). A group of drops with equal L is cut into batches under
+    ``BATCH_BYTES``, and a batch's normal draws are made when it comes up,
+    so a chunk holds its streams, its uniform block and one batch.
 
     Each drop reads its own stream in a fixed layout of two draws. A drop
     that draws its CIR takes its uniform block (:func:`cirgen.drop_layout`),
@@ -422,13 +447,17 @@ def _drop_draws(campaign: _Campaign, rngs):
     fixed CIR draws through :func:`spatial.draw_tap_noise`.
     """
     n_r, n_t = campaign.rr_sqrt.shape[0], campaign.rt_sqrt.shape[1]
+    num_f = campaign.cap_config.num_subcarriers
     rician = campaign.fading.is_rician
     if campaign.shared_cir is not None:
         delays, powers = campaign.shared_cir
-        white, psi = zip(*(draw_tap_noise(rng, len(delays), n_r, n_t, rician) for rng in rngs))
-        shape = (len(rngs), len(delays))
-        yield (np.arange(len(rngs)), np.broadcast_to(delays, shape), np.broadcast_to(powers, shape),
-               np.stack(white), np.stack(psi) if rician else None)
+        step = _batch_drops(len(delays), n_r, n_t, num_f)
+        for start in range(0, len(rngs), step):
+            batch = rngs[start : start + step]
+            white, psi = zip(*(draw_tap_noise(rng, len(delays), n_r, n_t, rician) for rng in batch))
+            shape = (len(batch), len(delays))
+            yield (np.arange(start, start + len(batch)), np.broadcast_to(delays, shape),
+                   np.broadcast_to(powers, shape), np.stack(white), np.stack(psi) if rician else None)
         return
     layout = drop_layout(campaign.gen_config)
     u = np.empty((len(rngs), layout.width))
@@ -438,46 +467,42 @@ def _drop_draws(campaign: _Campaign, rngs):
     num_taps = rows.valid.sum(axis=1)
     # the tap counts present, ascending (np.unique would import numpy.ma)
     for group_taps in np.flatnonzero(np.bincount(num_taps)).tolist():
-        members = np.flatnonzero(num_taps == group_taps)
-        normals = np.empty((members.size, group_taps * (ANGLE_OFFSETS + 2 * n_r * n_t)))
-        for i, row in zip(members.tolist(), normals):
-            rngs[i].standard_normal(out=row)
-        taps = rows.valid[members]
-        yield (
-            members,
-            rows.delays[members][taps].reshape(members.size, group_taps),
-            rows.powers[members][taps].reshape(members.size, group_taps),
-            normals[:, group_taps * ANGLE_OFFSETS :].reshape(members.size, group_taps, 2, n_r, n_t),
-            TWO_PI * u[members, layout.psi][:, :group_taps] if rician else None,
-        )
+        group = np.flatnonzero(num_taps == group_taps)
+        taps = rows.valid[group]
+        delays = rows.delays[group][taps].reshape(group.size, group_taps)
+        powers = rows.powers[group][taps].reshape(group.size, group_taps)
+        psi = TWO_PI * u[group, layout.psi][:, :group_taps] if rician else None
+        step = _batch_drops(group_taps, n_r, n_t, num_f)
+        for s in range(0, group.size, step):
+            part = slice(s, s + step)
+            members = group[part]
+            normals = np.empty((members.size, group_taps * (ANGLE_OFFSETS + 2 * n_r * n_t)))
+            for i, row in zip(members.tolist(), normals):
+                rngs[i].standard_normal(out=row)
+            white = normals[:, group_taps * ANGLE_OFFSETS :].reshape(members.size, group_taps, 2, n_r, n_t)
+            yield members, delays[part], powers[part], white, None if psi is None else psi[part]
 
 
 def _simulate_chunk(task) -> np.ndarray:
     """Drops [start, stop) of a campaign, which must not cross a chunk
     boundary, as ``RESULT_DTYPE`` records.
 
-    Each drop draws from its own stream (:func:`_drop_draws`), so its
+    Each drop draws from its own stream (:func:`_drop_batches`), so its
     record depends only on the campaign and its index. The math runs per
-    group of drops with equal tap counts, in batches under
-    ``BATCH_BYTES``.
+    batch of drops with equal tap counts.
     """
     from .seeding import drop_streams  # imports numpy.random
 
     campaign, start, stop = task
-    n_r, n_t = campaign.rr_sqrt.shape[0], campaign.rt_sqrt.shape[1]
     rngs, seeds = drop_streams(campaign.master_seed, start, stop)
     result = np.empty(stop - start, dtype=RESULT_DTYPE)
     result["drop_index"] = np.arange(start, stop)
     result["seed"] = seeds
     caps = result["capacity"]
-    num_f = campaign.cap_config.num_subcarriers
-    for members, delays, powers, white, psi in _drop_draws(campaign, rngs):
-        step = max(1, BATCH_BYTES // _drop_bytes(delays.shape[1], n_r, n_t, num_f))
-        for s in range(0, members.size, step):
-            part = slice(s, s + step)
-            caps[members[part]] = _batch_capacities(
-                delays[part], powers[part], white[part], None if psi is None else psi[part], campaign
-            )
+    for members, delays, powers, white, psi in _drop_batches(campaign, rngs):
+        if delays.shape[1] == 0:  # tap counts come in ascending order, so before any math
+            raise ValueError(f"drop {start + members[0]} has no tap: the power of each of its paths underflows to 0")
+        caps[members] = _batch_capacities(delays, powers, white, psi, campaign)
     if not np.all(np.isfinite(caps)):
         raise ValueError(f"non-finite capacity in drops {start}..{stop - 1}")
     return result

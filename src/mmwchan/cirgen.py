@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,10 +65,11 @@ class CirGenConfig:
                 raise ValueError(f"{name} must be finite")
         if self.intercluster_void_ns < 0:
             raise ValueError("intercluster_void_ns must be >= 0")
-        if not self.cluster_decay_ns > 0:
-            raise ValueError("cluster_decay_ns must be > 0")
-        if not self.intracluster_decay_ns > 0:
-            raise ValueError("intracluster_decay_ns must be > 0")
+        for name in ("cluster_decay_ns", "intracluster_decay_ns"):
+            # 0/0 in the path weights would leave a drop with no component
+            if not getattr(self, name) * NS >= sys.float_info.min:
+                raise ValueError(f"{name} must be at least {sys.float_info.min / NS:g} ns, so that it stays "
+                                 f"a normal float in seconds, got {getattr(self, name)!r}")
         if not self.lobe_angular_spread_deg >= 0:
             raise ValueError("lobe_angular_spread_deg must be >= 0")
 
@@ -100,6 +102,20 @@ def drop_layout(config: CirGenConfig) -> DropLayout:
     return _plan(config).layout
 
 
+def _block_sizes(config: CirGenConfig) -> tuple[int, ...]:
+    """The column counts of the parts of :class:`DropLayout`, in order,
+    computed from the config's maxima without allocating anything."""
+    clusters = config.num_clusters_range[1]
+    slots = clusters * config.paths_per_cluster_range[1]
+    return 3 + clusters, 4 * config.num_lobes_range[1], slots - 1, 2 * clusters, slots, slots
+
+
+def block_width(config: CirGenConfig) -> int:
+    """``drop_layout(config).width``, by arithmetic alone: a size check can
+    call it on a config whose layout would not fit in memory."""
+    return sum(_block_sizes(config))
+
+
 class _Plan(NamedTuple):
     """What :func:`cir_rows` needs of a config besides the draws."""
 
@@ -118,9 +134,7 @@ def _plan(config: CirGenConfig) -> _Plan:
     caller, so they are read-only."""
     clusters = config.num_clusters_range[1]
     paths = config.paths_per_cluster_range[1]
-    slots = clusters * paths
-    sizes = (3 + clusters, 4 * config.num_lobes_range[1], slots - 1, 2 * clusters, slots, slots)
-    edges = list(itertools.accumulate(sizes, initial=0))
+    edges = list(itertools.accumulate(_block_sizes(config), initial=0))
     # the count columns: clusters, departure lobes, arrival lobes, then paths per cluster
     bounds = [config.num_clusters_range] + [config.num_lobes_range] * 2
     bounds += [config.paths_per_cluster_range] * clusters

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import ctypes
 import dataclasses
 import functools
 import gc
@@ -22,7 +23,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacity import CapacityConfig, capacity_quantiles, run_monte_carlo
+from .capacity import (
+    CHUNK_BYTES_MAX,
+    CHUNK_DROPS,
+    CapacityConfig,
+    capacity_quantiles,
+    chunk_bytes,
+    run_monte_carlo,
+)
 from .cirgen import CirFileError, CirGenConfig, export_cir, generate_initial_cir, import_cir
 from .core import (
     ArrayGeometry,
@@ -79,6 +87,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         require_count("num_drops", self.num_drops)
         require_count("num_workers", self.num_workers)
+        max_workers = os.cpu_count() or 1
+        if self.num_workers > max_workers:
+            raise ValueError(f"num_workers must be at most the CPU count, {max_workers}, got {self.num_workers}")
         require_count("track_positions", self.track_positions)
         if self.track_positions < 2:
             raise ValueError(f"track_positions must be >= 2, got {self.track_positions}")
@@ -89,6 +100,14 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if not self.fading_models:
             raise ValueError("at least one fading model required")
+        size = chunk_bytes(self.cir_gen, self.rx_array.num_elements, self.tx_array.num_elements,
+                           self.capacity.num_subcarriers)
+        if size > CHUNK_BYTES_MAX:
+            raise ValueError(
+                f"a chunk of {CHUNK_DROPS} drops would take about {size / 2**20:.6g} MiB, over the "
+                f"{CHUNK_BYTES_MAX >> 20} MiB limit: lower the cluster, path or lobe maxima, the array sizes "
+                "or the subcarrier count"
+            )
         labels = [m.label() for m in self.fading_models]
         for label in labels:
             if labels.count(label) > 1:
@@ -484,8 +503,32 @@ def _freeze_heap_at_exit() -> None:
     atexit.register(gc.freeze)
 
 
+#: glibc's ``mallopt`` parameter numbers (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep freed memory for reuse. Each batch of the
+    capacity engine allocates and frees one to two MiB of arrays. By
+    default glibc maps an array above its mmap threshold afresh and gives
+    the top of its heap back to the OS once more than twice that threshold
+    is free, so every batch faults its pages in again. With arrays below
+    32 MiB taken from the heap and up to 256 MiB of free heap kept, the
+    peak resident size, which the largest batch sets, stays the same. Only
+    the entry point calls this, once per process; a C library without
+    ``mallopt`` keeps its defaults."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
 def main(argv=None) -> int:
     _freeze_heap_at_exit()
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

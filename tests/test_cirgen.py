@@ -98,6 +98,10 @@ class TestGenerator:
             dict(cluster_decay_ns=0.0),
             dict(intracluster_decay_ns=-5.0),
             dict(lobe_angular_spread_deg=-1.0),
+            # 1e-320 ns is 0 s: the path weights were 0/0, no path was a
+            # component, and every drop of a capacity run gave 0 b/s/Hz
+            dict(cluster_decay_ns=1e-320),
+            dict(intracluster_decay_ns=1e-320),
         ],
     )
     def test_config_validation(self, kwargs):

@@ -102,6 +102,7 @@ class TestConfigParsing:
             ("track_delay_bin_ns", 0.0),
             ("fading_models", ()),
             ("fading_models", (FadingModel.rician(5.0), FadingModel.rayleigh(), FadingModel.rician(5.0))),
+            ("num_workers", (os.cpu_count() or 1) + 1),
         ],
     )
     def test_scenario_config_checks_its_fields(self, field, value):
@@ -425,6 +426,17 @@ class TestMainEntry:
             ("track.delay_bin_ns", "0"),
             ("--seed", "-3"),
             ("autocorr", "0.9 inf 0"),
+            # 2*pi*BW/2 overflowed: NaN phases, exit 3
+            ("capacity.bandwidth_hz", "1e308"),
+            # 0 s decays: every capacity 0.0, exit 0
+            ("cir.cluster_decay_ns", "1e-320"),
+            ("cir.intracluster_decay_ns", "1e-320"),
+            # a chunk's uniform block alone would take terabytes, and one drop at
+            # 1e8 subcarriers gigabytes: sized, not allocated
+            ("cir.paths_per_cluster_range", "1 100000000"),
+            ("capacity.num_subcarriers", "100000000"),
+            # more workers than CPUs; no process is started
+            ("run.num_workers", str((os.cpu_count() or 1) + 1)),
         ],
     )
     def test_non_finite_value_exit_2_names_key(self, tmp_path, capsys, key, value):

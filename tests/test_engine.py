@@ -20,6 +20,7 @@ from oracles import (
     reference_monte_carlo,
     reference_realize_taps,
 )
+from mmwchan import capacity
 from mmwchan.capacity import (
     BATCH_BYTES,
     CHUNK_DROPS,
@@ -32,10 +33,12 @@ from mmwchan.capacity import (
     _logdet_packed,
     _pack,
     _pair_coefficients,
+    _simulate_chunk,
     _uses_cross_gram,
+    chunk_bytes,
     run_monte_carlo,
 )
-from mmwchan.cirgen import CirGenConfig, cir_rows, drop_layout, generate_initial_cir
+from mmwchan.cirgen import ANGLE_OFFSETS, CirGenConfig, cir_rows, drop_layout, generate_initial_cir
 from mmwchan.cli import ScenarioConfig, _fixed_cir
 from mmwchan.core import (
     K_DB_MAX,
@@ -201,14 +204,65 @@ RAGGED = dict(
     rx_geometry=ArrayGeometry(num_elements=6),
     tx_geometry=ArrayGeometry(num_elements=3),
     fading=FadingModel.rician(5.0),
-    cap_config=CapacityConfig(num_subcarriers=400),
+    cap_config=CapacityConfig(num_subcarriers=500),
     autocorr_params=PARAMS,
 )
 
 
 def test_ragged_config_cuts_groups_into_batches():
     assert _uses_cross_gram(2, 6, 3) and not _uses_cross_gram(12, 6, 3)
-    assert BATCH_BYTES // _drop_bytes(6, 6, 3, 400) <= 4
+    assert BATCH_BYTES // _drop_bytes(6, 6, 3, 500) <= 4
+
+
+def test_chunk_and_batch_sizes_leave_capacities_unchanged(monkeypatch):
+    # RAGGED: Rician drops of 2-12 taps over both Gram routes, here across
+    # a chunk boundary
+    kw = dict(RAGGED, cap_config=CapacityConfig(num_subcarriers=32), num_drops=CHUNK_DROPS + 60, master_seed=31)
+    default = run_monte_carlo(**kw)
+    monkeypatch.setattr(capacity, "CHUNK_DROPS", 256)
+    assert np.array_equal(run_monte_carlo(**kw), default)
+    monkeypatch.setattr(capacity, "CHUNK_DROPS", CHUNK_DROPS)
+    monkeypatch.setattr(capacity, "BATCH_BYTES", 1)  # one drop per batch
+    assert np.array_equal(run_monte_carlo(**kw), default)
+
+
+def test_chunk_peak_does_not_grow_with_its_largest_group():
+    # every drop has 3 taps, so a chunk is one tap-count group, and each
+    # drop's normal block (3 taps of 4 + 2 * 64 * 4 normals) takes 12 KiB:
+    # drawn for the whole group at once, it would grow the peak by that much
+    # per drop
+    gen = CirGenConfig(num_clusters_range=(3, 3), paths_per_cluster_range=(1, 1))
+    n_r, n_t, num_f = 64, 4, 4
+    rr = matrix_sqrt_psd(build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_r), FadingModel.rayleigh()))
+    rt = matrix_sqrt_psd(
+        build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_t), FadingModel.rayleigh(), side="transmit")
+    )
+    campaign = _Campaign(gen, rr, rt, FadingModel.rician(5.0), CapacityConfig(num_subcarriers=num_f), 1, None)
+    _simulate_chunk((campaign, 0, 8))  # fills the caches
+    peaks = {}
+    for stop in (CHUNK_DROPS // 4, CHUNK_DROPS):
+        tracemalloc.start()
+        try:
+            _simulate_chunk((campaign, 0, stop))
+            peaks[stop] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    normal_bytes = 8 * 3 * (ANGLE_OFFSETS + 2 * n_r * n_t)
+    assert peaks[CHUNK_DROPS] - peaks[CHUNK_DROPS // 4] < (CHUNK_DROPS - CHUNK_DROPS // 4) * normal_bytes / 4
+    assert peaks[CHUNK_DROPS] <= chunk_bytes(gen, n_r, n_t, num_f)
+
+
+def test_drop_with_no_tap_raises(monkeypatch):
+    # a drop whose every path weight underflowed used to run as a 0-tap
+    # group and get capacity 0.0
+    def drop_third_taps(config, u):
+        rows = cir_rows(config, u)
+        rows.valid[2] = False
+        return rows
+
+    monkeypatch.setattr(capacity, "cir_rows", drop_third_taps)
+    with pytest.raises(ValueError, match="drop 2 has no tap"):
+        run_monte_carlo(**dict(RAGGED, cap_config=CapacityConfig(num_subcarriers=8)), num_drops=5, master_seed=3)
 
 
 def test_engine_matches_reference_at_wide_master_seed():

@@ -4,13 +4,15 @@ capacity campaign, and what the command-line entry point does at exit.
 The process pool (``concurrent.futures``, ``multiprocessing``) loads only
 for a campaign with more than one worker and more than one chunk, and
 ``numpy.ma`` (which ``np.unique`` and ``np.quantile`` import) never loads.
-The tests with ``num_workers`` of 2 or 3 in ``test_engine``,
-``test_capacity``, ``test_cli`` and ``test_acceptance`` run the pool.
+``test_engine.test_worker_counts_agree_over_several_chunks`` runs the
+pool; the other tests with ``num_workers`` above 1 run one chunk.
 
 ``cli.main`` registers ``gc.freeze`` with ``atexit``, once per process, so
 the interpreter's finalizing collections skip the heap that numpy and the
 package build at import. Importing the package leaves the GC alone, and
-nothing is frozen while a run is in progress. Each test here runs in a
+nothing is frozen while a run is in progress. ``cli.main`` also raises
+glibc's mmap and trim thresholds once per process, so the engine's batches
+reuse freed heap instead of faulting fresh pages in. Each test here runs in a
 fresh interpreter, because a freeze or an ``atexit`` handler outlives the
 code that made it.
 """
@@ -85,6 +87,23 @@ def test_main_registers_one_exit_handler_however_often_it_runs(tmp_path):
         f"{calls}"
     )
     assert fresh(code).splitlines() == ["freeze"]
+
+
+def test_main_sets_malloc_thresholds_once(tmp_path):
+    # a recording stand-in for the C library, in place before main runs
+    calls = "\n".join(quiet_main(fig5_argv(tmp_path / str(i), drops=2)) for i in range(3))
+    code = (
+        "import ctypes, mmwchan.cli\n"
+        "print(mmwchan.cli._keep_freed_memory.cache_info().currsize)\n"
+        "made = []\n"
+        "class Libc:\n"
+        "    def __init__(self, name):\n"
+        "        self.mallopt = lambda *args: made.append(args)\n"
+        "ctypes.CDLL = Libc\n"
+        f"{calls}\n"
+        "print(made)"
+    )
+    assert fresh(code).splitlines() == ["0", str([(-3, 32 << 20), (-1, 256 << 20)])]
 
 
 def test_import_leaves_gc_unfrozen():
