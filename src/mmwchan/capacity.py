@@ -7,7 +7,9 @@ are embarrassingly parallel: every drop derives its own RNG stream from
 (master_seed, drop_index), so results are identical for any worker count.
 Each drop makes two block draws from its stream in a fixed layout; CIR
 synthesis runs on arrays over fixed chunks of drop indices, and the linear
-algebra runs batched over each chunk's groups of equal tap count.
+algebra runs batched over each chunk's groups of equal tap count. The
+fading models of a campaign share each drop's draws, CIR and subcarrier
+phases.
 """
 
 from __future__ import annotations
@@ -255,13 +257,13 @@ def _response_gram(hf: np.ndarray) -> np.ndarray:
     return _pack(hf.conj().swapaxes(-1, -2) @ hf).swapaxes(1, 2)
 
 
-def _cross_gram(delays: np.ndarray, taps: np.ndarray, config: CapacityConfig) -> np.ndarray:
+def _cross_gram(taps: np.ndarray, pair_phases: np.ndarray) -> np.ndarray:
     """Packed Grams (B, d*d, F) of :func:`_response_gram` without the
-    response, from taps (B, L, N_r, N_t) and delays (B, L): the pair
-    coefficients of :func:`_pair_coefficients` times the pair phases of
-    :func:`_pair_phases`, as one real product per drop."""
-    coefficients = _pair_coefficients(taps).swapaxes(1, 2)
-    return coefficients @ _pair_phases(_tap_phases(delays, config))
+    response, from taps (B, L, N_r, N_t) and the pair phases of their
+    delays (:func:`_pair_phases`): the pair coefficients of
+    :func:`_pair_coefficients` times the pair phases, as one real product
+    per drop."""
+    return _pair_coefficients(taps).swapaxes(1, 2) @ pair_phases
 
 
 def _pair_coefficients(taps: np.ndarray) -> np.ndarray:
@@ -349,7 +351,7 @@ class _Campaign(NamedTuple):
     gen_config: CirGenConfig
     rr_sqrt: np.ndarray
     rt_sqrt: np.ndarray
-    fading: FadingModel
+    fadings: tuple[FadingModel, ...]  # every drop runs under each, in this order
     cap_config: CapacityConfig
     master_seed: int
     shared_cir: tuple[np.ndarray, np.ndarray] | None  # (delays, powers)
@@ -368,33 +370,41 @@ def _uses_cross_gram(num_taps: int, n_r: int, n_t: int) -> bool:
 def _drop_bytes(num_taps: int, n_r: int, n_t: int, num_subcarriers: int) -> int:
     """Bytes one drop adds to a batch at its peak: the largest of the
     stages, each counting what is alive then, plus a quarter for what the
-    count leaves out. Making the tap matrices holds up to eight complex
-    arrays of their size. The cross route holds the tap matrices and, while
-    forming the coefficients, four copies of them, the cross-Grams, the
-    pair terms and the packed coefficients (the second copy of the
-    cross-Grams, while they are regrouped, is outweighed by the pair terms
-    that come after it); then, per subcarrier, the tap
-    phases, their conjugates and the pair products (complex), the real and
-    imaginary parts of all pair phases and the Gram. The response route
-    holds the tap matrices and, per subcarrier, first the phases of taps
-    1..L-1 and of all taps, then the phases of all taps and the response,
-    then the response, its conjugate, the Gram and the packed Gram (all
-    complex but the last). The log-det holds per subcarrier the packed
-    Gram, its copy and a few rows of d values. Both routes also hold the
-    coarse and fine angles and phasors of each tap."""
+    count leaves out. The batch first makes the phases of its Gram route:
+    the coarse and fine angles and phasors of each tap and, per subcarrier,
+    the phases of taps 1..L-1 and then those of all taps (response route),
+    or the tap phases, their conjugates, the pair products (complex) and
+    the real and imaginary parts of all pair phases (cross route). The
+    route's phases stay alive while each fading model in turn runs its
+    stages. Making the tap matrices holds up to eight complex arrays of
+    their size. The cross route holds the tap matrices and, while forming
+    the coefficients, four copies of them, the cross-Grams, the pair terms
+    and the packed coefficients (the second copy of the cross-Grams, while
+    they are regrouped, is outweighed by the pair terms that come after
+    it); then the coefficients and, per subcarrier, the Gram. The response
+    route holds the tap matrices and, per subcarrier, the response, its
+    conjugate, the Gram and the packed Gram (all complex but the last). The
+    log-det holds per subcarrier the packed Gram, its copy and a few rows
+    of d values."""
     rows, d, f = max(n_r, n_t), min(n_r, n_t), num_subcarriers
     taps = 2 * num_taps * rows * d  # counted in floats
     angles = 6 * num_taps * (math.isqrt(4 * f) + 2)
+    logdet = f * (3 * d * d + 3 * d)
     if _uses_cross_gram(num_taps, n_r, n_t):
         pairs = num_taps * (num_taps - 1) // 2
         coefficients = 2 * (pairs + 1) * d * d
+        phases = 2 * f * (pairs + 1)
+        making = angles + f * (4 * pairs + 2 * num_taps)
         gram = max(
             4 * taps + 2 * (num_taps * d) ** 2 + 2 * num_taps * d * d + 6 * pairs * d * d + 3 * coefficients,
-            coefficients + angles + f * (4 * pairs + 2 * num_taps + d * d),
+            coefficients + f * d * d,
+            logdet,
         )
     else:
-        gram = max(angles + 4 * num_taps * f, f * (2 * num_taps + 2 * rows * d), f * (4 * rows * d + 3 * d * d))
-    return 8 * max(8 * taps, taps + gram, f * (3 * d * d + 3 * d)) * 5 // 4
+        phases = 2 * f * num_taps
+        making = angles + 4 * num_taps * f
+        gram = max(f * (4 * rows * d + 3 * d * d), logdet)
+    return 8 * max(making, phases + max(8 * taps, taps + gram)) * 5 // 4
 
 
 def chunk_bytes(gen_config: CirGenConfig, n_r: int, n_t: int, num_subcarriers: int) -> int:
@@ -417,26 +427,32 @@ def _batch_drops(num_taps: int, n_r: int, n_t: int, num_subcarriers: int) -> int
 
 
 def _batch_capacities(delays, powers, white, psi, campaign: _Campaign) -> np.ndarray:
-    """Capacities of drops that all have the same tap count L: delays and
-    powers (B, L), white tap draws (B, L, 2, N_r, N_t) and dominant phases
-    (B, L), or None for Rayleigh."""
-    taps = tap_matrices(white, psi, powers, campaign.rr_sqrt, campaign.rt_sqrt, campaign.fading)
+    """Capacities (models, B) of drops that all have the same tap count L,
+    under each fading model of the campaign: delays and powers (B, L), white
+    tap draws (B, L, 2, N_r, N_t) and dominant phases (B, L), or None when
+    no model is Rician. The phases of the batch's Gram route depend on the
+    delays alone, so every model uses the same ones."""
     cap_config = campaign.cap_config
-    n_r, n_t = taps.shape[-2:]
-    if _uses_cross_gram(delays.shape[1], n_r, n_t):
-        gram = _cross_gram(delays, taps, cap_config)
-    else:
-        gram = _response_gram(_response(_subcarrier_phases(delays, cap_config), taps))
-    return _capacities(gram, cap_config, n_t)
+    n_r, n_t = white.shape[-2:]
+    cross = _uses_cross_gram(delays.shape[1], n_r, n_t)
+    phases = _pair_phases(_tap_phases(delays, cap_config)) if cross else _subcarrier_phases(delays, cap_config)
+    out = np.empty((len(campaign.fadings), len(delays)))
+    for caps, fading in zip(out, campaign.fadings):
+        taps = tap_matrices(white, psi, powers, campaign.rr_sqrt, campaign.rt_sqrt, fading)
+        gram = _cross_gram(taps, phases) if cross else _response_gram(_response(phases, taps))
+        caps[:] = _capacities(gram, cap_config, n_t)
+        del taps, gram  # before the next model makes its own
+    return out
 
 
 def _drop_batches(campaign: _Campaign, rngs):
     """The draws of a chunk's drops, one batch of drops with equal tap count
     L at a time: (positions in the chunk, delays and powers (B, L), white
-    draws (B, L, 2, N_r, N_t), dominant phases (B, L) or None for
-    Rayleigh). A group of drops with equal L is cut into batches under
-    ``BATCH_BYTES``, and a batch's normal draws are made when it comes up,
-    so a chunk holds its streams, its uniform block and one batch.
+    draws (B, L, 2, N_r, N_t), dominant phases (B, L) or None when no model
+    is Rician). Every fading model of the campaign uses these draws. A
+    group of drops with equal L is cut into batches under ``BATCH_BYTES``,
+    and a batch's normal draws are made when it comes up, so a chunk holds
+    its streams, its uniform block and one batch.
 
     Each drop reads its own stream in a fixed layout of two draws. A drop
     that draws its CIR takes its uniform block (:func:`cirgen.drop_layout`),
@@ -448,7 +464,8 @@ def _drop_batches(campaign: _Campaign, rngs):
     """
     n_r, n_t = campaign.rr_sqrt.shape[0], campaign.rt_sqrt.shape[1]
     num_f = campaign.cap_config.num_subcarriers
-    rician = campaign.fading.is_rician
+    # the phases are drawn either way; they are kept only for a Rician model
+    rician = any(fading.is_rician for fading in campaign.fadings)
     if campaign.shared_cir is not None:
         delays, powers = campaign.shared_cir
         step = _batch_drops(len(delays), n_r, n_t, num_f)
@@ -485,24 +502,25 @@ def _drop_batches(campaign: _Campaign, rngs):
 
 def _simulate_chunk(task) -> np.ndarray:
     """Drops [start, stop) of a campaign, which must not cross a chunk
-    boundary, as ``RESULT_DTYPE`` records.
+    boundary, as ``RESULT_DTYPE`` records of shape (models, drops): one row
+    per fading model of the campaign.
 
-    Each drop draws from its own stream (:func:`_drop_batches`), so its
-    record depends only on the campaign and its index. The math runs per
-    batch of drops with equal tap counts.
+    Each drop draws from its own stream (:func:`_drop_batches`), once for
+    all the models, so its records depend only on the campaign and its
+    index. The math runs per batch of drops with equal tap counts.
     """
     from .seeding import drop_streams  # imports numpy.random
 
     campaign, start, stop = task
     rngs, seeds = drop_streams(campaign.master_seed, start, stop)
-    result = np.empty(stop - start, dtype=RESULT_DTYPE)
+    result = np.empty((len(campaign.fadings), stop - start), dtype=RESULT_DTYPE)
     result["drop_index"] = np.arange(start, stop)
     result["seed"] = seeds
     caps = result["capacity"]
     for members, delays, powers, white, psi in _drop_batches(campaign, rngs):
         if delays.shape[1] == 0:  # tap counts come in ascending order, so before any math
             raise ValueError(f"drop {start + members[0]} has no tap: the power of each of its paths underflows to 0")
-        caps[members] = _batch_capacities(delays, powers, white, psi, campaign)
+        caps[:, members] = _batch_capacities(delays, powers, white, psi, campaign)
     if not np.all(np.isfinite(caps)):
         raise ValueError(f"non-finite capacity in drops {start}..{stop - 1}")
     return result
@@ -520,18 +538,25 @@ def run_monte_carlo(
     autocorr_params: AutocorrParams,
     initial_cir: ChannelImpulseResponse | None = None,
     num_workers: int = 1,
+    *,
+    more_fading: tuple[FadingModel, ...] = (),
 ) -> np.recarray:
-    """Monte Carlo capacity campaign: one ``RESULT_DTYPE`` record per drop,
-    in drop order, with fields ``drop_index``, ``seed`` (the first word of
-    the drop's stream state) and ``capacity`` in bits/s/Hz.
+    """Monte Carlo capacity campaign: one ``RESULT_DTYPE`` record per drop
+    and fading model, with fields ``drop_index``, ``seed`` (the first word
+    of the drop's stream state) and ``capacity`` in bits/s/Hz. The records
+    of ``fading`` come first, in drop order, then those of each model of
+    ``more_fading`` in turn, each block again in drop order.
 
     Each drop draws its own initial CIR, or reuses ``initial_cir`` when one
     is given (e.g. an imported or a shared one); the drop then realizes
     spatially correlated local-area taps and evaluates the wideband
-    capacity. ``scenario`` names the campaign and does not enter its
-    numbers. Drop i depends only on the arguments, ``master_seed`` and i:
-    results are identical for any ``num_workers``, and a longer run starts
-    with the drops of a shorter one.
+    capacity. All the models share each drop's stream, draws, CIR and
+    subcarrier phases, which are made once per run. ``scenario`` names the
+    campaign and does not enter its numbers. Drop i under a model depends
+    only on the arguments that are not fading models, that model,
+    ``master_seed`` and i: records are identical for any ``num_workers``
+    and any other models in the run, and a longer run starts with the drops
+    of a shorter one.
     """
     require_count("num_drops", num_drops)
     require_count("num_workers", num_workers)
@@ -542,7 +567,7 @@ def run_monte_carlo(
         gen_config=gen_config,
         rr_sqrt=matrix_sqrt_psd(rr),
         rt_sqrt=matrix_sqrt_psd(rt),
-        fading=fading,
+        fadings=(fading, *more_fading),
         cap_config=cap_config,
         master_seed=master_seed,
         shared_cir=None if initial_cir is None else (initial_cir.delays, initial_cir.powers),
@@ -559,7 +584,7 @@ def run_monte_carlo(
 
         with ProcessPoolExecutor(max_workers=min(num_workers, len(tasks))) as pool:
             chunks = list(pool.map(_simulate_chunk, tasks))
-    return np.concatenate(chunks).view(np.recarray)
+    return np.concatenate(chunks, axis=1).ravel().view(np.recarray)
 
 
 def _checked_capacities(capacities) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import contextlib
 import ctypes
 import dataclasses
 import functools
@@ -61,11 +62,32 @@ class ConfigError(ValueError):
     """Raised for unparseable or invalid run configuration."""
 
 
+class _FieldsError(ValueError):
+    """A failed :class:`ScenarioConfig` check, with the fields it reads: a
+    field of the config, or ``section.field`` for a field of one of its
+    sections."""
+
+    def __init__(self, fields: tuple[str, ...], message: str):
+        super().__init__(message)
+        self.fields = fields
+
+
+@contextlib.contextmanager
+def _reading(*fields: str):
+    """Tag a ``ValueError`` raised in the block with the fields it reads."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _FieldsError(fields, str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One fully specified run: scenario, channel source, arrays, fading
     models to compare, autocorrelation params, capacity settings, seeds.
-    Each section dataclass checks its own fields; this one checks the rest."""
+    Each section dataclass checks its own fields; this one checks the rest,
+    some of them across sections, and tags each error with the fields its
+    check reads (:class:`_FieldsError`)."""
 
     scenario: Scenario = field(default_factory=lambda: Scenario.parse("NLOS V-V"))
     cir_gen: CirGenConfig = field(default_factory=CirGenConfig)
@@ -85,34 +107,42 @@ class ScenarioConfig:
     track_delay_bin_ns: float = TrackMeasurement.delay_bin_ns
 
     def __post_init__(self) -> None:
-        require_count("num_drops", self.num_drops)
-        require_count("num_workers", self.num_workers)
-        max_workers = os.cpu_count() or 1
-        if self.num_workers > max_workers:
-            raise ValueError(f"num_workers must be at most the CPU count, {max_workers}, got {self.num_workers}")
-        require_count("track_positions", self.track_positions)
-        if self.track_positions < 2:
-            raise ValueError(f"track_positions must be >= 2, got {self.track_positions}")
-        require_seed("master_seed", self.master_seed)
+        with _reading("num_drops"):
+            require_count("num_drops", self.num_drops)
+        with _reading("num_workers"):
+            require_count("num_workers", self.num_workers)
+            max_workers = os.cpu_count() or 1
+            if self.num_workers > max_workers:
+                raise ValueError(f"num_workers must be at most the CPU count, {max_workers}, got {self.num_workers}")
+        with _reading("track_positions"):
+            require_count("track_positions", self.track_positions)
+            if self.track_positions < 2:
+                raise ValueError(f"track_positions must be >= 2, got {self.track_positions}")
+        with _reading("master_seed"):
+            require_seed("master_seed", self.master_seed)
         for name in ("track_delta_x", "track_delay_bin_ns"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if not self.fading_models:
-            raise ValueError("at least one fading model required")
-        size = chunk_bytes(self.cir_gen, self.rx_array.num_elements, self.tx_array.num_elements,
-                           self.capacity.num_subcarriers)
-        if size > CHUNK_BYTES_MAX:
-            raise ValueError(
-                f"a chunk of {CHUNK_DROPS} drops would take about {size / 2**20:.6g} MiB, over the "
-                f"{CHUNK_BYTES_MAX >> 20} MiB limit: lower the cluster, path or lobe maxima, the array sizes "
-                "or the subcarrier count"
-            )
-        labels = [m.label() for m in self.fading_models]
-        for label in labels:
-            if labels.count(label) > 1:
-                # each model's outputs are named after its label
-                raise ValueError(f"fading model {label!r} is given more than once")
+            with _reading(name):
+                if not (math.isfinite(value) and value > 0):
+                    raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        with _reading("fading_models"):
+            if not self.fading_models:
+                raise ValueError("at least one fading model required")
+            labels = [m.label() for m in self.fading_models]
+            for label in labels:
+                if labels.count(label) > 1:
+                    # each model's outputs are named after its label
+                    raise ValueError(f"fading model {label!r} is given more than once")
+        with _reading("cir_gen.num_clusters_range", "cir_gen.paths_per_cluster_range", "cir_gen.num_lobes_range",
+                      "rx_array.num_elements", "tx_array.num_elements", "capacity.num_subcarriers"):
+            size = chunk_bytes(self.cir_gen, self.rx_array.num_elements, self.tx_array.num_elements,
+                               self.capacity.num_subcarriers)
+            if size > CHUNK_BYTES_MAX:
+                raise ValueError(
+                    f"a chunk of {CHUNK_DROPS} drops would take about {size / 2**20:.6g} MiB, over the "
+                    f"{CHUNK_BYTES_MAX >> 20} MiB limit: lower the cluster, path or lobe maxima, the array sizes "
+                    "or the subcarrier count"
+                )
 
     def resolved_autocorr(self) -> AutocorrParams:
         if self.autocorr is not None:
@@ -210,20 +240,28 @@ _OVERRIDE_FLAGS = {
 
 def _set_values(cfg: ScenarioConfig, items) -> ScenarioConfig:
     """``cfg`` with each (name, key, text) of ``items`` parsed in through
-    :data:`_CONFIG_KEYS`. Each value replaces one field of the dataclass
-    that holds it (a section, then the config), so that dataclass checks
-    it; any error becomes a :class:`ConfigError` naming ``name``, the key
-    or the flag it came from."""
+    :data:`_CONFIG_KEYS`; a later item for a field wins. Each value replaces
+    one field of the section that holds it, so the section checks it and an
+    error names ``name``, the key or the flag it came from. The config's own
+    checks, some of which read several keys, run once, on the final values
+    of all the items; an error names the items whose values its check
+    reads. Either becomes a :class:`ConfigError`."""
+    fields = {}
+    names = {}  # field, or section.field -> the name of the item that set it
     for name, key, text in items:
         field_name, sub_field, parse = _CONFIG_KEYS[key]
         try:
             value = parse(text)
             if sub_field is not None:
-                value = dataclasses.replace(getattr(cfg, field_name), **{sub_field: value})
-            cfg = dataclasses.replace(cfg, **{field_name: value})
+                value = dataclasses.replace(fields.get(field_name, getattr(cfg, field_name)), **{sub_field: value})
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
-    return cfg
+        fields[field_name] = value
+        names[field_name if sub_field is None else f"{field_name}.{sub_field}"] = name
+    try:
+        return dataclasses.replace(cfg, **fields)
+    except _FieldsError as exc:
+        raise ConfigError(f"{', '.join(names[f] for f in exc.fields if f in names)}: {exc}") from exc
 
 
 #: A comment starts with '#' at the start of a line or after whitespace, so
@@ -249,13 +287,19 @@ def read_config_lines(path) -> dict[str, str]:
     return pairs
 
 
-def parse_config(path) -> ScenarioConfig:
-    """Parse a flat dotted-key config file into a ScenarioConfig."""
+def _config_items(path) -> list[tuple[str, str, str]]:
+    """The (name, key, text) items of :func:`_set_values` for the keys of a
+    config file, each named by its key."""
     pairs = read_config_lines(path)
     unknown = sorted(set(pairs) - set(_CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    return _set_values(ScenarioConfig(), ((key, key, text) for key, text in pairs.items()))
+    return [(key, key, text) for key, text in pairs.items()]
+
+
+def parse_config(path) -> ScenarioConfig:
+    """Parse a flat dotted-key config file into a ScenarioConfig."""
+    return _set_values(ScenarioConfig(), _config_items(path))
 
 
 def _write_csv(path, header: str, rows) -> None:
@@ -357,37 +401,39 @@ def cmd_simulate_capacity(cfg: ScenarioConfig, out_dir: str, dump_corr: bool = F
         write_corr_matrix_csv(rt.entries, os.path.join(out_dir, "corr_tx.csv"))
     # the cum_prob column of capacity_cdf, the same for every model
     cum_probs = list(map(str, (np.arange(1, cfg.num_drops + 1) / cfg.num_drops).tolist()))
-    for fading in cfg.fading_models:
+    samples = run_monte_carlo(
+        scenario=cfg.scenario,
+        gen_config=cfg.cir_gen,
+        rx_geometry=cfg.rx_array,
+        tx_geometry=cfg.tx_array,
+        fading=cfg.fading_models[0],
+        cap_config=cfg.capacity,
+        num_drops=cfg.num_drops,
+        master_seed=cfg.master_seed,
+        autocorr_params=params,
+        initial_cir=initial_cir,
+        num_workers=cfg.num_workers,
+        more_fading=cfg.fading_models[1:],
+    )
+    for k, fading in enumerate(cfg.fading_models):
         label = fading.label()
-        samples = run_monte_carlo(
-            scenario=cfg.scenario,
-            gen_config=cfg.cir_gen,
-            rx_geometry=cfg.rx_array,
-            tx_geometry=cfg.tx_array,
-            fading=fading,
-            cap_config=cfg.capacity,
-            num_drops=cfg.num_drops,
-            master_seed=cfg.master_seed,
-            autocorr_params=params,
-            initial_cir=initial_cir,
-            num_workers=cfg.num_workers,
-        )
-        cells = list(map(str, samples.capacity.tolist()))  # each capacity formatted once, for both files
+        block = samples[k * cfg.num_drops : (k + 1) * cfg.num_drops]  # the model's records
+        cells = list(map(str, block.capacity.tolist()))  # each capacity formatted once, for both files
         _write_csv(
             os.path.join(out_dir, f"capacity_{label}.csv"),
             "drop_index,seed,capacity_bps_hz",
-            zip(samples.drop_index.tolist(), samples.seed.tolist(), cells),
+            zip(block.drop_index.tolist(), block.seed.tolist(), cells),
         )
-        order = np.argsort(samples.capacity, kind="stable").tolist()
+        order = np.argsort(block.capacity, kind="stable").tolist()
         _write_csv(
             os.path.join(out_dir, f"cdf_{label}.csv"),
             "capacity_bps_hz,cum_prob",
             zip(map(cells.__getitem__, order), cum_probs),
         )
-        q = capacity_quantiles(samples.capacity)
+        q = capacity_quantiles(block.capacity)
         print(
             f"{label}: median={q[0.5]:.4f} p10={q[0.1]:.4f} p90={q[0.9]:.4f} b/s/Hz "
-            f"({len(samples)} drops)"
+            f"({len(block)} drops)"
         )
     return 0
 
@@ -536,14 +582,13 @@ def main(argv=None) -> int:
             return cmd_dump_defaults()
         if args.command == "estimate":
             return cmd_estimate(args.track, args.out or ScenarioConfig.output_dir)
-        cfg = _set_values(
-            parse_config(args.config),
-            (
-                (flag, key, getattr(args, dest))
-                for flag, (dest, key) in _OVERRIDE_FLAGS.items()
-                if getattr(args, dest) is not None
-            ),
-        )
+        # the flags override the file's keys, and the config is checked once
+        flags = [
+            (flag, key, getattr(args, dest))
+            for flag, (dest, key) in _OVERRIDE_FLAGS.items()
+            if getattr(args, dest) is not None
+        ]
+        cfg = _set_values(ScenarioConfig(), _config_items(args.config) + flags)
         if args.command == "simulate-cir":
             return cmd_simulate_cir(cfg, cfg.output_dir)
         if args.command == "simulate-capacity":

@@ -110,6 +110,21 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="fading model" if field == "fading_models" else field):
             ScenarioConfig(**{field: value})
 
+    def test_cross_key_checks_do_not_depend_on_key_order(self, tmp_path):
+        # the chunk size reads both keys; checked after the first alone, with
+        # the default 3 clusters, 1500 paths per cluster went over the limit
+        lines = ["cir.paths_per_cluster_range = 1 1500", "cir.num_clusters_range = 1 1"]
+        cfgs = [parse_config(write_cfg(tmp_path, "\n".join(order) + "\n", name=f"{i}.cfg"))
+                for i, order in enumerate((lines, lines[::-1]))]
+        assert cfgs[0] == cfgs[1]
+        assert cfgs[0].cir_gen.paths_per_cluster_range == (1, 1500)
+        assert cfgs[0].cir_gen.num_clusters_range == (1, 1)
+
+    def test_cross_key_error_names_the_keys_it_reads(self, tmp_path):
+        path = write_cfg(tmp_path, "cir.paths_per_cluster_range = 1 1500\nrun.num_drops = 5\n")
+        with pytest.raises(ConfigError, match=r"^cir\.paths_per_cluster_range: a chunk of"):
+            parse_config(path)
+
     def test_parsed_config_is_frozen(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, BASE_CFG))
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -181,7 +196,9 @@ class TestSimulateCapacity:
         result = np.rec.fromarrays(
             [np.arange(8), np.arange(8, dtype=np.uint64) * 2**61, caps], dtype=RESULT_DTYPE
         )
-        monkeypatch.setattr(mmwchan.cli, "run_monte_carlo", lambda **kw: result)
+        # the records of both models of BASE_CFG, the second's reversed
+        both = np.concatenate([result, result[::-1]]).view(np.recarray)
+        monkeypatch.setattr(mmwchan.cli, "run_monte_carlo", lambda **kw: both)
         cfg = parse_config(write_cfg(tmp_path, BASE_CFG))
         out_dir = tmp_path / "out"
         assert cmd_simulate_capacity(cfg, str(out_dir)) == 0

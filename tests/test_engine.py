@@ -38,7 +38,15 @@ from mmwchan.capacity import (
     chunk_bytes,
     run_monte_carlo,
 )
-from mmwchan.cirgen import ANGLE_OFFSETS, CirGenConfig, cir_rows, drop_layout, generate_initial_cir
+from mmwchan.cirgen import (
+    ANGLE_OFFSETS,
+    CirGenConfig,
+    cir_rows,
+    drop_layout,
+    export_cir,
+    generate_initial_cir,
+    import_cir,
+)
 from mmwchan.cli import ScenarioConfig, _fixed_cir
 from mmwchan.core import (
     K_DB_MAX,
@@ -204,14 +212,14 @@ RAGGED = dict(
     rx_geometry=ArrayGeometry(num_elements=6),
     tx_geometry=ArrayGeometry(num_elements=3),
     fading=FadingModel.rician(5.0),
-    cap_config=CapacityConfig(num_subcarriers=500),
+    cap_config=CapacityConfig(num_subcarriers=600),
     autocorr_params=PARAMS,
 )
 
 
 def test_ragged_config_cuts_groups_into_batches():
     assert _uses_cross_gram(2, 6, 3) and not _uses_cross_gram(12, 6, 3)
-    assert BATCH_BYTES // _drop_bytes(6, 6, 3, 500) <= 4
+    assert BATCH_BYTES // _drop_bytes(6, 6, 3, 600) <= 4
 
 
 def test_chunk_and_batch_sizes_leave_capacities_unchanged(monkeypatch):
@@ -230,14 +238,15 @@ def test_chunk_peak_does_not_grow_with_its_largest_group():
     # every drop has 3 taps, so a chunk is one tap-count group, and each
     # drop's normal block (3 taps of 4 + 2 * 64 * 4 normals) takes 12 KiB:
     # drawn for the whole group at once, it would grow the peak by that much
-    # per drop
+    # per drop; the three models of a run share one chunk's draws
     gen = CirGenConfig(num_clusters_range=(3, 3), paths_per_cluster_range=(1, 1))
     n_r, n_t, num_f = 64, 4, 4
     rr = matrix_sqrt_psd(build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_r), FadingModel.rayleigh()))
     rt = matrix_sqrt_psd(
         build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_t), FadingModel.rayleigh(), side="transmit")
     )
-    campaign = _Campaign(gen, rr, rt, FadingModel.rician(5.0), CapacityConfig(num_subcarriers=num_f), 1, None)
+    fadings = (FadingModel.rayleigh(), FadingModel.rician(5.0), FadingModel.rician(15.0))
+    campaign = _Campaign(gen, rr, rt, fadings, CapacityConfig(num_subcarriers=num_f), 1, None)
     _simulate_chunk((campaign, 0, 8))  # fills the caches
     peaks = {}
     for stop in (CHUNK_DROPS // 4, CHUNK_DROPS):
@@ -293,6 +302,41 @@ def test_longer_run_starts_with_shorter_run():
     short = run_monte_carlo(**RAGGED, num_drops=100, master_seed=4242)
     longer = run_monte_carlo(**RAGGED, num_drops=100 + 37, master_seed=4242)
     assert np.array_equal(longer[:100], short)
+
+
+#: Fading model orders of a run: Rayleigh first, as in the recipes, and
+#: Rician first.
+MODEL_ORDERS = {
+    "rayleigh-first": (FadingModel.rayleigh(), FadingModel.rician(5.0), FadingModel.rician(15.0)),
+    "rician-first": (FadingModel.rician(5.0), FadingModel.rayleigh()),
+}
+
+
+@pytest.mark.parametrize("cir_mode", ["drawn", "shared", "imported"])
+@pytest.mark.parametrize("order", MODEL_ORDERS)
+def test_one_pass_over_all_models_equals_single_model_runs(order, cir_mode, tmp_path):
+    # RAGGED drops over both Gram routes, past a chunk boundary, on two
+    # workers: each model's block holds the records of a run of that model
+    # alone, bit for bit
+    models = MODEL_ORDERS[order]
+    kw = dict(RAGGED, num_drops=CHUNK_DROPS + 76, master_seed=5)
+    del kw["fading"]
+    initial = None
+    if cir_mode != "drawn":  # one tap count, one route: fewer subcarriers suffice
+        kw["cap_config"] = CapacityConfig(num_subcarriers=32)
+    if cir_mode == "shared":
+        initial = _fixed_cir(ScenarioConfig(scenario=SCEN, cir_gen=kw["gen_config"], master_seed=5,
+                                            share_initial_cir=True))
+    elif cir_mode == "imported":
+        path = tmp_path / "cir.csv"
+        export_cir(generate_initial_cir(kw["gen_config"], SCEN, np.random.default_rng(6)), path)
+        initial = import_cir(path, SCEN)
+    together = run_monte_carlo(**kw, fading=models[0], more_fading=models[1:], initial_cir=initial, num_workers=2)
+    num_drops = kw["num_drops"]
+    assert len(together) == len(models) * num_drops
+    for k, model in enumerate(models):
+        alone = run_monte_carlo(**kw, fading=model, initial_cir=initial)
+        assert together[k * num_drops : (k + 1) * num_drops].tobytes() == alone.tobytes()
 
 
 def test_worker_counts_agree_over_several_chunks():
@@ -397,17 +441,17 @@ def test_batch_equals_its_drops_one_at_a_time(n_r, n_t, cross, fading):
     rt = matrix_sqrt_psd(
         build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_t), FadingModel.rayleigh(), side="transmit")
     )
-    campaign = _Campaign(CirGenConfig(), rr, rt, fading, CapacityConfig(), 1, None)
+    campaign = _Campaign(CirGenConfig(), rr, rt, (fading,), CapacityConfig(), 1, None)
     rng = np.random.default_rng(num_taps)
     batch = 7
     delays = np.sort(rng.uniform(0.0, 200e-9, (batch, num_taps)), axis=1)
     powers = rng.dirichlet(np.ones(num_taps), batch)
     white = rng.standard_normal((batch, num_taps, 2, n_r, n_t))
     psi = rng.uniform(0.0, 2 * math.pi, (batch, num_taps)) if fading.is_rician else None
-    together = _batch_capacities(delays, powers, white, psi, campaign)
+    (together,) = _batch_capacities(delays, powers, white, psi, campaign)
     for i in range(batch):
         one = slice(i, i + 1)
-        alone = _batch_capacities(delays[one], powers[one], white[one], None if psi is None else psi[one], campaign)
+        (alone,) = _batch_capacities(delays[one], powers[one], white[one], None if psi is None else psi[one], campaign)
         assert alone[0] == together[i]
 
 
@@ -415,7 +459,8 @@ def test_batch_equals_its_drops_one_at_a_time(n_r, n_t, cross, fading):
 @pytest.mark.parametrize("cross", [True, False], ids=["cross", "response"])
 @pytest.mark.parametrize("n_r,n_t", [(6, 1), (2, 5), (5, 3), (4, 7)], ids=["d1", "d2", "d3", "d4"])
 def test_drop_bytes_bounds_the_batch_peak(n_r, n_t, cross, taps):
-    # _drop_bytes sets the batch sizes, so it must bound what a batch allocates
+    # _drop_bytes sets the batch sizes, so it must bound what a batch
+    # allocates for all the models of a run
     num_taps = _route_taps(n_r, n_t, cross)
     if taps == "most":
         num_taps = max(t for t in range(2, 256) if _uses_cross_gram(t, n_r, n_t)) if cross else num_taps + 8
@@ -424,7 +469,7 @@ def test_drop_bytes_bounds_the_batch_peak(n_r, n_t, cross, taps):
         build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_t), FadingModel.rayleigh(), side="transmit")
     )
     cap_config = CapacityConfig()
-    campaign = _Campaign(CirGenConfig(), rr, rt, FadingModel.rician(5.0), cap_config, 1, None)
+    campaign = _Campaign(CirGenConfig(), rr, rt, (FadingModel.rayleigh(), FadingModel.rician(5.0)), cap_config, 1, None)
     drop_bytes = _drop_bytes(num_taps, n_r, n_t, cap_config.num_subcarriers)
     batch = max(1, BATCH_BYTES // drop_bytes)
     rng = np.random.default_rng(num_taps)
