@@ -18,7 +18,6 @@ from .capacity import (
 from .cirgen import (
     CirFileError,
     CirGenConfig,
-    check_void_intervals,
     export_cir,
     generate_initial_cir,
     import_cir,
@@ -52,7 +51,6 @@ from .estimators import (
 )
 from .spatial import (
     CorrelatedTap,
-    CorrelationMatrix,
     build_amplitude_matched_corr,
     build_ula_corr_matrix,
     eval_autocorr,

@@ -284,22 +284,6 @@ def partition_by_void(delays_s, void_s: float) -> list[list[int]]:
     return groups
 
 
-def check_void_intervals(cir: ChannelImpulseResponse, void_ns: float) -> bool:
-    """True iff the void-partition of the CIR is internally consistent:
-    every inter-group gap >= void and every intra-group gap < void."""
-    void_s = void_ns * NS
-    delays = cir.delays.tolist()
-    groups = partition_by_void(delays, void_s)
-    for g_prev, g_next in zip(groups, groups[1:]):
-        if delays[g_next[0]] - delays[g_prev[-1]] < void_s:
-            return False
-    for g in groups:
-        for a, b in zip(g, g[1:]):
-            if delays[b] - delays[a] >= void_s:
-                return False
-    return True
-
-
 CIR_FILE_FIELDS = (
     "delay_ns",
     "power_linear",
@@ -330,12 +314,16 @@ def import_cir(path, scenario: Scenario) -> ChannelImpulseResponse:
     """Parse and validate a CIR file.
 
     The scenario is taken from the file's ``# scenario:`` comment when
-    present, else from the argument. Raises :class:`CirFileError` with
-    line/field diagnostics on schema violations and on records that
+    present, else from the argument. Raises :class:`CirFileError` on a file
+    that cannot be read or decoded, and with line/field diagnostics on a bad
+    scenario comment, on schema violations and on records that
     :class:`ChannelImpulseResponse` rejects.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CirFileError(f"cannot read CIR file {path!r}: {exc}") from exc
 
     header_idx = None
     for idx, line in enumerate(raw_lines):
@@ -345,7 +333,10 @@ def import_cir(path, scenario: Scenario) -> ChannelImpulseResponse:
         if stripped.startswith("#"):
             body = stripped.lstrip("#").strip()
             if body.lower().startswith("scenario:"):
-                scenario = Scenario.parse(body.split(":", 1)[1])
+                try:
+                    scenario = Scenario.parse(body.split(":", 1)[1])
+                except ValueError as exc:
+                    raise CirFileError(f"{path}: line {idx + 1}: {exc}") from exc
             continue
         header_idx = idx
         break

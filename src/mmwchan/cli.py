@@ -273,7 +273,7 @@ def read_config_lines(path) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     pairs: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -397,8 +397,8 @@ def cmd_simulate_capacity(cfg: ScenarioConfig, out_dir: str, dump_corr: bool = F
     os.makedirs(out_dir, exist_ok=True)
     if dump_corr:
         rr, rt = pipeline_corr_matrices(params, cfg.rx_array, cfg.tx_array)
-        write_corr_matrix_csv(rr.entries, os.path.join(out_dir, "corr_rx.csv"))
-        write_corr_matrix_csv(rt.entries, os.path.join(out_dir, "corr_tx.csv"))
+        write_corr_matrix_csv(rr, os.path.join(out_dir, "corr_rx.csv"))
+        write_corr_matrix_csv(rt, os.path.join(out_dir, "corr_tx.csv"))
     # the cum_prob column of capacity_cdf, the same for every model
     cum_probs = list(map(str, (np.arange(1, cfg.num_drops + 1) / cfg.num_drops).tolist()))
     samples = run_monte_carlo(

@@ -404,10 +404,14 @@ def _header_value(path, name: str, cell: str, counts: bool):
 
 
 def read_track(path) -> TrackMeasurement:
-    """Parse and validate a track file; raises TrackFileError with
-    line/field diagnostics."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln.strip() and not ln.strip().startswith("#")]
+    """Parse and validate a track file; raises TrackFileError naming the
+    file when it cannot be read or decoded, and with line/field
+    diagnostics on bad content."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln for ln in fh.read().splitlines() if ln.strip() and not ln.strip().startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise TrackFileError(f"cannot read track {path!r}: {exc}") from exc
     if len(lines) < 2:
         raise TrackFileError(f"{path}: expected a two-line header plus grid rows")
     names = tuple(s.strip() for s in lines[0].split(","))

@@ -14,6 +14,9 @@ Two matrix constructions live here:
   the envelope-correlation map per fading model so the realized power
   correlation between elements matches the fitted model.
 
+Both builders, and :func:`repair_to_correlation` under them, return the
+matrix as a plain read-only, C-ordered complex ndarray.
+
 Local-area "copies" of a multipath component combine a fully correlated
 dominant term (common random phase across the array, rank one) with a
 Kronecker-shaped diffuse term; the dominant term of a plane wave is
@@ -40,26 +43,6 @@ from .core import (
 HERMITIAN_ATOL = 1e-12
 #: Eigenvalues above this (tiny negative) threshold count as nonnegative.
 EIGENVALUE_TOL = -1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class CorrelationMatrix:
-    """A repaired spatial correlation matrix for one link end."""
-
-    entries: np.ndarray
-    side: str = "receive"  # "receive" | "transmit"
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=complex)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError(f"correlation matrix must be square, got shape {e.shape}")
-        e = e.copy()
-        e.setflags(write=False)
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,17 +89,12 @@ def raw_ula_corr_matrix(
     return np.exp(-1j * theta) * mag
 
 
-def build_ula_corr_matrix(
-    params: AutocorrParams,
-    geometry: ArrayGeometry,
-    rng_seed,
-    side: str = "receive",
-) -> CorrelationMatrix:
+def build_ula_corr_matrix(params: AutocorrParams, geometry: ArrayGeometry, rng_seed) -> np.ndarray:
     """Random-phase exponential-model correlation matrix for a ULA,
     repaired to Hermitian PSD with unit diagonal. Deterministic per seed."""
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     raw = raw_ula_corr_matrix(params, geometry, rng)
-    return repair_to_correlation(raw, side=side)
+    return repair_to_correlation(raw)
 
 
 def _is_valid_correlation(m: np.ndarray) -> bool:
@@ -128,43 +106,44 @@ def _is_valid_correlation(m: np.ndarray) -> bool:
     return bool(w.min() >= EIGENVALUE_TOL)
 
 
-def repair_to_correlation(matrix, side: str = "receive") -> CorrelationMatrix:
+def repair_to_correlation(matrix) -> np.ndarray:
     """Project a square complex matrix onto the valid correlation matrices.
 
     Inputs already Hermitian with unit diagonal and nonnegative eigenvalues
     pass through unchanged. Otherwise: nearest Hermitian matrix (Frobenius),
     eigenvalue clamp at zero, then diagonal renormalization
-    m_ik / sqrt(m_ii * m_kk). Idempotent.
+    m_ik / sqrt(m_ii * m_kk). Idempotent. Returns a read-only, C-ordered
+    complex copy, which later writes to the input do not reach.
     """
-    m = np.asarray(matrix.entries if isinstance(matrix, CorrelationMatrix) else matrix, dtype=complex)
+    m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if _is_valid_correlation(m):
-        return CorrelationMatrix(entries=m, side=side)
-    herm = (m + m.conj().T) / 2.0
-    w, v = np.linalg.eigh(herm)
-    w = np.clip(w, 0.0, None)
-    clamped = (v * w) @ v.conj().T
-    diag = np.real(np.diag(clamped))
-    # a (numerically) zero diagonal forces a zero row by PSD Cauchy-Schwarz;
-    # such elements are uncorrelated and get an identity row/column
-    dead = diag <= 1e-14 * max(float(diag.max(initial=0.0)), 1.0)
-    scale = np.where(dead, 1.0, 1.0 / np.sqrt(np.where(dead, 1.0, diag)))
-    out = clamped * scale[:, None] * scale[None, :]
-    out[dead, :] = 0.0
-    out[:, dead] = 0.0
-    out = (out + out.conj().T) / 2.0
-    np.fill_diagonal(out, 1.0)
-    return CorrelationMatrix(entries=out, side=side)
+    if not _is_valid_correlation(m):
+        herm = (m + m.conj().T) / 2.0
+        w, v = np.linalg.eigh(herm)
+        w = np.clip(w, 0.0, None)
+        clamped = (v * w) @ v.conj().T
+        diag = np.real(np.diag(clamped))
+        # a (numerically) zero diagonal forces a zero row by PSD Cauchy-Schwarz;
+        # such elements are uncorrelated and get an identity row/column
+        dead = diag <= 1e-14 * max(float(diag.max(initial=0.0)), 1.0)
+        scale = np.where(dead, 1.0, 1.0 / np.sqrt(np.where(dead, 1.0, diag)))
+        m = clamped * scale[:, None] * scale[None, :]
+        m[dead, :] = 0.0
+        m[:, dead] = 0.0
+        m = (m + m.conj().T) / 2.0
+        np.fill_diagonal(m, 1.0)
+    m = np.array(m, order="C")
+    m.setflags(write=False)
+    return m
 
 
 def matrix_sqrt_psd(corr) -> np.ndarray:
     """Hermitian PSD square root S with S @ S = input.
 
-    Accepts a CorrelationMatrix or any Hermitian PSD ndarray; raises on
-    non-Hermitian input.
+    Accepts any Hermitian PSD array; raises on non-Hermitian input.
     """
-    m = np.asarray(corr.entries if isinstance(corr, CorrelationMatrix) else corr, dtype=complex)
+    m = np.asarray(corr, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.allclose(m, m.conj().T, atol=1e-10, rtol=0.0):
@@ -207,28 +186,30 @@ def build_amplitude_matched_corr(
     params: AutocorrParams,
     geometry: ArrayGeometry,
     fading: FadingModel,
-    side: str = "receive",
-) -> CorrelationMatrix:
+    *,
+    side: str | None = None,
+) -> np.ndarray:
     """Deterministic real Toeplitz correlation matrix whose realized
     envelope power correlation matches the fitted exponential model."""
+    # side is ignored; perfbench/tracing.py still passes side="receive"/"transmit"
     n = geometry.num_elements
     lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) * geometry.spacing
     f = eval_autocorr(params, lags)
     mag = amplitude_matched_magnitude(f, fading)
     mag = np.asarray(mag, dtype=float)
     np.fill_diagonal(mag, 1.0)
-    return repair_to_correlation(mag.astype(complex), side=side)
+    return repair_to_correlation(mag.astype(complex))
 
 
 def pipeline_corr_matrices(
     params: AutocorrParams, rx_geometry: ArrayGeometry, tx_geometry: ArrayGeometry
-) -> tuple[CorrelationMatrix, CorrelationMatrix]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The receive and transmit correlation matrices of the capacity
     pipeline: amplitude-matched for Rayleigh envelopes at both ends."""
     rayleigh = FadingModel.rayleigh()
     return (
-        build_amplitude_matched_corr(params, rx_geometry, rayleigh, side="receive"),
-        build_amplitude_matched_corr(params, tx_geometry, rayleigh, side="transmit"),
+        build_amplitude_matched_corr(params, rx_geometry, rayleigh),
+        build_amplitude_matched_corr(params, tx_geometry, rayleigh),
     )
 
 

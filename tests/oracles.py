@@ -385,8 +385,8 @@ def reference_monte_carlo(
 ):
     """Drop-by-drop campaign: returns [(drop_index, seed word, capacity)]."""
     rayleigh = FadingModel.rayleigh()
-    rr = build_amplitude_matched_corr(autocorr_params, rx_geometry, rayleigh, side="receive")
-    rt = build_amplitude_matched_corr(autocorr_params, tx_geometry, rayleigh, side="transmit")
+    rr = build_amplitude_matched_corr(autocorr_params, rx_geometry, rayleigh)
+    rt = build_amplitude_matched_corr(autocorr_params, tx_geometry, rayleigh)
     rr_sqrt, rt_sqrt = matrix_sqrt_psd(rr), matrix_sqrt_psd(rt)
     out = []
     for drop in range(num_drops):

@@ -12,7 +12,7 @@ import numpy as np
 
 from oracles import brute_force_autocorr
 from mmwchan.capacity import CapacityConfig, capacity_quantiles, frequency_response, run_monte_carlo, wideband_capacity
-from mmwchan.cirgen import CirGenConfig, check_void_intervals, generate_initial_cir
+from mmwchan.cirgen import CirGenConfig, cir_rows, drop_layout, generate_initial_cir
 from mmwchan.cli import parse_config
 from mmwchan.core import (
     ArrayGeometry,
@@ -128,7 +128,7 @@ def test_criterion_4_kronecker_identity():
     params = AutocorrParams(0.9, 1.0, -0.1)
     rng = np.random.default_rng(404)
     rr = build_ula_corr_matrix(params, ArrayGeometry(num_elements=4), rng)
-    rt = build_ula_corr_matrix(params, ArrayGeometry(num_elements=3), rng, side="transmit")
+    rt = build_ula_corr_matrix(params, ArrayGeometry(num_elements=3), rng)
     a = matrix_sqrt_psd(rr)
     b = matrix_sqrt_psd(rt)
     n = 100_000
@@ -136,7 +136,7 @@ def test_criterion_4_kronecker_identity():
     taps = tap_matrices(white, None, np.ones(n), a, b, FadingModel.rayleigh())
     vecs = taps.transpose(0, 2, 1).reshape(n, 12)  # each tap flattened column-major
     cov = vecs.T @ vecs.conj() / n
-    theory = np.kron(rt.entries.T, rr.entries)
+    theory = np.kron(rt.T, rr)
     err = float(np.max(np.abs(cov - theory)))
     ok = err < 0.02
     report(4, "Kronecker covariance identity at 1e5 Rayleigh draws, max-entry error < 2%", ok, f"(error {err:.4f})")
@@ -256,7 +256,7 @@ def test_criterion_8_structural_invariants():
             continue
         for n in (2, 8, 20):
             for seed in (0, 1, 2):
-                e = build_ula_corr_matrix(params, ArrayGeometry(num_elements=n), seed).entries
+                e = build_ula_corr_matrix(params, ArrayGeometry(num_elements=n), seed)
                 if not np.allclose(e, e.conj().T, atol=1e-12):
                     problems.append(f"non-Hermitian {scen.label()} n={n}")
                 if not np.allclose(np.diag(e), 1.0, atol=1e-12):
@@ -271,7 +271,15 @@ def test_criterion_8_structural_invariants():
         cir = generate_initial_cir(cfg, scen, np.random.default_rng(seed))
         if abs(cir.powers.sum() - 1.0) > 1e-9:
             problems.append(f"power seed={seed}")
-        if not check_void_intervals(cir, cfg.intercluster_void_ns):
+        # the clusters drawn on the same stream: from each one's last path to the next one's first
+        rows = cir_rows(cfg, np.random.default_rng(seed).random((1, drop_layout(cfg).width)))
+        delays = rows.delays[0].reshape(cfg.num_clusters_range[1], -1)
+        valid = rows.valid[0].reshape(delays.shape)
+        clusters = [d[v] for d, v in zip(delays, valid) if v.any()]
+        if not np.array_equal(np.concatenate(clusters), cir.delays):
+            problems.append(f"clusters seed={seed}")
+        if any((nxt[0] - prev[-1]) / 1e-9 < cfg.intercluster_void_ns - 1e-9
+               for prev, nxt in zip(clusters, clusters[1:])):
             problems.append(f"void seed={seed}")
 
     # determinism under fixed seeds across runs and worker counts

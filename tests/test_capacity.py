@@ -325,8 +325,8 @@ class TestExactCapacityLaw:
     def test_ks_against_hypoexponential(self, n_r):
         params = lookup_default_params(SCEN).autocorr
         rx = ArrayGeometry(num_elements=n_r, spacing=0.5)
-        corr = build_amplitude_matched_corr(params, rx, FadingModel.rayleigh(), side="receive")
-        means = np.linalg.eigvalsh(corr.entries)
+        corr = build_amplitude_matched_corr(params, rx, FadingModel.rayleigh())
+        means = np.linalg.eigvalsh(corr)
         assert np.min(np.diff(means)) > 0.05  # distinct enough for the closed form
         cap_config = CapacityConfig(num_subcarriers=1)
         samples = run_monte_carlo(
@@ -365,7 +365,7 @@ class TestExactSimoWidebandMean:
         params = cfg.resolved_autocorr()
         rr, _ = pipeline_corr_matrices(params, cfg.rx_array, cfg.tx_array)
         rho = db_to_linear(cfg.capacity.snr_db) / cfg.tx_array.num_elements
-        exact = rayleigh_simo_mean_capacity(rho, np.linalg.eigvalsh(rr.entries))
+        exact = rayleigh_simo_mean_capacity(rho, np.linalg.eigvalsh(rr))
         assert cfg.rx_array.num_elements == 20 and cfg.capacity.num_subcarriers == 100
         assert exact == pytest.approx(7.4862, abs=1e-4)
         samples = run_monte_carlo(
@@ -411,9 +411,8 @@ class TestExactLawMultiTapAndRician:
     @staticmethod
     def _corr(n_r):
         params = lookup_default_params(SCEN).autocorr
-        corr = build_amplitude_matched_corr(params, ArrayGeometry(num_elements=n_r, spacing=0.5),
-                                            FadingModel.rayleigh(), side="receive")
-        return corr.entries
+        return build_amplitude_matched_corr(params, ArrayGeometry(num_elements=n_r, spacing=0.5),
+                                            FadingModel.rayleigh())
 
     @pytest.mark.parametrize(
         "n_r,clusters,paths,cross",

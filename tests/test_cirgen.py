@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,7 +7,6 @@ from scipy import stats
 from mmwchan.cirgen import (
     CirFileError,
     CirGenConfig,
-    check_void_intervals,
     cir_rows,
     drop_layout,
     export_cir,
@@ -14,16 +15,10 @@ from mmwchan.cirgen import (
     lobe_choices,
     partition_by_void,
 )
-from mmwchan.core import ChannelImpulseResponse, Scenario
+from mmwchan.core import Scenario
 
 SCEN = Scenario.parse("NLOS V-V")
 CIR_FIELDS = ("delays", "powers", "phases", "aod", "aoa")
-
-
-def cir_of(delays, powers):
-    """A CIR of the given delays and powers, all angles and phases 0."""
-    zeros = np.zeros((len(delays), 2))
-    return ChannelImpulseResponse(delays=delays, powers=powers, phases=zeros[:, 0], aod=zeros, aoa=zeros, scenario=SCEN)
 
 
 def same_cir(a, b):
@@ -77,7 +72,10 @@ class TestGenerator:
             cfg = CirGenConfig(num_clusters_range=(1, 4), paths_per_cluster_range=(1, 5))
             cir = generate_initial_cir(cfg, SCEN, rng(seed))
             assert abs(cir.powers.sum() - 1.0) < 1e-9
-            assert check_void_intervals(cir, cfg.intercluster_void_ns)
+            clusters = drawn_clusters(cfg, seed)
+            assert sum(clusters, []) == cir.delays.tolist()
+            for prev, nxt in zip(clusters, clusters[1:]):
+                assert (nxt[0] - prev[-1]) / 1e-9 >= cfg.intercluster_void_ns - 1e-9
 
     def test_subpath_delays_nondecreasing_within_cluster(self):
         cfg = CirGenConfig(num_clusters_range=(2, 2), paths_per_cluster_range=(4, 4))
@@ -169,23 +167,17 @@ class TestDrawnMarginals:
 
 class TestVoidPartition:
     def test_single_component(self):
-        cir = cir_of([0.0], [1.0])
-        assert check_void_intervals(cir, 25.0)
         assert partition_by_void([0.0], 25e-9) == [[0]]
 
     def test_two_components_30ns_apart_two_clusters(self):
         delays = [0.0, 30e-9]
         groups = partition_by_void(delays, 25e-9)
         assert groups == [[0], [1]]
-        cir = cir_of([0.0, 30e-9], [0.5, 0.5])
-        assert check_void_intervals(cir, 25.0)
 
     def test_two_components_10ns_apart_one_cluster(self):
         delays = [0.0, 10e-9]
         groups = partition_by_void(delays, 25e-9)
         assert groups == [[0, 1]]
-        cir = cir_of([0.0, 10e-9], [0.5, 0.5])
-        assert check_void_intervals(cir, 25.0)
 
 
 class TestCirFiles:
@@ -264,6 +256,29 @@ class TestCirFiles:
         )
         with pytest.raises(CirFileError, match="power_linear"):
             import_cir(path, SCEN)
+
+    def test_bad_scenario_comment_names_line(self, tmp_path):
+        path = tmp_path / "scen.csv"
+        path.write_text(
+            "# scenario: NLOS X-Y\n"
+            "delay_ns,power_linear,phase_rad,aod_az_deg,aod_el_deg,aoa_az_deg,aoa_el_deg\n"
+            "0.0,1.0,0.0,0.0,0.0,0.0,0.0\n"
+        )
+        with pytest.raises(CirFileError, match=f"{re.escape(str(path))}: line 1: unknown scenario"):
+            import_cir(path, SCEN)
+
+    @pytest.mark.parametrize("kind", ["undecodable", "directory"])
+    def test_unreadable_file_names_it(self, tmp_path, kind):
+        path = tmp_path / "cir.csv"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(
+                b"delay_ns,power_linear,phase_rad,aod_az_deg,aod_el_deg,aoa_az_deg,aoa_el_deg\n"
+                b"0.0,1.0,0.0,0.0,0.0,0.0,0.0\xff\n"
+            )
+        with pytest.raises(CirFileError, match=f"cannot read CIR file {re.escape(repr(str(path)))}"):
+            import_cir(str(path), SCEN)
 
     def test_export_is_deterministic_text(self, tmp_path):
         cir = generate_initial_cir(CirGenConfig(), SCEN, rng(21))

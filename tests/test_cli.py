@@ -89,6 +89,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config("/nonexistent/path.cfg")
 
+    def test_undecodable_file_names_it(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(BASE_CFG.encode() + b"run.num_drops = 5\xff\n")
+        with pytest.raises(ConfigError, match=f"cannot read config {re.escape(repr(str(path)))}"):
+            parse_config(str(path))
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -286,7 +292,7 @@ class TestSimulateCapacity:
         assert rx.shape == (6, 6)
         expected = build_amplitude_matched_corr(
             cfg.resolved_autocorr(), cfg.rx_array, FadingModel.rayleigh()
-        ).entries
+        )
         assert np.array_equal(rx, expected)
         tx = read_corr_matrix_csv(os.path.join(out_dir, "corr_tx.csv"))
         assert tx.shape == (1, 1)
@@ -532,6 +538,30 @@ class TestMainEntry:
         code = main(["estimate", "/no/such/track.csv"])
         assert code == 2
         assert "/no/such/track.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["undecodable_config", "bad_cir_scenario", "track_directory"])
+    def test_unreadable_input_exit_2_names_file(self, tmp_path, capsys, case):
+        # a UnicodeDecodeError, a ValueError and an IsADirectoryError are file errors, not exit 3
+        cfg, out_dir = tmp_path / "run.cfg", tmp_path / "out"
+        argv = ["simulate-capacity", "--config", str(cfg)]
+        if case == "undecodable_config":
+            bad = cfg
+            cfg.write_bytes(BASE_CFG.encode() + b"run.num_drops = 5\xff\n")
+        elif case == "bad_cir_scenario":
+            bad = tmp_path / "cir.csv"
+            bad.write_text(
+                "# scenario: NLOS X-Y\n"
+                "delay_ns,power_linear,phase_rad,aod_az_deg,aod_el_deg,aoa_az_deg,aoa_el_deg\n"
+                "0.0,1.0,0.0,0.0,0.0,0.0,0.0\n"
+            )
+            cfg.write_text(BASE_CFG + f"\ncir.import_path = {bad}\n")
+        else:
+            bad = tmp_path / "track.csv"
+            bad.mkdir()
+            argv = ["estimate", str(bad)]
+        assert main([*argv, "--out", str(out_dir)]) == 2
+        assert str(bad) in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_seed_and_drops_overrides(self, tmp_path):
         cfg_path = write_cfg(tmp_path, BASE_CFG)

@@ -159,7 +159,7 @@ def test_pair_coefficients_match_per_pair_cross_grams(batch, num_taps, n_r, n_t)
 def test_realize_taps_bitwise_matches_reference(fading, n_r, n_t):
     rr = matrix_sqrt_psd(build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_r), FadingModel.rayleigh()))
     rt = matrix_sqrt_psd(
-        build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_t), FadingModel.rayleigh(), side="transmit")
+        build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_t), FadingModel.rayleigh())
     )
     for seed in range(20):
         cir = generate_initial_cir(_gen_config(3, 3, 10.0), SCEN, np.random.default_rng(seed))
@@ -243,7 +243,7 @@ def test_chunk_peak_does_not_grow_with_its_largest_group():
     n_r, n_t, num_f = 64, 4, 4
     rr = matrix_sqrt_psd(build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_r), FadingModel.rayleigh()))
     rt = matrix_sqrt_psd(
-        build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_t), FadingModel.rayleigh(), side="transmit")
+        build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_t), FadingModel.rayleigh())
     )
     fadings = (FadingModel.rayleigh(), FadingModel.rician(5.0), FadingModel.rician(15.0))
     campaign = _Campaign(gen, rr, rt, fadings, CapacityConfig(num_subcarriers=num_f), 1, None)
@@ -439,7 +439,7 @@ def test_batch_equals_its_drops_one_at_a_time(n_r, n_t, cross, fading):
     num_taps = _route_taps(n_r, n_t, cross)
     rr = matrix_sqrt_psd(build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_r), FadingModel.rayleigh()))
     rt = matrix_sqrt_psd(
-        build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_t), FadingModel.rayleigh(), side="transmit")
+        build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_t), FadingModel.rayleigh())
     )
     campaign = _Campaign(CirGenConfig(), rr, rt, (fading,), CapacityConfig(), 1, None)
     rng = np.random.default_rng(num_taps)
@@ -466,7 +466,7 @@ def test_drop_bytes_bounds_the_batch_peak(n_r, n_t, cross, taps):
         num_taps = max(t for t in range(2, 256) if _uses_cross_gram(t, n_r, n_t)) if cross else num_taps + 8
     rr = matrix_sqrt_psd(build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_r), FadingModel.rayleigh()))
     rt = matrix_sqrt_psd(
-        build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_t), FadingModel.rayleigh(), side="transmit")
+        build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_t), FadingModel.rayleigh())
     )
     cap_config = CapacityConfig()
     campaign = _Campaign(CirGenConfig(), rr, rt, (FadingModel.rayleigh(), FadingModel.rician(5.0)), cap_config, 1, None)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -488,6 +489,16 @@ class TestTrackFiles:
         path.write_text("delta_x_wavelengths,delay_bin_ns,num_positions,num_bins\n" + header + "\n1.0\n2.0\n3.0\n")
         with pytest.raises(TrackFileError, match=f"line 2: {field}"):
             read_track(path)
+
+    @pytest.mark.parametrize("kind", ["undecodable", "directory"])
+    def test_unreadable_file_names_it(self, tmp_path, kind):
+        path = tmp_path / "track.csv"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"delta_x_wavelengths,delay_bin_ns,num_positions,num_bins\n0.5,2.5,2,1\n1.0\n2.0\xff\n")
+        with pytest.raises(TrackFileError, match=f"cannot read track {re.escape(repr(str(path)))}"):
+            read_track(str(path))
 
     def test_whole_float_counts_accepted(self, tmp_path):
         path = tmp_path / "hdr.csv"

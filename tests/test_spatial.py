@@ -22,6 +22,7 @@ from mmwchan.spatial import (
     raw_ula_corr_matrix,
     eval_autocorr,
     matrix_sqrt_psd,
+    pipeline_corr_matrices,
     realize_taps,
     repair_to_correlation,
     tap_matrices,
@@ -69,7 +70,7 @@ class TestBuildUlaCorrMatrix:
         assert raw.shape == (1, 1)
         assert raw[0, 0] == pytest.approx(0.99)  # a - c before repair
         built = build_ula_corr_matrix(LOS_VV, ArrayGeometry(num_elements=1), 0)
-        assert built.entries[0, 0] == pytest.approx(1.0)
+        assert built[0, 0] == pytest.approx(1.0)
 
     def test_two_element_offdiag_magnitude_pre_repair(self):
         raw = raw_ula_corr_matrix(NLOS_VV, ArrayGeometry(num_elements=2, spacing=0.5), np.random.default_rng(3))
@@ -81,20 +82,19 @@ class TestBuildUlaCorrMatrix:
     def test_rapid_decay_gives_identity(self):
         params = AutocorrParams(1.0, 400.0, 0.0)
         built = build_ula_corr_matrix(params, ArrayGeometry(num_elements=6), 1)
-        assert np.allclose(built.entries, np.eye(6), atol=1e-12)
+        assert np.allclose(built, np.eye(6), atol=1e-12)
 
     def test_deterministic_per_seed(self):
         g = ArrayGeometry(num_elements=8)
         a = build_ula_corr_matrix(NLOS_VV, g, 42)
         b = build_ula_corr_matrix(NLOS_VV, g, 42)
         c = build_ula_corr_matrix(NLOS_VV, g, 43)
-        assert np.array_equal(a.entries, b.entries)
-        assert not np.array_equal(a.entries, c.entries)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("n", [2, 5, 20])
     def test_output_is_valid_correlation(self, n):
-        built = build_ula_corr_matrix(NLOS_VV, ArrayGeometry(num_elements=n), 7)
-        e = built.entries
+        e = build_ula_corr_matrix(NLOS_VV, ArrayGeometry(num_elements=n), 7)
         assert np.allclose(e, e.conj().T, atol=1e-12)
         assert np.allclose(np.diag(e), 1.0, atol=1e-12)
         assert np.linalg.eigvalsh(e).min() >= -1e-10
@@ -105,7 +105,7 @@ class TestRepair:
     def test_identity_fixed_point(self):
         eye = np.eye(4, dtype=complex)
         out = repair_to_correlation(eye)
-        assert np.array_equal(out.entries, eye)
+        assert np.array_equal(out, eye)
 
     def test_valid_hermitian_psd_unchanged(self):
         rng = np.random.default_rng(5)
@@ -116,13 +116,13 @@ class TestRepair:
         np.fill_diagonal(m, 1.0)
         m = (m + m.conj().T) / 2
         out = repair_to_correlation(m)
-        assert np.allclose(out.entries, m, atol=1e-12)
+        assert np.allclose(out, m, atol=1e-12)
 
     def test_indefinite_2x2_clamped_by_hand(self):
         # eigenvalues of [[1, 1.2], [1.2, 1]] are 2.2 and -0.2; clamping the
         # negative one and renormalizing the diagonal gives the all-ones matrix
         m = np.array([[1.0, 1.2], [1.2, 1.0]])
-        out = repair_to_correlation(m).entries
+        out = repair_to_correlation(m)
         assert np.allclose(out, np.ones((2, 2)), atol=1e-12)
         assert np.linalg.eigvalsh(out).min() >= -1e-10
         assert np.allclose(np.diag(out), 1.0, atol=1e-12)
@@ -132,25 +132,49 @@ class TestRepair:
         rng = np.random.default_rng(9)
         m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
         once = repair_to_correlation(m)
-        twice = repair_to_correlation(once.entries)
-        assert np.array_equal(once.entries, twice.entries)
+        twice = repair_to_correlation(once)
+        assert np.array_equal(once, twice)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 8))
     def test_repair_always_valid_and_idempotent(self, seed, n):
         rng = np.random.default_rng(seed)
         m = 2.0 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        out = repair_to_correlation(m)
-        e = out.entries
+        e = repair_to_correlation(m)
         assert np.allclose(e, e.conj().T, atol=1e-12)
         assert np.allclose(np.diag(e), 1.0, atol=1e-12)
         assert np.linalg.eigvalsh(e).min() >= -1e-10
         again = repair_to_correlation(e)
-        assert np.array_equal(e, again.entries)
+        assert np.array_equal(e, again)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             repair_to_correlation(np.ones((2, 3)))
+
+    @pytest.mark.parametrize(
+        "m", [np.eye(3, dtype=complex), np.array([[1.0, 1.2], [1.2, 1.0]], dtype=complex)],
+        ids=["pass_through", "repair"],
+    )
+    def test_returns_read_only_copy(self, m):
+        out = repair_to_correlation(m)
+        kept = out.copy()
+        assert out.dtype == complex and out.flags.c_contiguous
+        with pytest.raises(ValueError):
+            out[0, 0] = 0.0
+        m[0, 1] = m[1, 0] = 0.5
+        assert np.array_equal(out, kept)
+
+    def test_builders_return_read_only_arrays(self):
+        g = ArrayGeometry(num_elements=4)
+        built = [
+            build_ula_corr_matrix(NLOS_VV, g, 0),
+            build_amplitude_matched_corr(NLOS_VV, g, FadingModel.rician(5.0)),
+            *pipeline_corr_matrices(NLOS_VV, g, ArrayGeometry(num_elements=2)),
+        ]
+        for out in built:
+            assert out.dtype == complex and out.flags.c_contiguous
+            with pytest.raises(ValueError):
+                out[0, 0] = 0.0
 
 
 class TestMatrixSqrt:
@@ -175,7 +199,7 @@ class TestMatrixSqrt:
     def test_square_reproduces_repaired_matrices(self, seed):
         built = build_ula_corr_matrix(NLOS_VV, ArrayGeometry(num_elements=12), seed)
         s = matrix_sqrt_psd(built)
-        assert np.linalg.norm(s @ s - built.entries) < 1e-9
+        assert np.linalg.norm(s @ s - built) < 1e-9
 
 
 def unit_tap(n_r, n_t, fading, seed):
@@ -271,7 +295,7 @@ class TestSecondMomentIdentities:
     def test_kronecker_identity_small(self):
         rng = np.random.default_rng(12)
         rr = build_ula_corr_matrix(NLOS_VV, ArrayGeometry(num_elements=4), rng)
-        rt = build_ula_corr_matrix(NLOS_VV, ArrayGeometry(num_elements=3), rng, side="transmit")
+        rt = build_ula_corr_matrix(NLOS_VV, ArrayGeometry(num_elements=3), rng)
         a = matrix_sqrt_psd(rr)
         b = matrix_sqrt_psd(rt)
         n = 60_000
@@ -279,7 +303,7 @@ class TestSecondMomentIdentities:
         taps = np.einsum("ij,njk,kl->nil", a, g, b)
         vecs = taps.transpose(0, 2, 1).reshape(n, -1)  # column-major vec
         cov = vecs.T @ vecs.conj() / n  # E[v v^H]
-        theory = np.kron(rt.entries.T, rr.entries)
+        theory = np.kron(rt.T, rr)
         assert np.max(np.abs(cov - theory)) < 0.03
 
     @pytest.mark.parametrize(
@@ -290,7 +314,7 @@ class TestSecondMomentIdentities:
     def test_power_preservation_rayleigh(self, params):
         rng = np.random.default_rng(21)
         rr = build_ula_corr_matrix(params, ArrayGeometry(num_elements=6), rng)
-        rt = build_ula_corr_matrix(params, ArrayGeometry(num_elements=2), rng, side="transmit")
+        rt = build_ula_corr_matrix(params, ArrayGeometry(num_elements=2), rng)
         a = matrix_sqrt_psd(rr)
         b = matrix_sqrt_psd(rt)
         n = 100_000
@@ -340,8 +364,7 @@ class TestAmplitudeMatchedMapping:
 
     def test_matrix_builder_valid(self):
         for fading in [FadingModel.rayleigh(), FadingModel.rician(5.0)]:
-            m = build_amplitude_matched_corr(NLOS_VV, ArrayGeometry(num_elements=20), fading)
-            e = m.entries
+            e = build_amplitude_matched_corr(NLOS_VV, ArrayGeometry(num_elements=20), fading)
             assert np.allclose(e, e.conj().T, atol=1e-12)
             assert np.allclose(np.diag(e), 1.0, atol=1e-12)
             assert np.linalg.eigvalsh(e).min() >= -1e-10
