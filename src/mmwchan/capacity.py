@@ -61,8 +61,9 @@ class CapacityConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not SNR_DB_MIN <= self.snr_db <= SNR_DB_MAX:
             raise ValueError(f"snr_db must lie in [{SNR_DB_MIN:g}, {SNR_DB_MAX:g}] dB, got {self.snr_db}")
-        if not self.bandwidth_hz > 0:
-            raise ValueError("bandwidth_hz must be > 0")
+        for name in ("bandwidth_hz", "center_frequency_hz"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not math.isfinite(TWO_PI * (self.bandwidth_hz / 2.0)):  # the widest subcarrier phase angle
             raise ValueError(f"bandwidth_hz must keep 2*pi*bandwidth_hz/2 finite, got {self.bandwidth_hz!r}")
         require_count("num_subcarriers", self.num_subcarriers)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TWO_PI, ChannelImpulseResponse, ComponentError, Scenario
+from .core import TWO_PI, ChannelImpulseResponse, ComponentError, Scenario, read_lines, write_rows
 
 NS = 1e-9
 #: Standard normal angle offsets drawn per component: departure azimuth and
@@ -300,65 +300,52 @@ def export_cir(cir: ChannelImpulseResponse, path) -> None:
     component. Values carry 17 significant digits, so import gives back
     powers and phases exactly; delays and angles pass through the s <-> ns
     and rad <-> deg conversions and may come back off in the last bits."""
-    lines = [f"# scenario: {cir.scenario.label()}", ",".join(CIR_FILE_FIELDS)]
-    for delay, power, phase, aod, aoa in zip(
-        cir.delays.tolist(), cir.powers.tolist(), cir.phases.tolist(), cir.aod.tolist(), cir.aoa.tolist()
-    ):
-        vals = (delay / NS, power, phase, *map(math.degrees, aod + aoa))
-        lines.append(",".join(f"{v:.16e}" for v in vals))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = (
+        tuple(f"{v:.16e}" for v in (delay / NS, power, phase, *map(math.degrees, aod + aoa)))
+        for delay, power, phase, aod, aoa in zip(
+            cir.delays.tolist(), cir.powers.tolist(), cir.phases.tolist(), cir.aod.tolist(), cir.aoa.tolist()
+        )
+    )
+    write_rows(path, rows, head=(f"# scenario: {cir.scenario.label()}", ",".join(CIR_FILE_FIELDS)))
 
 
 def import_cir(path, scenario: Scenario) -> ChannelImpulseResponse:
     """Parse and validate a CIR file.
 
-    The scenario is taken from the file's ``# scenario:`` comment when
-    present, else from the argument. Raises :class:`CirFileError` on a file
-    that cannot be read or decoded, and with line/field diagnostics on a bad
-    scenario comment, on schema violations and on records that
-    :class:`ChannelImpulseResponse` rejects.
+    The scenario is taken from a ``# scenario:`` comment above the header
+    row when present, else from the argument. Raises :class:`CirFileError`
+    on a file that cannot be read or decoded, and with line/field
+    diagnostics on a bad scenario comment, on schema violations and on
+    records that :class:`ChannelImpulseResponse` rejects.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw_lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CirFileError(f"cannot read CIR file {path!r}: {exc}") from exc
-
-    header_idx = None
-    for idx, line in enumerate(raw_lines):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            body = stripped.lstrip("#").strip()
-            if body.lower().startswith("scenario:"):
-                try:
-                    scenario = Scenario.parse(body.split(":", 1)[1])
-                except ValueError as exc:
-                    raise CirFileError(f"{path}: line {idx + 1}: {exc}") from exc
-            continue
-        header_idx = idx
-        break
-    if header_idx is None:
+    lines = iter(read_lines(path, CirFileError, "CIR file"))
+    for lineno, line, comment in lines:
+        if line:
+            break
+        body = comment.lstrip("#").strip()
+        if body.lower().startswith("scenario:"):
+            try:
+                scenario = Scenario.parse(body.split(":", 1)[1])
+            except ValueError as exc:
+                raise CirFileError(f"{path}: line {lineno}: {exc}") from exc
+    else:
         raise CirFileError(f"{path}: no header row found")
-    header = tuple(f.strip() for f in raw_lines[header_idx].split(","))
+    header = tuple(f.strip() for f in line.split(","))
     if header != CIR_FILE_FIELDS:
         raise CirFileError(
-            f"{path}: line {header_idx + 1}: header {header} does not match "
+            f"{path}: line {lineno}: header {header} does not match "
             f"expected fields {CIR_FILE_FIELDS}"
         )
 
     linenos: list[int] = []
     records: list[tuple[float, ...]] = []  # delay (s), power, phase, aod and aoa (rad)
-    for lineno0 in range(header_idx + 1, len(raw_lines)):
-        line = raw_lines[lineno0].strip()
-        if not line or line.startswith("#"):
+    for lineno, line, _ in lines:
+        if not line:
             continue
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(CIR_FILE_FIELDS):
             raise CirFileError(
-                f"{path}: line {lineno0 + 1}: expected {len(CIR_FILE_FIELDS)} "
+                f"{path}: line {lineno}: expected {len(CIR_FILE_FIELDS)} "
                 f"fields, got {len(cells)}"
             )
         values = []
@@ -367,11 +354,11 @@ def import_cir(path, scenario: Scenario) -> ChannelImpulseResponse:
                 values.append(float(cell))
             except ValueError as exc:
                 raise CirFileError(
-                    f"{path}: line {lineno0 + 1}: field {name!r}: "
+                    f"{path}: line {lineno}: field {name!r}: "
                     f"not a number: {cell!r}"
                 ) from exc
         delay_ns, power, phase, *degrees = values
-        linenos.append(lineno0 + 1)
+        linenos.append(lineno)
         records.append((delay_ns * NS, power, phase, *map(math.radians, degrees)))
 
     table = np.array(records, dtype=float).reshape(-1, len(CIR_FILE_FIELDS))

@@ -18,7 +18,6 @@ import functools
 import gc
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass, field
 
@@ -41,8 +40,10 @@ from .core import (
     Scenario,
     all_scenarios,
     lookup_default_params,
+    read_lines,
     require_count,
     require_seed,
+    write_rows,
 )
 from .estimators import (
     MIN_K_SAMPLES,
@@ -264,20 +265,9 @@ def _set_values(cfg: ScenarioConfig, items) -> ScenarioConfig:
         raise ConfigError(f"{', '.join(names[f] for f in exc.fields if f in names)}: {exc}") from exc
 
 
-#: A comment starts with '#' at the start of a line or after whitespace, so
-#: values such as paths may contain '#'.
-_COMMENT = re.compile(r"(?:^|\s)#")
-
-
 def read_config_lines(path) -> dict[str, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     pairs: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = _COMMENT.split(raw, 1)[0].strip()
+    for lineno, line, _ in read_lines(path, ConfigError, "config"):
         if not line:
             continue
         if "=" not in line:
@@ -300,22 +290,6 @@ def _config_items(path) -> list[tuple[str, str, str]]:
 def parse_config(path) -> ScenarioConfig:
     """Parse a flat dotted-key config file into a ScenarioConfig."""
     return _set_values(ScenarioConfig(), _config_items(path))
-
-
-def _write_csv(path, header: str, rows) -> None:
-    """The header, then one line of comma-separated ``str`` cells per row
-    (a float's ``str`` is its shortest round-trip repr), written at once.
-    Rows are tuples of equal length."""
-    lines = [header]
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is not None:
-        fmt = ",".join(["%s"] * len(first))
-        lines.append(fmt % first)
-        lines += [fmt % row for row in rows]
-    lines.append("")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
 
 
 def _fixed_cir(cfg: ScenarioConfig) -> ChannelImpulseResponse | None:
@@ -372,23 +346,12 @@ def cmd_simulate_cir(cfg: ScenarioConfig, out_dir: str) -> int:
 
 def write_corr_matrix_csv(matrix: np.ndarray, path) -> None:
     """Dump a complex matrix row-major, each entry as a re,im value pair."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in np.asarray(matrix, dtype=complex):
-            cells = []
-            for v in row:
-                cells.append(repr(float(v.real)))
-                cells.append(repr(float(v.imag)))
-            fh.write(",".join(cells) + "\n")
+    write_rows(path, map(tuple, np.ascontiguousarray(matrix, dtype=complex).view(float).tolist()))
 
 
 def read_corr_matrix_csv(path) -> np.ndarray:
     """Inverse of :func:`write_corr_matrix_csv`."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            vals = [float(v) for v in line.strip().split(",") if v]
-            rows.append([complex(re, im) for re, im in zip(vals[0::2], vals[1::2])])
-    return np.asarray(rows, dtype=complex)
+    return np.loadtxt(path, delimiter=",", ndmin=2).view(complex)
 
 
 def cmd_simulate_capacity(cfg: ScenarioConfig, out_dir: str, dump_corr: bool = False) -> int:
@@ -419,16 +382,16 @@ def cmd_simulate_capacity(cfg: ScenarioConfig, out_dir: str, dump_corr: bool = F
         label = fading.label()
         block = samples[k * cfg.num_drops : (k + 1) * cfg.num_drops]  # the model's records
         cells = list(map(str, block.capacity.tolist()))  # each capacity formatted once, for both files
-        _write_csv(
+        write_rows(
             os.path.join(out_dir, f"capacity_{label}.csv"),
-            "drop_index,seed,capacity_bps_hz",
             zip(block.drop_index.tolist(), block.seed.tolist(), cells),
+            head=("drop_index,seed,capacity_bps_hz",),
         )
         order = np.argsort(block.capacity, kind="stable").tolist()
-        _write_csv(
+        write_rows(
             os.path.join(out_dir, f"cdf_{label}.csv"),
-            "capacity_bps_hz,cum_prob",
             zip(map(cells.__getitem__, order), cum_probs),
+            head=("capacity_bps_hz,cum_prob",),
         )
         q = capacity_quantiles(block.capacity)
         print(
@@ -472,14 +435,9 @@ def cmd_estimate(track_path: str, out_dir: str) -> int:
 
     os.makedirs(out_dir, exist_ok=True)
     curve_path = os.path.join(out_dir, "autocorr_curve.csv")
-    _write_csv(
-        curve_path,
-        "lag_wavelengths,rho",
-        zip(map(float, curve.lags), map(float, curve.values)),
-    )
+    write_rows(curve_path, zip(map(float, curve.lags), map(float, curve.values)), head=("lag_wavelengths,rho",))
     fit_path = os.path.join(out_dir, "fit.txt")
-    with open(fit_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_rows(fit_path, (), head=lines)
     for line in lines:
         print(line)
     print(f"wrote {curve_path}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,46 @@ TWO_PI = 2.0 * math.pi
 #: pure diffuse term (1e-6) to an almost fixed dominant one (1e12).
 K_DB_MIN = -60.0
 K_DB_MAX = 120.0
+
+
+#: A comment starts with '#' at the start of a line or after whitespace, so
+#: values such as paths may contain '#'.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def read_lines(path, error: type[Exception], what: str) -> list[tuple[int, str, str]]:
+    """The (line number, data, comment) of each non-blank line of the UTF-8
+    text file at ``path``, both parts stripped; numbers count every line of
+    the file. A file that cannot be read or decoded raises ``error``
+    naming it as ``what``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path!r}: {exc}") from exc
+    lines = []
+    for lineno, raw in enumerate(raw_lines, start=1):
+        if raw.strip():
+            data, *comment = _COMMENT.split(raw, 1)
+            lines.append((lineno, data.strip(), comment[0].strip() if comment else ""))
+    return lines
+
+
+def write_rows(path, rows, head=()) -> None:
+    """Write the ``head`` lines, then one line of comma-separated ``%s``
+    cells per row (a float's ``%s`` is its shortest round-trip repr), at
+    once, as UTF-8 with a trailing newline. Rows are tuples of equal
+    length."""
+    lines = list(head)
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        fmt = ",".join(["%s"] * len(first))
+        lines.append(fmt % first)
+        lines += [fmt % row for row in rows]
+    lines.append("")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
 
 
 def require_count(name: str, value) -> None:

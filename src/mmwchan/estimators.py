@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AutocorrParams
+from .core import AutocorrParams, read_lines, write_rows
 
 #: Byte budget of one (bins x lags x positions) float array in the
 #: autocorrelation kernel, which holds a few such arrays at once; larger
@@ -368,38 +368,26 @@ TRACK_HEADER_FIELDS = ("delta_x_wavelengths", "delay_bin_ns", "num_positions", "
 def write_track(track: TrackMeasurement, path) -> None:
     """Write a track file: header names, header values, then the amplitude
     grid row-major (one CSV row per track position)."""
-    lines = [
-        ",".join(TRACK_HEADER_FIELDS),
-        # plain Python numbers: the repr of a numpy scalar names its type
-        ",".join(
-            repr(v)
-            for v in (
-                float(track.delta_x),
-                float(track.delay_bin_ns),
-                track.num_positions,
-                track.num_bins,
-            )
-        ),
-    ]
-    for row in track.amplitudes:
-        lines.append(",".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # plain Python numbers: the repr of a numpy scalar names its type
+    values = (float(track.delta_x), float(track.delay_bin_ns), track.num_positions, track.num_bins)
+    head = (",".join(TRACK_HEADER_FIELDS), "%r,%r,%r,%r" % values)
+    write_rows(path, map(tuple, track.amplitudes.tolist()), head=head)
 
 
-def _header_value(path, name: str, cell: str, counts: bool):
-    """One value of a track file's header line: a finite number > 0, or,
-    for the ``counts`` fields, a whole number >= 1."""
+def _header_value(path, lineno: int, name: str, cell: str, counts: bool):
+    """One value of a track file's header line, line ``lineno`` of the
+    file: a finite number > 0, or, for the ``counts`` fields, a whole
+    number >= 1."""
     try:
         value = float(cell)
     except ValueError:
-        raise TrackFileError(f"{path}: line 2: {name}: not a number: {cell!r}") from None
+        raise TrackFileError(f"{path}: line {lineno}: {name}: not a number: {cell!r}") from None
     if counts:
         if not (value.is_integer() and value >= 1):
-            raise TrackFileError(f"{path}: line 2: {name} must be a whole number >= 1, got {cell!r}")
+            raise TrackFileError(f"{path}: line {lineno}: {name} must be a whole number >= 1, got {cell!r}")
         return int(value)
     if not 0 < value < math.inf:
-        raise TrackFileError(f"{path}: line 2: {name} must be finite and > 0, got {cell!r}")
+        raise TrackFileError(f"{path}: line {lineno}: {name} must be finite and > 0, got {cell!r}")
     return value
 
 
@@ -407,36 +395,33 @@ def read_track(path) -> TrackMeasurement:
     """Parse and validate a track file; raises TrackFileError naming the
     file when it cannot be read or decoded, and with line/field
     diagnostics on bad content."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip() and not ln.strip().startswith("#")]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise TrackFileError(f"cannot read track {path!r}: {exc}") from exc
+    lines = [(lineno, line) for lineno, line, _ in read_lines(path, TrackFileError, "track") if line]
     if len(lines) < 2:
         raise TrackFileError(f"{path}: expected a two-line header plus grid rows")
-    names = tuple(s.strip() for s in lines[0].split(","))
+    (names_lineno, names_line), (values_lineno, values_line), *grid = lines
+    names = tuple(s.strip() for s in names_line.split(","))
     if names != TRACK_HEADER_FIELDS:
         raise TrackFileError(
-            f"{path}: line 1: header {names} does not match expected {TRACK_HEADER_FIELDS}"
+            f"{path}: line {names_lineno}: header {names} does not match expected {TRACK_HEADER_FIELDS}"
         )
-    cells = [s.strip() for s in lines[1].split(",")]
+    cells = [s.strip() for s in values_line.split(",")]
     if len(cells) != 4:
-        raise TrackFileError(f"{path}: line 2: expected 4 header values, got {len(cells)}")
+        raise TrackFileError(f"{path}: line {values_lineno}: expected 4 header values, got {len(cells)}")
     delta_x, delay_bin_ns, num_positions, num_bins = (
-        _header_value(path, name, cell, counts=name.startswith("num_"))
+        _header_value(path, values_lineno, name, cell, counts=name.startswith("num_"))
         for name, cell in zip(TRACK_HEADER_FIELDS, cells)
     )
     rows = []
-    for lineno0, line in enumerate(lines[2:], start=3):
+    for lineno, line in grid:
         vals = [s.strip() for s in line.split(",")]
         if len(vals) != num_bins:
             raise TrackFileError(
-                f"{path}: line {lineno0}: expected {num_bins} amplitudes, got {len(vals)}"
+                f"{path}: line {lineno}: expected {num_bins} amplitudes, got {len(vals)}"
             )
         try:
             rows.append([float(v) for v in vals])
         except ValueError as exc:
-            raise TrackFileError(f"{path}: line {lineno0}: not a number: {exc}") from exc
+            raise TrackFileError(f"{path}: line {lineno}: not a number: {exc}") from exc
     if len(rows) != num_positions:
         raise TrackFileError(
             f"{path}: expected {num_positions} grid rows, got {len(rows)}"

@@ -236,6 +236,17 @@ class TestCirFiles:
         with pytest.raises(CirFileError, match="line 5: component 1: aoa elevation"):
             import_cir(path, SCEN)
 
+    def test_inline_comment_on_record(self, tmp_path):
+        cir = generate_initial_cir(CirGenConfig(num_clusters_range=(2, 3)), SCEN, rng(8))
+        plain, noted = tmp_path / "plain.csv", tmp_path / "noted.csv"
+        export_cir(cir, plain)
+        head, header, *records = plain.read_text().splitlines()
+        noted.write_text("\n".join([head, header, *(r + " # note" for r in records)]) + "\n")
+        a, b = import_cir(plain, SCEN), import_cir(noted, SCEN)
+        for field in ("delays", "powers", "phases", "aod", "aoa"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
+        assert a.scenario == b.scenario
+
     def test_header_only_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("delay_ns,power_linear,phase_rad,aod_az_deg,aod_el_deg,aoa_az_deg,aoa_el_deg\n")

@@ -7,7 +7,7 @@ import pytest
 
 import mmwchan.cli
 from mmwchan.capacity import RESULT_DTYPE, capacity_cdf, run_monte_carlo
-from mmwchan.cirgen import export_cir, generate_initial_cir, import_cir
+from mmwchan.cirgen import CIR_FILE_FIELDS, export_cir, generate_initial_cir, import_cir
 from mmwchan.cli import (
     ConfigError,
     ScenarioConfig,
@@ -19,7 +19,7 @@ from mmwchan.cli import (
     parse_config,
 )
 from mmwchan.core import FadingModel
-from mmwchan.estimators import read_track
+from mmwchan.estimators import TRACK_HEADER_FIELDS, read_track
 
 BASE_CFG = """
 scenario = NLOS V-V
@@ -460,6 +460,9 @@ class TestMainEntry:
             ("capacity.num_subcarriers", "100000000"),
             # more workers than CPUs; no process is started
             ("run.num_workers", str((os.cpu_count() or 1) + 1)),
+            # metadata only, but it was accepted and the run exited 0
+            ("capacity.center_frequency_hz", "-1"),
+            ("capacity.center_frequency_hz", "0"),
         ],
     )
     def test_non_finite_value_exit_2_names_key(self, tmp_path, capsys, key, value):
@@ -561,6 +564,37 @@ class TestMainEntry:
             argv = ["estimate", str(bad)]
         assert main([*argv, "--out", str(out_dir)]) == 2
         assert str(bad) in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "case, lineno",
+        [("config", 7), ("cir_record", 7), ("track_cell", 7), ("track_header_value", 4)],
+    )
+    def test_error_line_counts_every_line_of_the_file(self, tmp_path, capsys, case, lineno):
+        # a comment line and a blank line sit above the first data line; the
+        # track once counted only its data lines, so its cell said line 5 and
+        # its header values always said line 2
+        cfg, out_dir = tmp_path / "run.cfg", tmp_path / "out"
+        argv = ["simulate-capacity", "--config", str(cfg)]
+        above = "# comment\n\n"
+        if case == "config":
+            bad = cfg
+            cfg.write_text(above + "scenario = NLOS V-V\nrun.num_drops = 2\n\n# more\njunk line without equals\n")
+        elif case == "cir_record":
+            bad = tmp_path / "cir.csv"
+            bad.write_text(
+                above + ",".join(CIR_FILE_FIELDS) + "\n"
+                "0.0,1.0,0.0,0.0,0.0,0.0,0.0\n\n# more\n"
+                "1.0,x,0.0,0.0,0.0,0.0,0.0\n"
+            )
+            cfg.write_text(BASE_CFG + f"\ncir.import_path = {bad}\n")
+        else:
+            bad = tmp_path / "track.csv"
+            values = "0.5,x,3,2" if case == "track_header_value" else "0.5,2.5,3,2"
+            bad.write_text(above + ",".join(TRACK_HEADER_FIELDS) + f"\n{values}\n1.0,2.0\n1.0,2.0\n1.0,x\n")
+            argv = ["estimate", str(bad)]
+        assert main([*argv, "--out", str(out_dir)]) == 2
+        assert f"{bad}: line {lineno}:" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_seed_and_drops_overrides(self, tmp_path):

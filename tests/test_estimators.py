@@ -444,6 +444,15 @@ class TestTrackFiles:
         back = read_track(path)
         assert (back.delta_x, back.delay_bin_ns) == (0.5, 2.5)
 
+    def test_inline_comment_on_row(self, tmp_path):
+        t = TrackMeasurement(amplitudes=np.random.default_rng(12).random((4, 3)), delta_x=0.25)
+        plain, noted = tmp_path / "plain.csv", tmp_path / "noted.csv"
+        write_track(t, plain)
+        noted.write_text("".join(line + " # note\n" for line in plain.read_text().splitlines()))
+        a, b = read_track(plain), read_track(noted)
+        assert (a.delta_x, a.delay_bin_ns) == (b.delta_x, b.delay_bin_ns)
+        assert np.array_equal(a.amplitudes, b.amplitudes)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
