@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cirgen import ANGLE_OFFSETS, CirGenConfig, block_width, cir_rows, drop_layout
+from .cirgen import ANGLE_OFFSETS, CirGenConfig, cir_rows, drop_layout
 from .core import (
     TWO_PI,
     ArrayGeometry,
@@ -408,17 +408,21 @@ def _drop_bytes(num_taps: int, n_r: int, n_t: int, num_subcarriers: int) -> int:
     return 8 * max(making, phases + max(8 * taps, taps + gram)) * 5 // 4
 
 
+def batch_bytes(num_taps: int, n_r: int, n_t: int, num_subcarriers: int) -> int:
+    """Peak bytes of a batch of drops of ``num_taps`` taps: ``BATCH_BYTES``, or one drop with its normals if more."""
+    one_drop = _drop_bytes(num_taps, n_r, n_t, num_subcarriers) + 8 * num_taps * (ANGLE_OFFSETS + 2 * n_r * n_t)
+    return max(BATCH_BYTES, one_drop)
+
+
 def chunk_bytes(gen_config: CirGenConfig, n_r: int, n_t: int, num_subcarriers: int) -> int:
     """An upper estimate of the bytes a chunk of ``CHUNK_DROPS`` drops that
     draw their CIRs holds at its peak, from the config's maxima and by
     arithmetic alone, so that it can size configs too large to run: the
     uniform blocks and CIR rows (at most ten floats per cluster-path slot
-    besides the block), then one batch, which holds at least one drop of
-    the most taps with its normal block."""
+    besides the block), then one batch of drops of the most taps."""
     slots = gen_config.num_clusters_range[1] * gen_config.paths_per_cluster_range[1]
-    rows = 8 * CHUNK_DROPS * (block_width(gen_config) + 10 * slots)
-    one_drop = _drop_bytes(slots, n_r, n_t, num_subcarriers) + 8 * slots * (ANGLE_OFFSETS + 2 * n_r * n_t)
-    return rows + max(BATCH_BYTES, one_drop)
+    rows = 8 * CHUNK_DROPS * (drop_layout(gen_config).width + 10 * slots)
+    return rows + batch_bytes(slots, n_r, n_t, num_subcarriers)
 
 
 def _batch_drops(num_taps: int, n_r: int, n_t: int, num_subcarriers: int) -> int:

@@ -97,29 +97,21 @@ class DropLayout(NamedTuple):
     width: int
 
 
+@functools.lru_cache(maxsize=16)
 def drop_layout(config: CirGenConfig) -> DropLayout:
-    """The uniform-block layout of the drops of ``config``."""
-    return _plan(config).layout
-
-
-def _block_sizes(config: CirGenConfig) -> tuple[int, ...]:
-    """The column counts of the parts of :class:`DropLayout`, in order,
-    computed from the config's maxima without allocating anything."""
+    """The uniform-block layout of the drops of ``config``, from its maxima
+    by arithmetic alone: a size check can call it on a config whose drops
+    would not fit in memory."""
     clusters = config.num_clusters_range[1]
     slots = clusters * config.paths_per_cluster_range[1]
-    return 3 + clusters, 4 * config.num_lobes_range[1], slots - 1, 2 * clusters, slots, slots
-
-
-def block_width(config: CirGenConfig) -> int:
-    """``drop_layout(config).width``, by arithmetic alone: a size check can
-    call it on a config whose layout would not fit in memory."""
-    return sum(_block_sizes(config))
+    sizes = 3 + clusters, 4 * config.num_lobes_range[1], slots - 1, 2 * clusters, slots, slots
+    edges = list(itertools.accumulate(sizes, initial=0))
+    return DropLayout(*map(slice, edges, edges[1:]), edges[-1])
 
 
 class _Plan(NamedTuple):
-    """What :func:`cir_rows` needs of a config besides the draws."""
+    """What :func:`cir_rows` needs of a config besides the draws and layout."""
 
-    layout: DropLayout
     count_lo: np.ndarray  # lowest value of each count column
     count_span: np.ndarray  # number of values of each count column
     gap_shift: np.ndarray  # void interval (s) before each gap column, or 0
@@ -134,7 +126,6 @@ def _plan(config: CirGenConfig) -> _Plan:
     caller, so they are read-only."""
     clusters = config.num_clusters_range[1]
     paths = config.paths_per_cluster_range[1]
-    edges = list(itertools.accumulate(_block_sizes(config), initial=0))
     # the count columns: clusters, departure lobes, arrival lobes, then paths per cluster
     bounds = [config.num_clusters_range] + [config.num_lobes_range] * 2
     bounds += [config.paths_per_cluster_range] * clusters
@@ -150,7 +141,7 @@ def _plan(config: CirGenConfig) -> _Plan:
     )
     for a in arrays:
         a.setflags(write=False)
-    return _Plan(DropLayout(*map(slice, edges, edges[1:]), edges[-1]), *arrays)
+    return _Plan(*arrays)
 
 
 def _uniform_ints(u: np.ndarray, lo, count) -> np.ndarray:
@@ -187,7 +178,7 @@ def cir_rows(config: CirGenConfig, u: np.ndarray) -> CirRows:
     its own clusters and paths.
     """
     plan = _plan(config)
-    lay = plan.layout
+    lay = drop_layout(config)
     n = u.shape[0]
     clusters, paths = plan.cluster_index.size, plan.path_index.size
     counts = _uniform_ints(u[:, lay.counts], plan.count_lo, plan.count_span)
@@ -217,9 +208,9 @@ def lobe_choices(config: CirGenConfig, u: np.ndarray) -> tuple[np.ndarray, np.nd
     """The lobe counts (n, 2) of the uniform blocks ``u`` (n, width) and
     the lobe each cluster slot takes (n, C, 2), departure side first: a
     choice is uniform over the drop's own lobe count on its side."""
-    plan = _plan(config)
-    counts = _uniform_ints(u[:, plan.layout.counts][:, 1:3], plan.count_lo[1:3], plan.count_span[1:3])
-    picks = u[:, plan.layout.choices].reshape(u.shape[0], -1, 2)
+    plan, lay = _plan(config), drop_layout(config)
+    counts = _uniform_ints(u[:, lay.counts][:, 1:3], plan.count_lo[1:3], plan.count_span[1:3])
+    picks = u[:, lay.choices].reshape(u.shape[0], -1, 2)
     return counts, _uniform_ints(picks, 0, counts[:, None, :])
 
 

@@ -27,6 +27,7 @@ from .capacity import (
     CHUNK_BYTES_MAX,
     CHUNK_DROPS,
     CapacityConfig,
+    batch_bytes,
     capacity_quantiles,
     chunk_bytes,
     run_monte_carlo,
@@ -126,6 +127,9 @@ class ScenarioConfig:
             with _reading(name):
                 if not (math.isfinite(value) and value > 0):
                     raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        with _reading("track_positions", "track_delta_x"):
+            if not math.isfinite((self.track_positions - 1) * self.track_delta_x):  # the farthest lag
+                raise ValueError(f"(num_positions - 1) * delta_x must be finite, got {self.track_delta_x!r}")
         with _reading("fading_models"):
             if not self.fading_models:
                 raise ValueError("at least one fading model required")
@@ -357,6 +361,12 @@ def read_corr_matrix_csv(path) -> np.ndarray:
 def cmd_simulate_capacity(cfg: ScenarioConfig, out_dir: str, dump_corr: bool = False) -> int:
     params = cfg.resolved_autocorr()
     initial_cir = _fixed_cir(cfg)
+    if cfg.cir_import_path:  # its drops hold one batch of its components (capacity.chunk_bytes)
+        n = initial_cir.num_components
+        size = batch_bytes(n, cfg.rx_array.num_elements, cfg.tx_array.num_elements, cfg.capacity.num_subcarriers)
+        if size > CHUNK_BYTES_MAX:
+            raise ConfigError(f"cir.import_path: a drop of its {n} components would take about {size / 2**20:.6g} "
+                              f"MiB, over the {CHUNK_BYTES_MAX >> 20} MiB limit")
     os.makedirs(out_dir, exist_ok=True)
     if dump_corr:
         rr, rt = pipeline_corr_matrices(params, cfg.rx_array, cfg.tx_array)

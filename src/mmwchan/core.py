@@ -199,6 +199,8 @@ class ArrayGeometry:
         require_count("num_elements", self.num_elements)
         if not (self.spacing > 0 and math.isfinite(self.spacing)):
             raise ValueError(f"spacing must be finite and > 0, got {self.spacing}")
+        if not math.isfinite((self.num_elements - 1) * self.spacing):  # the farthest lag
+            raise ValueError(f"spacing must keep (num_elements - 1) * spacing finite, got {self.spacing!r}")
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,8 @@ class TrackMeasurement:
             raise ValueError("amplitudes must be finite and non-negative")
         if not 0 < self.delta_x < math.inf:
             raise ValueError("delta_x must be finite and > 0")
+        if not math.isfinite((a.shape[0] - 1) * self.delta_x):  # the farthest lag
+            raise ValueError(f"delta_x must keep (num_positions - 1) * delta_x finite, got {self.delta_x!r}")
         if not 0 < self.delay_bin_ns < math.inf:
             raise ValueError("delay_bin_ns must be finite and > 0")
         a.setflags(write=False)
@@ -236,6 +238,7 @@ def _ls_rows(x: np.ndarray, y: np.ndarray):
     return a, c, resid
 
 
+@np.errstate(over="ignore")  # b * lag overflows to inf only where exp(-b * lag) gives exactly 0
 def fit_autocorr_mmse(curve: AutocorrCurve) -> AutocorrFit:
     """Fit a*exp(-b*lag) - c to the defined points of a curve by MMSE.
 
@@ -411,6 +414,9 @@ def read_track(path) -> TrackMeasurement:
         _header_value(path, values_lineno, name, cell, counts=name.startswith("num_"))
         for name, cell in zip(TRACK_HEADER_FIELDS, cells)
     )
+    if not math.isfinite((num_positions - 1) * delta_x):  # the farthest lag
+        raise TrackFileError(f"{path}: line {values_lineno}: delta_x_wavelengths must keep (num_positions - 1) "
+                             f"* delta_x_wavelengths finite, got {cells[0]!r}")
     rows = []
     for lineno, line in grid:
         vals = [s.strip() for s in line.split(",")]

@@ -3,12 +3,13 @@
 Drop i of a campaign draws from the stream of
 ``SeedSequence(entropy=master_seed, spawn_key=(0, i))``. Building that
 object, its generator and its seed word one drop at a time costs about
-30 µs per drop. This module runs numpy's documented SeedSequence hash and
-mix (``numpy/random/bit_generator.pyx``) on uint32 words instead: the pool
-before the index word depends only on the master seed and is computed once
-with Python ints, and only the index words are mixed, as arrays over the
-drops. Each generator is then built from its precomputed state words, so
-the streams and seed words are those of SeedSequence, bit for bit.
+30 µs per drop. The pool before the index word depends only on the master
+seed: it is the pool of ``SeedSequence(master_seed, spawn_key=(0,))``,
+which numpy computes once per chunk. This module then runs numpy's
+documented SeedSequence hash and mix (``numpy/random/bit_generator.pyx``)
+on the index words alone, as uint32 arrays over the drops. Each generator
+is built from its precomputed state words, so the streams and seed words
+are those of SeedSequence, bit for bit.
 
 Importing this module imports ``numpy.random``; import it where drops are
 drawn, not at package import.
@@ -19,7 +20,7 @@ from __future__ import annotations
 import operator
 
 import numpy as np
-from numpy.random import PCG64, Generator
+from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 
 _MASK32 = 0xFFFFFFFF
@@ -35,50 +36,29 @@ _MIX_MULT_R = 0x4973F715
 _STATE_WORDS = 8
 
 
-def _hash(value, hash_const: int, mult: int):
-    """One SeedSequence hash step on a Python int or a uint32 array, and the
-    next hash constant. Array products wrap at 32 bits by themselves; the
-    mask does the same for Python ints."""
+def _hash(value: np.ndarray, hash_const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One SeedSequence hash step on a uint32 array, whose products wrap at
+    32 bits by themselves, and the next hash constant."""
     value = value ^ hash_const
     hash_const = hash_const * mult & _MASK32
     value = value * hash_const & _MASK32
     return value ^ value >> _XSHIFT, hash_const
 
 
-def _mix(x, y):
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 arrays."""
     result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return result ^ result >> _XSHIFT
 
 
-def _uint32_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative int; 0 is one word."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _master_pool(master_seed: int) -> tuple[list[int], int]:
+def _master_pool(master_seed: int) -> tuple[np.ndarray, int]:
     """The mixed pool of ``SeedSequence(master_seed, spawn_key=(0, i))``
-    before its index word, with the hash constant at that point: the run
-    entropy padded to the pool size, then the spawn key's leading 0."""
-    entropy = _uint32_words(master_seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy)) + [0]
-    hash_const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        mixed, hash_const = _hash(word, hash_const, _MULT_A)
-        pool.append(mixed)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                mixed, hash_const = _hash(pool[src], hash_const, _MULT_A)
-                pool[dst] = _mix(pool[dst], mixed)
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            mixed, hash_const = _hash(word, hash_const, _MULT_A)
-            pool[dst] = _mix(pool[dst], mixed)
-    return pool, hash_const
+    before its index word, with the hash constant at that point. The pool
+    is that of ``spawn_key=(0,)``. Its w assembled words, the entropy
+    padded to the pool size and the key's 0, take 4w hash steps: 4 to fill
+    the pool, 12 to mix it pairwise and 4 for each further word."""
+    words = max((master_seed.bit_length() + 31) // 32, _POOL_SIZE) + 1
+    return SeedSequence(master_seed, spawn_key=(0,)).pool, _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32
 
 
 def spawn_state_words(master_seed: int, indices) -> np.ndarray:

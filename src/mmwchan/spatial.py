@@ -69,8 +69,15 @@ def eval_autocorr(params: AutocorrParams, dr):
     arr = np.asarray(dr, dtype=float)
     if np.any(arr < 0):
         raise ValueError("separation dr must be >= 0")
-    out = params.a * np.exp(-params.b * arr) - params.c
+    with np.errstate(over="ignore"):  # b * dr overflows to inf only where exp gives exactly 0
+        out = params.a * np.exp(-params.b * arr) - params.c
     return float(out) if np.isscalar(dr) or arr.ndim == 0 else out
+
+
+def _lag_matrix(geometry: ArrayGeometry) -> np.ndarray:
+    """The separation |i - k| * spacing, in wavelengths, of each element pair (i, k)."""
+    n = geometry.num_elements
+    return np.abs(np.subtract.outer(np.arange(n), np.arange(n))) * geometry.spacing
 
 
 def raw_ula_corr_matrix(
@@ -82,8 +89,7 @@ def raw_ula_corr_matrix(
     exponential model, random phase per upper-triangle entry, zero phase on
     the diagonal, conjugate symmetry below."""
     n = geometry.num_elements
-    lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) * geometry.spacing
-    mag = eval_autocorr(params, lags)
+    mag = eval_autocorr(params, _lag_matrix(geometry))
     theta = np.triu(rng.uniform(0.0, TWO_PI, size=(n, n)), k=1)
     theta = theta - theta.T  # theta_ki = -theta_ik, zero diagonal
     return np.exp(-1j * theta) * mag
@@ -192,9 +198,7 @@ def build_amplitude_matched_corr(
     """Deterministic real Toeplitz correlation matrix whose realized
     envelope power correlation matches the fitted exponential model."""
     # side is ignored; perfbench/tracing.py still passes side="receive"/"transmit"
-    n = geometry.num_elements
-    lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) * geometry.spacing
-    f = eval_autocorr(params, lags)
+    f = eval_autocorr(params, _lag_matrix(geometry))
     mag = amplitude_matched_magnitude(f, fading)
     mag = np.asarray(mag, dtype=float)
     np.fill_diagonal(mag, 1.0)

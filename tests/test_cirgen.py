@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,21 @@ class TestGenerator:
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             CirGenConfig(**kwargs)
+
+    def test_drop_layout_allocates_nothing(self):
+        # the chunk size check reads the layout of configs too large to run
+        cfg = CirGenConfig(paths_per_cluster_range=(1, 10**6))
+        tracemalloc.start()
+        try:
+            layout = drop_layout(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # 3 clusters of 10**6 paths and 3 lobes a side; the parts tile the block
+        assert layout.width == (3 + 3) + 4 * 3 + (3 * 10**6 - 1) + 2 * 3 + 2 * (3 * 10**6)
+        starts, stops = zip(*((part.start, part.stop) for part in layout[:-1]))
+        assert starts == (0, *stops[:-1]) and stops[-1] == layout.width
 
 
 class TestDrawnMarginals:

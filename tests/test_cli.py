@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mmwchan.cli
-from mmwchan.capacity import RESULT_DTYPE, capacity_cdf, run_monte_carlo
+from mmwchan.capacity import RESULT_DTYPE, batch_bytes, capacity_cdf, run_monte_carlo
 from mmwchan.cirgen import CIR_FILE_FIELDS, export_cir, generate_initial_cir, import_cir
 from mmwchan.cli import (
     ConfigError,
@@ -238,6 +238,20 @@ class TestSimulateCapacity:
         caps = [float(r.split(",")[2]) for r in rows]
         assert max(caps) - min(caps) < 1e-3
 
+    def test_imported_cir_counts_toward_the_chunk_size(self, tmp_path, capsys, monkeypatch):
+        # the limit sits just under one drop of 3000 components and above the
+        # chunks of the default and this config, which size drawn CIRs only
+        monkeypatch.setattr(mmwchan.cli, "CHUNK_BYTES_MAX", batch_bytes(3000, 6, 1, 20) - 1)
+        for components, code in ((2999, 0), (3000, 2)):
+            src = tmp_path / f"cir{components}.csv"
+            rows = (f"{0.1 * i:.1f},1.0,0.0,0.0,0.0,0.0,0.0" for i in range(components))
+            src.write_text(",".join(CIR_FILE_FIELDS) + "\n" + "\n".join(rows) + "\n")
+            path = write_cfg(tmp_path, BASE_CFG + f"\ncir.import_path = {src}\n")
+            out_dir = tmp_path / f"out{components}"
+            assert main(["simulate-capacity", "--config", path, "--drops", "2", "--out", str(out_dir)]) == code
+            assert ("cir.import_path" in capsys.readouterr().err) == (code == 2)
+            assert out_dir.exists() == (code == 0)
+
     def test_import_path_may_contain_hash(self, tmp_path):
         src_dir = tmp_path / "runs"
         src_dir.mkdir()
@@ -463,6 +477,9 @@ class TestMainEntry:
             # metadata only, but it was accepted and the run exited 0
             ("capacity.center_frequency_hz", "-1"),
             ("capacity.center_frequency_hz", "0"),
+            # the farthest lag, (n - 1) * spacing, overflowed: a RuntimeWarning
+            ("rx_array.spacing", "1e308"),
+            ("track.delta_x", "1e308"),
         ],
     )
     def test_non_finite_value_exit_2_names_key(self, tmp_path, capsys, key, value):
@@ -485,6 +502,12 @@ class TestMainEntry:
             err = capsys.readouterr().err
             assert "autocorr" in err and "LOS-to-NLOS V-V" in err
             assert not out_dir.exists()  # simulate-cir wrote cir.csv first
+
+    def test_decay_exponent_overflow_runs(self, tmp_path):
+        # b * lag overflows to inf, where exp(-b * lag) is exactly 0
+        path = write_cfg(tmp_path, BASE_CFG.replace("autocorr = table-default", "autocorr = 0.9 1e308 -0.1"))
+        for command in ("simulate-cir", "simulate-capacity"):
+            assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 0
 
     def test_non_finite_snr_override_exit_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, BASE_CFG)
@@ -518,6 +541,7 @@ class TestMainEntry:
             ("num_positions", "inf"),
             ("num_positions", "11.9"),
             ("delta_x_wavelengths", "inf"),
+            ("delta_x_wavelengths", "1e308"),  # the farthest of 11 positions overflowed
             ("delay_bin_ns", "inf"),
         ],
     )

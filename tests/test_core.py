@@ -150,6 +150,7 @@ class TestOtherTypes:
             dict(num_elements=2, spacing=0.0),
             dict(num_elements=2, spacing=math.inf),
             dict(num_elements=2, spacing=math.nan),
+            dict(num_elements=3, spacing=1e308),  # the farthest lag, 2e308, overflows
         ],
     )
     def test_array_geometry_invalid(self, kwargs):

@@ -35,6 +35,7 @@ from mmwchan.capacity import (
     _pair_coefficients,
     _simulate_chunk,
     _uses_cross_gram,
+    batch_bytes,
     chunk_bytes,
     run_monte_carlo,
 )
@@ -259,6 +260,25 @@ def test_chunk_peak_does_not_grow_with_its_largest_group():
     normal_bytes = 8 * 3 * (ANGLE_OFFSETS + 2 * n_r * n_t)
     assert peaks[CHUNK_DROPS] - peaks[CHUNK_DROPS // 4] < (CHUNK_DROPS - CHUNK_DROPS // 4) * normal_bytes / 4
     assert peaks[CHUNK_DROPS] <= chunk_bytes(gen, n_r, n_t, num_f)
+
+
+@pytest.mark.parametrize("n_r, n_t, num_taps, num_f", [(20, 2, 500, 100), (6, 1, 3000, 20), (64, 4, 40, 4)])
+def test_batch_bytes_bounds_a_fixed_cir_chunk(n_r, n_t, num_taps, num_f):
+    # the CLI sizes the drops of an imported CIR, which draw no uniform
+    # block, by one batch of its taps
+    rr, rt = (matrix_sqrt_psd(build_amplitude_matched_corr(PARAMS, ArrayGeometry(n), FadingModel.rayleigh()))
+              for n in (n_r, n_t))
+    cir = (np.arange(num_taps) * 1e-9, np.full(num_taps, 1.0 / num_taps))
+    fadings = (FadingModel.rayleigh(), FadingModel.rician(5.0))
+    campaign = _Campaign(CirGenConfig(), rr, rt, fadings, CapacityConfig(num_subcarriers=num_f), 1, cir)
+    _simulate_chunk((campaign, 0, 4))  # fills the caches
+    tracemalloc.start()
+    try:
+        _simulate_chunk((campaign, 0, 64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= batch_bytes(num_taps, n_r, n_t, num_f)
 
 
 def test_drop_with_no_tap_raises(monkeypatch):

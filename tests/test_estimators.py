@@ -293,6 +293,15 @@ class TestFitAutocorrMmse:
         fit = fit_autocorr_mmse(AutocorrCurve(lags=lags, values=vals))
         assert 0.0 < fit.params.a - fit.params.c <= 1.0 + 1e-9
 
+    def test_decay_exponent_overflow_runs(self):
+        # lags near the float maximum: b * lag overflows to inf on most of
+        # the b grid, where exp(-b * lag) is exactly 0
+        lags = np.arange(5) * 1e307
+        fit = fit_autocorr_mmse(AutocorrCurve(lags=lags, values=[1.0, 0.5, 0.3, 0.2, 0.1]))
+        assert fit.identifiable and math.isfinite(fit.residual)
+        # the model is 1 at lag 0 and the floor -c at the others
+        assert fit.params.a == pytest.approx(0.725) and fit.params.c == pytest.approx(-0.275)
+
 
 _HALF = np.arange(8) * 0.5
 #: Curves that drive the least-squares kernel through each of its branches
@@ -532,6 +541,11 @@ class TestTrackMeasurementInvariants:
     def test_rejects_non_finite_or_non_positive_spacing(self, field, bad):
         with pytest.raises(ValueError, match=field):
             TrackMeasurement(amplitudes=np.ones((3, 2)), **{field: bad})
+
+    def test_rejects_overflowing_track_length(self):
+        TrackMeasurement(amplitudes=np.ones((2, 2)), delta_x=1e308)
+        with pytest.raises(ValueError, match=r"\(num_positions - 1\) \* delta_x"):
+            TrackMeasurement(amplitudes=np.ones((3, 2)), delta_x=1e308)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, -1e-300])
     def test_rejects_non_finite_or_negative_amplitudes(self, bad):

@@ -15,7 +15,8 @@ import pytest
 
 from mmwchan.seeding import drop_streams, spawn_state_words
 
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 3, 2**200 + 12345]
+# 2**96 and 2**128 - 1 have exactly 4 words, where the entropy padding stops
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**96, 2**128 - 1, 2**128 + 3, 2**200 + 12345]
 INDICES = [*range(301), 63, 64, 65, 2**31, 2**32 - 1, 2**32, 2**32 + 5, 2**64 - 1]
 
 
