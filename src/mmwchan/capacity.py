@@ -34,10 +34,11 @@ from .core import (
     require_seed,
 )
 from .spatial import (
+    _diffuse,
+    _mix,
     draw_tap_noise,
     matrix_sqrt_psd,
     pipeline_corr_matrices,
-    tap_matrices,
 )
 
 
@@ -328,8 +329,15 @@ def _pair_phases(phases: np.ndarray) -> np.ndarray:
 
 def _capacities(gram: np.ndarray, config: CapacityConfig, n_t: int) -> np.ndarray:
     """Wideband capacities in bits/s/Hz from packed per-subcarrier Grams
-    (..., d*d, F): subcarrier mean of the log-det, floored at 0."""
+    (..., d*d, F): subcarrier mean of the log-det, floored at 0.
+
+    Grams of one column are those of a flat channel, the same at each of
+    the config's F subcarriers: the mean runs over F copies of their
+    log-det, which numpy sums in the order of F equal columns, so the
+    capacity is that of the F-column Grams bit for bit."""
     logdet = _logdet_packed(gram, db_to_linear(config.snr_db) / n_t)
+    if logdet.shape[-1] == 1:
+        logdet = np.broadcast_to(logdet, (*logdet.shape[:-1], config.num_subcarriers))
     return np.maximum(np.mean(logdet, axis=-1) / math.log(2.0), 0.0)
 
 
@@ -375,20 +383,26 @@ def _drop_bytes(num_taps: int, n_r: int, n_t: int, num_subcarriers: int) -> int:
     the coarse and fine angles and phasors of each tap and, per subcarrier,
     the phases of taps 1..L-1 and then those of all taps (response route),
     or the tap phases, their conjugates, the pair products (complex) and
-    the real and imaginary parts of all pair phases (cross route). The
-    route's phases stay alive while each fading model in turn runs its
-    stages. Making the tap matrices holds up to eight complex arrays of
-    their size. The cross route holds the tap matrices and, while forming
-    the coefficients, four copies of them, the cross-Grams, the pair terms
-    and the packed coefficients (the second copy of the cross-Grams, while
-    they are regrouped, is outweighed by the pair terms that come after
-    it); then the coefficients and, per subcarrier, the Gram. The response
-    route holds the tap matrices and, per subcarrier, the response, its
-    conjugate, the Gram and the packed Gram (all complex but the last). The
-    log-det holds per subcarrier the packed Gram, its copy and a few rows
-    of d values."""
-    rows, d, f = max(n_r, n_t), min(n_r, n_t), num_subcarriers
+    the real and imaginary parts of all pair phases (cross route). A
+    one-tap drop makes no phases and takes its Gram and log-det at one
+    subcarrier, so it is counted at F = 1. The route's phases stay alive
+    while each fading model in turn runs its stages, and so do the shared
+    diffuse parts H0 of the taps (complex, of the tap matrices' size),
+    their amplitudes and their dominant phasors (complex). Making H0 holds
+    up to eight complex arrays of the tap matrices' size; mixing a model's
+    taps from it holds fewer. The cross route holds the tap matrices and,
+    while forming the coefficients, four copies of them, the cross-Grams,
+    the pair terms and the packed coefficients (the second copy of the
+    cross-Grams, while they are regrouped, is outweighed by the pair terms
+    that come after it); then the coefficients and, per subcarrier, the
+    Gram. The response route holds the tap matrices and, per subcarrier,
+    the response, its conjugate, the Gram and the packed Gram (all complex
+    but the last). The log-det holds per subcarrier the packed Gram, its
+    copy and a few rows of d values."""
+    rows, d = max(n_r, n_t), min(n_r, n_t)
+    f = 1 if num_taps == 1 else num_subcarriers
     taps = 2 * num_taps * rows * d  # counted in floats
+    shared = taps + 3 * num_taps
     angles = 6 * num_taps * (math.isqrt(4 * f) + 2)
     logdet = f * (3 * d * d + 3 * d)
     if _uses_cross_gram(num_taps, n_r, n_t):
@@ -405,7 +419,7 @@ def _drop_bytes(num_taps: int, n_r: int, n_t: int, num_subcarriers: int) -> int:
         phases = 2 * f * num_taps
         making = angles + 4 * num_taps * f
         gram = max(f * (4 * rows * d + 3 * d * d), logdet)
-    return 8 * max(making, phases + max(8 * taps, taps + gram)) * 5 // 4
+    return 8 * max(making, phases + max(8 * taps, shared + taps + gram)) * 5 // 4
 
 
 def batch_bytes(num_taps: int, n_r: int, n_t: int, num_subcarriers: int) -> int:
@@ -435,16 +449,38 @@ def _batch_capacities(delays, powers, white, psi, campaign: _Campaign) -> np.nda
     """Capacities (models, B) of drops that all have the same tap count L,
     under each fading model of the campaign: delays and powers (B, L), white
     tap draws (B, L, 2, N_r, N_t) and dominant phases (B, L), or None when
-    no model is Rician. The phases of the batch's Gram route depend on the
-    delays alone, so every model uses the same ones."""
+    no model is Rician.
+
+    What does not depend on the model is made once and shared by every
+    model: the phases of the batch's Gram route, which depend on the delays
+    alone, the diffuse parts H0 = R_r^(1/2) G R_t^(1/2) of the taps, their
+    amplitudes sqrt(p) and the dominant phasors e^(j*psi). Each model then
+    only mixes its taps from them (:func:`spatial.tap_matrices`' steps). A
+    one-tap drop is flat, since tap 0's phase is exactly 1: its Gram is the
+    first row of its pair coefficients at every subcarrier, so it takes one
+    column, and :func:`_capacities` stands it for all F."""
     cap_config = campaign.cap_config
+    num_taps = delays.shape[1]
     n_r, n_t = white.shape[-2:]
-    cross = _uses_cross_gram(delays.shape[1], n_r, n_t)
-    phases = _pair_phases(_tap_phases(delays, cap_config)) if cross else _subcarrier_phases(delays, cap_config)
+    cross = _uses_cross_gram(num_taps, n_r, n_t)
+    if num_taps == 1:
+        phases = None
+    elif cross:
+        phases = _pair_phases(_tap_phases(delays, cap_config))
+    else:
+        phases = _subcarrier_phases(delays, cap_config)
+    diffuse = _diffuse(white, campaign.rr_sqrt, campaign.rt_sqrt)
+    amplitudes = np.sqrt(powers)
+    phasors = None if psi is None else np.exp(1j * psi)
     out = np.empty((len(campaign.fadings), len(delays)))
     for caps, fading in zip(out, campaign.fadings):
-        taps = tap_matrices(white, psi, powers, campaign.rr_sqrt, campaign.rt_sqrt, fading)
-        gram = _cross_gram(taps, phases) if cross else _response_gram(_response(phases, taps))
+        taps = _mix(diffuse, phasors, amplitudes, fading)
+        if phases is None:
+            gram = _pair_coefficients(taps)[:, :1].swapaxes(1, 2)
+        elif cross:
+            gram = _cross_gram(taps, phases)
+        else:
+            gram = _response_gram(_response(phases, taps))
         caps[:] = _capacities(gram, cap_config, n_t)
         del taps, gram  # before the next model makes its own
     return out

@@ -453,7 +453,7 @@ def cmd_estimate(track_path: str, out_dir: str) -> int:
     print(f"wrote {curve_path}")
     print(f"wrote {fit_path}")
     if not fit.identifiable:
-        print("warning: decay rate non-identifiable (constant curve)")
+        print("warning: decay rate non-identifiable (constant curve, or exp(-b*lag) the same for every b > 0)")
     return 0
 
 

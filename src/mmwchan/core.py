@@ -65,13 +65,20 @@ def write_rows(path, rows, head=()) -> None:
         fh.write("\n".join(lines))
 
 
+#: The largest count: numpy sizes and indexes arrays with int64, and a
+#: larger integer may not even convert to a float.
+COUNT_MAX = 2**63 - 1
+
+
 def require_count(name: str, value) -> None:
-    """Reject a count that is not an integer (a bool is not one) or is
-    below 1, naming the field. numpy integers pass."""
+    """Reject a count that is not an integer (a bool is not one) or lies
+    outside [1, ``COUNT_MAX``], naming the field. numpy integers pass."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
+    if value > COUNT_MAX:
+        raise ValueError(f"{name} must be at most 2**63 - 1, got {value}")
 
 
 def require_seed(name: str, value) -> None:

@@ -245,7 +245,10 @@ def fit_autocorr_mmse(curve: AutocorrCurve) -> AutocorrFit:
     Grid search over b in [0, 10] (step 0.01) with closed-form least
     squares for (a, c) at each b, followed by golden-section refinement of
     b around the grid optimum. A constant curve leaves b unidentifiable and
-    is flagged instead of guessed.
+    is flagged instead of guessed. So is a fit whose model column
+    exp(-b*lag) is the same for every grid b > 0, as when every lag but 0
+    is so far out that it underflows to 0: the residual is flat in b, and
+    the polished b is kept but flagged.
     """
     mask = np.isfinite(curve.values)
     lags = curve.lags[mask]
@@ -267,7 +270,9 @@ def fit_autocorr_mmse(curve: AutocorrCurve) -> AutocorrFit:
 
     # the first grid minimum, as a scan keeping strict improvements finds it
     grid = np.arange(0.0, 10.0 + 1e-9, 0.01)
-    grid_a, grid_c, grid_resid = _ls_rows(np.exp(-grid[:, None] * lags), y)
+    columns = np.exp(-grid[:, None] * lags)
+    grid_a, grid_c, grid_resid = _ls_rows(columns, y)
+    identifiable = bool(np.any(columns[2:] != columns[1]))
     i = int(np.argmin(grid_resid))
     best = (float(grid_resid[i]), float(grid_a[i]), float(grid[i]), float(grid_c[i]))
 
@@ -295,7 +300,7 @@ def fit_autocorr_mmse(curve: AutocorrCurve) -> AutocorrFit:
     return AutocorrFit(
         params=AutocorrParams(a=a, b=b_ref, c=c),
         residual=resid,
-        identifiable=True,
+        identifiable=identifiable,
     )
 
 

@@ -234,6 +234,27 @@ def draw_tap_noise(
     return white, psi if rician else None
 
 
+def _diffuse(white: np.ndarray, r_r_sqrt: np.ndarray, r_t_sqrt: np.ndarray) -> np.ndarray:
+    """The diffuse Kronecker part ``R_r^(1/2) G R_t^(1/2)`` of each tap,
+    with ``G = (re + j*im)/sqrt(2)`` from ``white`` (..., 2, N_r, N_t):
+    shape (..., N_r, N_t). A fading model only rescales it."""
+    g = (white[..., 0, :, :] + 1j * white[..., 1, :, :]) / math.sqrt(2.0)
+    return r_r_sqrt @ g @ r_t_sqrt
+
+
+def _mix(diffuse: np.ndarray, phasors: np.ndarray | None, amplitudes: np.ndarray, fading: FadingModel) -> np.ndarray:
+    """The tap matrices of one fading model from the diffuse parts of
+    :func:`_diffuse`, the dominant phasors ``e^(j*psi)`` (read for a Rician
+    model only) and the amplitudes ``sqrt(p)``, both of the leading shape:
+    ``sqrt(p) * H0`` for Rayleigh, and
+    ``sqrt(p) * (sqrt(K/(K+1)) e^(j*psi) 1 + sqrt(1/(K+1)) H0)`` for Rician."""
+    h = diffuse
+    if fading.is_rician:
+        k = db_to_linear(fading.k_factor_db)
+        h = math.sqrt(k / (k + 1.0)) * phasors[..., None, None] + math.sqrt(1.0 / (k + 1.0)) * h
+    return amplitudes[..., None, None] * h
+
+
 def tap_matrices(
     white: np.ndarray,
     psi: np.ndarray | None,
@@ -249,14 +270,12 @@ def tap_matrices(
     ``sqrt(p) * (sqrt(K/(K+1)) e^(j*psi) 1 + sqrt(1/(K+1)) R_r^(1/2) G R_t^(1/2))``.
     ``psi`` and ``powers`` have the leading shape of ``white``; the result
     has shape (..., N_r, N_t). Each tap sees the same operations whatever
-    the stack it sits in, so its matrix does not depend on the stack.
+    the stack it sits in, so its matrix does not depend on the stack. The
+    steps are :func:`_diffuse` and :func:`_mix`, which the capacity engine
+    runs on its own, so that every model of a run shares one diffuse part.
     """
-    g = (white[..., 0, :, :] + 1j * white[..., 1, :, :]) / math.sqrt(2.0)
-    h = r_r_sqrt @ g @ r_t_sqrt
-    if fading.is_rician:
-        k = db_to_linear(fading.k_factor_db)
-        h = math.sqrt(k / (k + 1.0)) * np.exp(1j * psi[..., None, None]) + math.sqrt(1.0 / (k + 1.0)) * h
-    return np.sqrt(powers)[..., None, None] * h
+    phasors = np.exp(1j * psi) if fading.is_rician else None
+    return _mix(_diffuse(white, r_r_sqrt, r_t_sqrt), phasors, np.sqrt(powers), fading)
 
 
 def realize_taps(

@@ -6,7 +6,9 @@ power CDF comes from the noncentral chi-square law, the MMSE fit scans its
 decay grid one rate at a time, the Rayleigh SIMO mean capacity is one
 quadrature, and the Monte Carlo reference runs one drop at a time with
 scalar arithmetic per component and one object per tap, seeded through
-numpy's ``SeedSequence``.
+numpy's ``SeedSequence``. The one exception is the flat-drop capacity,
+which keeps the engine's own kernels on every subcarrier so that the
+engine's one-column shortcut can be held to it bit for bit.
 """
 
 import math
@@ -14,6 +16,7 @@ import math
 import numpy as np
 from scipy import integrate, stats
 
+from mmwchan.capacity import _cross_gram, _logdet_packed, _pair_phases, _tap_phases
 from mmwchan.core import TWO_PI, ChannelImpulseResponse, FadingModel, db_to_linear
 from mmwchan.spatial import (
     CorrelatedTap,
@@ -181,7 +184,8 @@ def reference_ls_given_b(x, y):
 
 def reference_fit_autocorr_mmse(lags, values):
     """(a, b, c, residual, identifiable) of the MMSE fit of a*exp(-b*lag) - c
-    to the finite points of a curve."""
+    to the finite points of a curve. b is identifiable unless the curve is
+    constant or exp(-b*lag) is the same column for every grid b > 0."""
     mask = np.isfinite(values)
     lags = np.asarray(lags, dtype=float)[mask]
     y = np.asarray(values, dtype=float)[mask]
@@ -195,10 +199,13 @@ def reference_fit_autocorr_mmse(lags, values):
         return resid, a, c
 
     best = None
+    columns = set()  # the model columns exp(-b*lag) of the grid rates b > 0
     for b in np.arange(0.0, 10.0 + 1e-9, 0.01):
         resid, a, c = objective(float(b))
         if best is None or resid < best[0]:
             best = (resid, a, float(b), c)
+        if b > 0:
+            columns.add(tuple(np.exp(-float(b) * lags).tolist()))
     lo = max(best[2] - 0.01, 0.0)
     hi = min(best[2] + 0.01, 10.0)
     gr = (math.sqrt(5.0) - 1.0) / 2.0
@@ -219,7 +226,8 @@ def reference_fit_autocorr_mmse(lags, values):
     resid, a, c = objective(b_ref)
     if resid > best[0]:
         resid, a, b_ref, c = best
-    return a, b_ref, c, resid, True
+    # one column for every b > 0: the residual is flat in b
+    return a, b_ref, c, resid, len(columns) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -404,3 +412,14 @@ def reference_monte_carlo(
         seed_word = int(ss.generate_state(2, dtype=np.uint32).view(np.uint64)[0])
         out.append((drop, seed_word, cap))
     return out
+
+
+def reference_flat_capacities(taps, cap_config, n_t):
+    """Capacities of one-tap drops, taps (B, 1, N_r, N_t), as the engine's
+    cross route takes them on all F subcarriers: the pair phases of the
+    single tap (a row of ones and a row of zeros at each subcarrier) times
+    its pair coefficients give an F-column packed Gram, whose log-det is
+    averaged over the F columns and floored at 0."""
+    phases = _pair_phases(_tap_phases(np.zeros((taps.shape[0], 1)), cap_config))
+    logdet = _logdet_packed(_cross_gram(taps, phases), db_to_linear(cap_config.snr_db) / n_t)
+    return np.maximum(np.mean(logdet, axis=-1) / math.log(2.0), 0.0)

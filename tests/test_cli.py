@@ -388,6 +388,18 @@ run.master_seed = 0
         assert "zero variance" in err and str(path) in err
         assert not out_dir.exists()
 
+    def test_estimate_far_lags_flagged(self, tmp_path, capsys):
+        # lags 1e306 wavelengths apart: exp(-b*lag) is 0 beyond lag 0 for
+        # every b > 0 of the grid, so the residual is flat in b
+        amplitudes = [1.0, 0.4, 1.3, 0.7, 1.1, 0.2, 0.9, 1.4, 0.5, 1.0, 0.8, 0.3]
+        path = tmp_path / "far.csv"
+        path.write_text("delta_x_wavelengths,delay_bin_ns,num_positions,num_bins\n"
+                        f"1e306,2.5,{len(amplitudes)},1\n" + "".join(f"{a}\n" for a in amplitudes))
+        out_dir = tmp_path / "o"
+        assert main(["estimate", str(path), "--out", str(out_dir)]) == 0
+        assert "identifiable = no\n" in (out_dir / "fit.txt").read_text()
+        assert "warning: decay rate non-identifiable" in capsys.readouterr().out
+
     @pytest.mark.parametrize("positions,code", [(2, 2), (5, 2), (9, 2), (10, 0)])
     def test_estimate_short_track_exit_2_names_track(self, tmp_path, capsys, positions, code):
         # the fit needs 3 lags, each keeping max(8, 3n/4) positions in its
@@ -480,6 +492,11 @@ class TestMainEntry:
             # the farthest lag, (n - 1) * spacing, overflowed: a RuntimeWarning
             ("rx_array.spacing", "1e308"),
             ("track.delta_x", "1e308"),
+            # counts too large for a float: "int too large to convert to float", exit 3
+            pytest.param("rx_array.num_elements", "1" + "0" * 400, id="rx_array.num_elements-hugecount"),
+            pytest.param("tx_array.num_elements", "1" + "0" * 400, id="tx_array.num_elements-hugecount"),
+            pytest.param("track.num_positions", "1" + "0" * 400, id="track.num_positions-hugecount"),
+            pytest.param("capacity.num_subcarriers", "1" + "0" * 400, id="capacity.num_subcarriers-hugecount"),
         ],
     )
     def test_non_finite_value_exit_2_names_key(self, tmp_path, capsys, key, value):

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    reference_flat_capacities,
     reference_initial_cir,
     reference_monte_carlo,
     reference_realize_taps,
@@ -58,7 +59,7 @@ from mmwchan.core import (
     Scenario,
     lookup_default_params,
 )
-from mmwchan.spatial import build_amplitude_matched_corr, matrix_sqrt_psd, realize_taps
+from mmwchan.spatial import build_amplitude_matched_corr, matrix_sqrt_psd, realize_taps, tap_matrices
 
 SCEN = Scenario.parse("NLOS V-V")
 PARAMS = lookup_default_params(SCEN).autocorr
@@ -446,57 +447,105 @@ def test_logdet_kernel_matches_slogdet_on_psd_grams(d, rank, near_singular, log_
     assert np.all(np.abs(_logdet_packed(_pack(gram).swapaxes(-1, -2), scale) - want) <= bound)
 
 
-def _route_taps(n_r, n_t, cross):
-    """The fewest taps (at least 2) that the route rule sends to a route."""
-    return next(num_taps for num_taps in range(2, 256) if _uses_cross_gram(num_taps, n_r, n_t) == cross)
+def _route_taps(n_r, n_t, route):
+    """A tap count of a route: 1 (``one-tap``, which takes the flat path),
+    or the fewest taps (at least 2) that the route rule sends to the
+    ``cross`` or the ``response`` route."""
+    if route == "one-tap":
+        return 1
+    return next(num_taps for num_taps in range(2, 256) if _uses_cross_gram(num_taps, n_r, n_t) == (route == "cross"))
 
 
-@pytest.mark.parametrize("cross", [True, False], ids=["cross", "response"])
-@pytest.mark.parametrize("n_r,n_t", [(6, 1), (2, 5), (5, 3), (4, 7)], ids=["d1", "d2", "d3", "d4"])
-@pytest.mark.parametrize("fading", [FadingModel.rayleigh(), FadingModel.rician(5.0)], ids=["rayleigh", "rician"])
-def test_batch_equals_its_drops_one_at_a_time(n_r, n_t, cross, fading):
-    # a drop's capacity must not depend on the batch it lands in
-    num_taps = _route_taps(n_r, n_t, cross)
-    rr = matrix_sqrt_psd(build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_r), FadingModel.rayleigh()))
-    rt = matrix_sqrt_psd(
-        build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_t), FadingModel.rayleigh())
-    )
-    campaign = _Campaign(CirGenConfig(), rr, rt, (fading,), CapacityConfig(), 1, None)
+#: The fading models of a campaign: one model of each kind, and two and
+#: three models, which share each batch's diffuse parts.
+CAMPAIGN_MODELS = {
+    "rayleigh": (FadingModel.rayleigh(),),
+    "rician": (FadingModel.rician(5.0),),
+    "two": (FadingModel.rayleigh(), FadingModel.rician(5.0)),
+    "three": (FadingModel.rayleigh(), FadingModel.rician(5.0), FadingModel.rician(15.0)),
+}
+ROUTES = ["one-tap", "cross", "response"]
+ARRAYS = {"d1": (6, 1), "d2": (2, 5), "d3": (5, 3), "d4": (4, 7)}
+
+
+def _batch(n_r, n_t, num_taps, batch, models, num_f=100):
+    """A campaign of ``models`` and the draws of ``batch`` drops of
+    ``num_taps`` taps: (campaign, delays, powers, white, psi)."""
+    rr, rt = (matrix_sqrt_psd(build_amplitude_matched_corr(PARAMS, ArrayGeometry(n), FadingModel.rayleigh()))
+              for n in (n_r, n_t))
+    campaign = _Campaign(CirGenConfig(), rr, rt, models, CapacityConfig(num_subcarriers=num_f), 1, None)
     rng = np.random.default_rng(num_taps)
-    batch = 7
     delays = np.sort(rng.uniform(0.0, 200e-9, (batch, num_taps)), axis=1)
     powers = rng.dirichlet(np.ones(num_taps), batch)
     white = rng.standard_normal((batch, num_taps, 2, n_r, n_t))
-    psi = rng.uniform(0.0, 2 * math.pi, (batch, num_taps)) if fading.is_rician else None
-    (together,) = _batch_capacities(delays, powers, white, psi, campaign)
-    for i in range(batch):
+    psi = rng.uniform(0.0, 2 * math.pi, (batch, num_taps)) if any(m.is_rician for m in models) else None
+    return campaign, delays, powers, white, psi
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("arrays", ARRAYS)
+@pytest.mark.parametrize("models", ["rayleigh", "rician", "three"])
+def test_batch_equals_its_drops_one_at_a_time(arrays, route, models):
+    # a drop's capacity must not depend on the batch it lands in
+    n_r, n_t = ARRAYS[arrays]
+    campaign, delays, powers, white, psi = _batch(n_r, n_t, _route_taps(n_r, n_t, route), 7, CAMPAIGN_MODELS[models])
+    together = _batch_capacities(delays, powers, white, psi, campaign)
+    for i in range(len(delays)):
         one = slice(i, i + 1)
-        (alone,) = _batch_capacities(delays[one], powers[one], white[one], None if psi is None else psi[one], campaign)
-        assert alone[0] == together[i]
+        alone = _batch_capacities(delays[one], powers[one], white[one], None if psi is None else psi[one], campaign)
+        assert np.array_equal(alone[:, 0], together[:, i])
 
 
-@pytest.mark.parametrize("taps", ["fewest", "most"])
-@pytest.mark.parametrize("cross", [True, False], ids=["cross", "response"])
-@pytest.mark.parametrize("n_r,n_t", [(6, 1), (2, 5), (5, 3), (4, 7)], ids=["d1", "d2", "d3", "d4"])
-def test_drop_bytes_bounds_the_batch_peak(n_r, n_t, cross, taps):
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("arrays", ARRAYS)
+def test_engine_taps_equal_tap_matrices_per_model(monkeypatch, arrays, route):
+    # every model mixes its taps from the batch's shared diffuse parts; each
+    # model's taps are those tap_matrices gives that model alone, bit for bit
+    n_r, n_t = ARRAYS[arrays]
+    models = CAMPAIGN_MODELS["three"]
+    campaign, delays, powers, white, psi = _batch(n_r, n_t, _route_taps(n_r, n_t, route), 5, models)
+    mixed = []
+    mix = capacity._mix
+
+    def recording_mix(*args):
+        mixed.append(mix(*args))
+        return mixed[-1]
+
+    monkeypatch.setattr(capacity, "_mix", recording_mix)
+    _batch_capacities(delays, powers, white, psi, campaign)
+    assert len(mixed) == len(models)
+    for taps, model in zip(mixed, models):
+        want = tap_matrices(white, psi if model.is_rician else None, powers, campaign.rr_sqrt, campaign.rt_sqrt, model)
+        assert taps.dtype == want.dtype and np.array_equal(taps, want)
+
+
+@pytest.mark.parametrize("num_f", [1, 7, 100])
+@pytest.mark.parametrize("n_r,n_t", [(20, 1), (20, 2), (2, 5), (20, 4), (4, 7)], ids=["d1", "d2", "d2-wide", "d4", "d4-wide"])
+def test_one_tap_batch_equals_mean_over_subcarriers(n_r, n_t, num_f):
+    # a one-tap batch takes its Gram and log-det at one subcarrier; its
+    # capacities are the mean of the log-det over all F subcarriers, bit for bit
+    models = CAMPAIGN_MODELS["three"]
+    campaign, delays, powers, white, psi = _batch(n_r, n_t, 1, 33, models, num_f)
+    got = _batch_capacities(delays, powers, white, psi, campaign)
+    for caps, model in zip(got, models):
+        taps = tap_matrices(white, psi if model.is_rician else None, powers, campaign.rr_sqrt, campaign.rt_sqrt, model)
+        want = reference_flat_capacities(taps, campaign.cap_config, n_t)
+        assert np.array_equal(caps, want)
+
+
+@pytest.mark.parametrize("route,taps", [("one-tap", "fewest"), *((r, t) for r in ROUTES[1:] for t in ("fewest", "most"))])
+@pytest.mark.parametrize("arrays", ARRAYS)
+@pytest.mark.parametrize("models", ["two", "three"])
+def test_drop_bytes_bounds_the_batch_peak(arrays, route, taps, models):
     # _drop_bytes sets the batch sizes, so it must bound what a batch
     # allocates for all the models of a run
-    num_taps = _route_taps(n_r, n_t, cross)
+    n_r, n_t = ARRAYS[arrays]
+    num_taps = _route_taps(n_r, n_t, route)
     if taps == "most":
-        num_taps = max(t for t in range(2, 256) if _uses_cross_gram(t, n_r, n_t)) if cross else num_taps + 8
-    rr = matrix_sqrt_psd(build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_r), FadingModel.rayleigh()))
-    rt = matrix_sqrt_psd(
-        build_amplitude_matched_corr(PARAMS, ArrayGeometry(n_t), FadingModel.rayleigh())
-    )
-    cap_config = CapacityConfig()
-    campaign = _Campaign(CirGenConfig(), rr, rt, (FadingModel.rayleigh(), FadingModel.rician(5.0)), cap_config, 1, None)
-    drop_bytes = _drop_bytes(num_taps, n_r, n_t, cap_config.num_subcarriers)
+        num_taps = max(t for t in range(2, 256) if _uses_cross_gram(t, n_r, n_t)) if route == "cross" else num_taps + 8
+    drop_bytes = _drop_bytes(num_taps, n_r, n_t, CapacityConfig().num_subcarriers)
     batch = max(1, BATCH_BYTES // drop_bytes)
-    rng = np.random.default_rng(num_taps)
-    delays = np.sort(rng.uniform(0.0, 200e-9, (batch, num_taps)), axis=1)
-    powers = rng.dirichlet(np.ones(num_taps), batch)
-    white = rng.standard_normal((batch, num_taps, 2, n_r, n_t))
-    psi = rng.uniform(0.0, 2 * math.pi, (batch, num_taps))
+    campaign, delays, powers, white, psi = _batch(n_r, n_t, num_taps, batch, CAMPAIGN_MODELS[models])
     _batch_capacities(delays, powers, white, psi, campaign)  # fills the index caches
     tracemalloc.start()
     try:

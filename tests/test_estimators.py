@@ -295,10 +295,11 @@ class TestFitAutocorrMmse:
 
     def test_decay_exponent_overflow_runs(self):
         # lags near the float maximum: b * lag overflows to inf on most of
-        # the b grid, where exp(-b * lag) is exactly 0
+        # the b grid, where exp(-b * lag) is exactly 0; it is 0 for every
+        # grid b > 0, so the residual is flat in b and b is not identifiable
         lags = np.arange(5) * 1e307
         fit = fit_autocorr_mmse(AutocorrCurve(lags=lags, values=[1.0, 0.5, 0.3, 0.2, 0.1]))
-        assert fit.identifiable and math.isfinite(fit.residual)
+        assert not fit.identifiable and math.isfinite(fit.residual)
         # the model is 1 at lag 0 and the floor -c at the others
         assert fit.params.a == pytest.approx(0.725) and fit.params.c == pytest.approx(-0.275)
 
@@ -360,6 +361,21 @@ class TestFitAgainstScalarOracle:
     def test_branch_curves_bitwise(self, name):
         lags, values = BRANCH_CURVES[name]
         assert _fit_outputs(lags, values) == reference_fit_autocorr_mmse(lags, values)
+
+    @pytest.mark.parametrize(
+        "lags,identifiable",
+        [
+            (np.arange(6) * 1e306, False),  # exp(-b*lag) underflows to 0 beyond lag 0 for every b > 0
+            (np.arange(6) * 1e-20, False),  # exp(-b*lag) rounds to 1 at every lag for every b <= 10
+            (600.0 + np.arange(6) * 0.5, True),  # underflows for b > 1.2 only
+        ],
+        ids=["far", "near", "far-from-0"],
+    )
+    def test_model_column_constant_in_b_is_flagged_bitwise(self, lags, identifiable):
+        values = np.array([1.0, 0.5, 0.3, 0.35, 0.2, 0.1])
+        got = _fit_outputs(lags, values)
+        assert got[4] is identifiable
+        assert got == reference_fit_autocorr_mmse(lags, values)
 
     def test_constant_curve_bitwise(self):
         lags, values = _HALF, np.full(_HALF.size, 0.4)
