@@ -57,7 +57,7 @@ from .estimators import (
     read_track,
     write_track,
 )
-from .spatial import pipeline_corr_matrices, simulate_amplitude_track
+from .spatial import pipeline_corr_matrices, simulate_amplitude_track, track_bytes
 
 
 class ConfigError(ValueError):
@@ -323,6 +323,11 @@ def _bin_track_grid(amps: np.ndarray, delays_s, bin_ns: float) -> np.ndarray:
 
 def cmd_simulate_cir(cfg: ScenarioConfig, out_dir: str) -> int:
     params = cfg.resolved_autocorr()
+    n = cfg.track_positions
+    size = track_bytes(n)
+    if size > CHUNK_BYTES_MAX:
+        raise ConfigError(f"track.num_positions: a track of {n} positions would take about {size / 2**20:.6g} MiB "
+                          f"for its {n} x {n} correlation, over the {CHUNK_BYTES_MAX >> 20} MiB limit")
     os.makedirs(out_dir, exist_ok=True)
     # the CIR a capacity run of this config fixes, if it fixes one
     cir = _fixed_cir(cfg)

@@ -17,9 +17,15 @@ import numpy as np
 
 from .core import AutocorrParams, read_lines, write_rows
 
-#: Byte budget of one (bins x lags x positions) float array in the
-#: autocorrelation kernel, which holds a few such arrays at once; larger
-#: grids go through in groups of bins.
+#: Byte budget of one (positions x bins x lags) float array of the
+#: autocorrelation kernel, which holds about ten such arrays at once: the
+#: int64 gather indices, the x and y windows and their deviations two
+#: each, the three products three. Larger grids go through in groups of
+#: bins and, where one bin's lags overrun the budget, one bin at a time in
+#: groups of lags, so the kernel's memory does not grow as positions x
+#: lags. A group holds at least one (bin, lag) column, so only a track of
+#: more than 131071 positions (a 1 MiB column) overruns the budget, by one
+#: column's arrays.
 _BATCH_BYTES = 1 << 20
 #: Fewest power samples the moment K-factor estimate accepts.
 MIN_K_SAMPLES = 100
@@ -50,8 +56,10 @@ class TrackMeasurement:
             raise ValueError("amplitudes must be a 2-D grid (positions x delay bins)")
         if a.shape[0] < 2:
             raise ValueError("a track needs at least 2 positions")
-        # NaN fails both comparisons, +inf the second, negatives the first
-        if not ((a >= 0.0) & (a < math.inf)).all():
+        # two reductions and no temporaries: min and max propagate NaN, which
+        # fails both comparisons; negatives and -inf fail the first, +inf
+        # the second
+        if not (a.min(initial=0.0) >= 0.0 and a.max(initial=0.0) < math.inf):
             raise ValueError("amplitudes must be finite and non-negative")
         if not 0 < self.delta_x < math.inf:
             raise ValueError("delta_x must be finite and > 0")
@@ -87,8 +95,11 @@ class AutocorrCurve:
         vals = np.array(self.values, dtype=float)
         if lags.shape != vals.shape or lags.ndim != 1:
             raise ValueError("lags and values must be matching 1-D arrays")
-        # NaN fails the comparison; +-inf and finite values outside [-1, 1] pass it
-        if (np.abs(vals) > 1.0 + 1e-9).any():
+        # two reductions and no temporaries: fmax and fmin skip NaN, so a
+        # NaN hides no other value; +-inf and finite values outside
+        # [-1, 1] pass one comparison
+        bound = 1.0 + 1e-9
+        if np.fmax.reduce(vals, initial=0.0) > bound or np.fmin.reduce(vals, initial=0.0) < -bound:
             raise ValueError("autocorrelation values must lie in [-1, 1] or be NaN")
         lags.setflags(write=False)
         vals.setflags(write=False)
@@ -97,19 +108,20 @@ class AutocorrCurve:
 
 
 @functools.lru_cache(maxsize=8)
-def _window_layout(n_pos: int, num_bins: int, num_lags: int):
+def _window_layout(n_pos: int, num_bins: int, lag_lo: int, lag_hi: int):
     """Read-only gather indices, mask and lengths of the position-major
-    windows of :func:`_autocorr_grid` for a (n_pos x num_bins) grid.
+    windows of :func:`_autocorr_grid` for lags ``lag_lo <= i < lag_hi`` of
+    a (n_pos x num_bins) grid.
 
-    ``take[k, 0, b, i]`` and ``take[k, 1, b, i]`` index term k of the x and
-    y windows of bin b at lag i in the grid raveled row-major and followed
-    by one 0.0: positions k - 1 and k - 1 + i for the terms
-    1 <= k <= n[i] = n_pos - i of the window, and the 0.0 for the terms
-    that ``outside`` marks.
+    ``take[k, 0, b, j]`` and ``take[k, 1, b, j]`` index term k of the x and
+    y windows of bin b at lag i = lag_lo + j in the grid raveled row-major
+    and followed by one 0.0: positions k - 1 and k - 1 + i for the terms
+    1 <= k <= n[j] = n_pos - i of the window, and the 0.0 for the terms
+    that ``outside`` marks. Rows run to the longest window, n[0].
     """
-    k = np.arange(n_pos + 1)[:, None, None]
-    i = np.arange(num_lags)
+    i = np.arange(lag_lo, lag_hi)
     n = n_pos - i
+    k = np.arange(n[0] + 1)[:, None, None]
     inside = (k >= 1) & (k <= n)
     first = (k - 1) * num_bins + np.arange(num_bins)[:, None]
     zero = n_pos * num_bins
@@ -120,9 +132,27 @@ def _window_layout(n_pos: int, num_bins: int, num_lags: int):
     return take, outside, n
 
 
-def _autocorr_grid(amplitudes: np.ndarray, min_overlap: int) -> np.ndarray:
+def _correlate_windows(padded: np.ndarray, take, outside, n, out: np.ndarray) -> bool:
+    """Correlations of the windows of one :func:`_window_layout` over a
+    raveled grid ``padded`` (followed by its 0.0) into the (bins x lags)
+    ``out``, which keeps its NaN where a window has zero variance; True
+    when none has. Its arrays die on return, before the next group's."""
+    xy = padded.take(take)
+    dxy = xy - xy.sum(axis=0) / n
+    np.copyto(dxy, 0.0, where=outside)
+    prod = np.empty((take.shape[0], 3) + dxy.shape[2:])
+    np.multiply(dxy, dxy, out=prod[:, :2])
+    np.multiply(dxy[:, 0], dxy[:, 1], out=prod[:, 2])
+    sxx, syy, sxy = prod.sum(axis=0)
+    ok = (sxx != 0.0) & (syy != 0.0)
+    np.divide(sxy, np.sqrt(sxx * syy), out=out, where=ok)
+    return bool(ok.all())
+
+
+def _autocorr_grid(amplitudes: np.ndarray, min_overlap: int):
     """Windowed lag correlations of each column of a (positions x bins)
-    grid, as a (bins x lags) array; NaN marks a zero-variance window.
+    grid, as a (bins x lags) array, and whether every window had nonzero
+    variance; NaN marks a zero-variance window.
 
     Lag i pairs position l with l + i over the n = positions - i overlapping
     samples, with means and variances over that window. Lags run from 0
@@ -135,27 +165,33 @@ def _autocorr_grid(amplitudes: np.ndarray, min_overlap: int) -> np.ndarray:
     vector add per row, in row order, so each value comes from the same
     float operations as a sequential double loop over its window, bit for
     bit. numpy would sum a lone column pairwise instead; stacking x with y,
-    and the three products, keeps at least two columns in every sum. Bins
-    are independent and go through in groups under :data:`_BATCH_BYTES`.
+    and the three products, keeps at least two columns in every sum.
+
+    Each (bin, lag) column is summed on its own, so the grid goes through
+    in groups under :data:`_BATCH_BYTES`: groups of bins, or, where one
+    bin's lags overrun the budget, one bin at a time in groups of lags. A
+    group of lags stops its rows at its longest window; the rows it drops
+    hold only 0.0 terms, and adding 0.0 to a sum that starts at 0.0
+    changes no bit. Whole-grid layouts are cached, as tracks of one shape
+    come in runs; a group of lags is laid out anew each time.
     """
     a = np.asarray(amplitudes, dtype=float)
     n_pos, num_bins = a.shape
     num_lags = n_pos - max(min(min_overlap, n_pos), 2) + 1
     out = np.full((num_bins, num_lags), math.nan)
-    group = max(1, _BATCH_BYTES // (8 * num_lags * (n_pos + 1)))
-    for lo in range(0, num_bins, group):
-        cols = a[:, lo : lo + group]
-        take, outside, n = _window_layout(n_pos, cols.shape[1], num_lags)
-        xy = np.append(cols, 0.0).take(take)
-        dxy = xy - xy.sum(axis=0) / n
-        np.copyto(dxy, 0.0, where=outside)
-        prod = np.empty((n_pos + 1, 3) + dxy.shape[2:])
-        np.multiply(dxy, dxy, out=prod[:, :2])
-        np.multiply(dxy[:, 0], dxy[:, 1], out=prod[:, 2])
-        sxx, syy, sxy = prod.sum(axis=0)
-        ok = (sxx != 0.0) & (syy != 0.0)
-        np.divide(sxy, np.sqrt(sxx * syy), out=out[lo : lo + group], where=ok)
-    return out
+    column = 8 * (n_pos + 1)  # bytes of one (bin, lag) window column
+    lag_group = min(num_lags, max(1, _BATCH_BYTES // column))
+    bin_group = max(1, _BATCH_BYTES // (column * lag_group))
+    layout = _window_layout if lag_group == num_lags else _window_layout.__wrapped__
+    defined = True
+    for b0 in range(0, num_bins, bin_group):
+        cols = a[:, b0 : b0 + bin_group]
+        padded = np.append(cols, 0.0)
+        for i0 in range(0, num_lags, lag_group):
+            i1 = min(i0 + lag_group, num_lags)
+            window = layout(n_pos, cols.shape[1], i0, i1)
+            defined &= _correlate_windows(padded, *window, out=out[b0 : b0 + bin_group, i0:i1])
+    return out, defined
 
 
 def spatial_autocorrelation(
@@ -171,8 +207,8 @@ def spatial_autocorrelation(
     """
     if not 0 <= delay_bin < track.num_bins:
         raise ValueError(f"delay_bin {delay_bin} out of range [0, {track.num_bins})")
-    values = _autocorr_grid(track.amplitudes[:, delay_bin : delay_bin + 1], min_overlap)[0]
-    return AutocorrCurve(lags=np.arange(values.size) * track.delta_x, values=values)
+    values, _ = _autocorr_grid(track.amplitudes[:, delay_bin : delay_bin + 1], min_overlap)
+    return AutocorrCurve(lags=np.arange(values.shape[1]) * track.delta_x, values=values[0])
 
 
 def average_autocorr(track: TrackMeasurement, min_overlap: int = MIN_OVERLAP) -> AutocorrCurve:
@@ -182,13 +218,17 @@ def average_autocorr(track: TrackMeasurement, min_overlap: int = MIN_OVERLAP) ->
     restricts the average to resolvable multipath bins. Raises when no bin
     is defined anywhere.
     """
-    values = _autocorr_grid(track.amplitudes, min_overlap)
-    defined = np.isfinite(values)
-    if not defined.any():
-        raise ValueError("no delay bin has a defined autocorrelation (all zero variance)")
-    counts = defined.sum(axis=0)
-    sums = np.where(defined, values, 0.0).sum(axis=0)
-    avg = np.where(counts > 0, sums / np.maximum(counts, 1), math.nan)
+    values, all_defined = _autocorr_grid(track.amplitudes, min_overlap)
+    if all_defined and track.num_bins:
+        # every bin fades: the masked mean below, without its masks
+        avg = values.sum(axis=0) / values.shape[0]
+    else:
+        defined = np.isfinite(values)
+        if not defined.any():
+            raise ValueError("no delay bin has a defined autocorrelation (all zero variance)")
+        counts = defined.sum(axis=0)
+        sums = np.where(defined, values, 0.0).sum(axis=0)
+        avg = np.where(counts > 0, sums / np.maximum(counts, 1), math.nan)
     return AutocorrCurve(lags=np.arange(values.shape[1]) * track.delta_x, values=avg)
 
 
@@ -238,6 +278,39 @@ def _ls_rows(x: np.ndarray, y: np.ndarray):
     return a, c, resid
 
 
+def _ls_row(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """:func:`_ls_rows` on one row x, as Python floats (a, c, residual).
+
+    Each sum is the same numpy reduction over the lags, and each branch is
+    a Python ``if`` on the same float operations, so the result is that
+    row's bit for bit, at about a fifth of a one-row array call's cost.
+    """
+    n = x.size
+    sx = float(np.add.reduce(x))
+    sxx = float(np.add.reduce(x * x))
+    sy = float(np.add.reduce(y))
+    mean_y = sy / n
+    det = n * sxx - sx * sx
+    if det <= 1e-15 * max(n * sxx, 1.0):  # x constant: the model collapses to a constant
+        x0 = float(x[0])
+        a = max(mean_y, 1e-6) if x0 == 1.0 else 1.0
+        c = a * x0 - mean_y
+    else:
+        a = (n * float(np.add.reduce(x * y)) - sx * sy) / det
+        c = (a * sx - sy) / n
+    if a <= 0.0:
+        a = 1e-6
+        c = a * (sx / n) - mean_y
+    if a - c > 1.0:  # refit on the boundary c = a - 1
+        denom = float(np.add.reduce((x - 1.0) ** 2))
+        if denom > 0.0:
+            a = max(float(np.add.reduce((x - 1.0) * (y - 1.0))) / denom, 1e-6)
+        c = a - 1.0
+    elif a - c <= 0.0:
+        c = a - 1e-6
+    return a, c, float(np.add.reduce((a * x - c - y) ** 2)) / n
+
+
 @np.errstate(over="ignore")  # b * lag overflows to inf only where exp(-b * lag) gives exactly 0
 def fit_autocorr_mmse(curve: AutocorrCurve) -> AutocorrFit:
     """Fit a*exp(-b*lag) - c to the defined points of a curve by MMSE.
@@ -265,8 +338,8 @@ def fit_autocorr_mmse(curve: AutocorrCurve) -> AutocorrFit:
         )
 
     def objective(b: float):
-        a, c, resid = _ls_rows(np.exp(-b * lags)[None, :], y)
-        return float(resid[0]), float(a[0]), float(c[0])
+        a, c, resid = _ls_row(np.exp(-b * lags), y)
+        return resid, a, c
 
     # the first grid minimum, as a scan keeping strict improvements finds it
     grid = np.arange(0.0, 10.0 + 1e-9, 0.01)

@@ -301,6 +301,14 @@ def realize_taps(
     return [CorrelatedTap(matrix=m, delay=d) for m, d in zip(matrices, cir.delays.tolist())]
 
 
+def track_bytes(num_positions: int) -> int:
+    """A bound on the bytes :func:`simulate_amplitude_track` holds at once
+    on a track of N positions: six complex N x N matrices, for the track's
+    correlation and the arrays that build it and take its square root
+    (tracemalloc read 5.0-5.3 of them at N = 200-800)."""
+    return 6 * 16 * num_positions * num_positions
+
+
 def simulate_amplitude_track(
     cir: ChannelImpulseResponse,
     params: AutocorrParams,

@@ -54,6 +54,25 @@ def brute_force_autocorr(amplitudes_1d, lag):
     return num / math.sqrt(var_x * var_y)
 
 
+def reference_average_autocorr(amplitudes, min_overlap):
+    """Per-lag mean of :func:`brute_force_autocorr` over the delay bins
+    where it is defined, summed in bin order; NaN where no bin is. Lags
+    run while the window keeps min(min_overlap, positions) samples, and at
+    least 2."""
+    n_pos, num_bins = np.shape(amplitudes)
+    columns = [[float(v) for v in np.asarray(amplitudes)[:, b]] for b in range(num_bins)]
+    out = []
+    for lag in range(n_pos - max(min(min_overlap, n_pos), 2) + 1):
+        total, count = 0.0, 0
+        for col in columns:
+            value = brute_force_autocorr(col, lag)
+            if not math.isnan(value):
+                total += value
+                count += 1
+        out.append(total / count if count else math.nan)
+    return np.array(out)
+
+
 def rician_power_cdf(x, k_linear):
     """CDF of |h|^2 for h = sqrt(K/(K+1))e^{j psi} + sqrt(1/(K+1)) CN(0,1).
 

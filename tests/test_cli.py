@@ -20,6 +20,7 @@ from mmwchan.cli import (
 )
 from mmwchan.core import FadingModel
 from mmwchan.estimators import TRACK_HEADER_FIELDS, read_track
+from mmwchan.spatial import track_bytes
 
 BASE_CFG = """
 scenario = NLOS V-V
@@ -334,6 +335,27 @@ class TestSimulateCirAndEstimate:
         cmd_simulate_cir(cfg, out_dir)
         track = read_track(os.path.join(out_dir, "track.csv"))
         assert track.num_bins == 1
+
+    def test_track_too_large_exit_2_before_writing(self, tmp_path, capsys):
+        # it wrote cir.csv, then exited 3 allocating a 728 TiB lag matrix
+        path = write_cfg(tmp_path, BASE_CFG + "\ntrack.num_positions = 10000000\n")
+        out_dir = tmp_path / "cir"
+        assert main(["simulate-cir", "--config", path, "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "track.num_positions" in err and "256 MiB limit" in err
+        assert not out_dir.exists()
+
+    def test_track_size_limit_is_the_chunk_limit(self, tmp_path, monkeypatch, capsys):
+        # 256 positions: the track's bound (6 MiB) is above the config's
+        # chunk size, which the same limit caps
+        path = write_cfg(tmp_path, BASE_CFG + "\ntrack.num_positions = 256\n")
+        monkeypatch.setattr(mmwchan.cli, "CHUNK_BYTES_MAX", track_bytes(256) - 1)
+        assert main(["simulate-cir", "--config", path, "--out", str(tmp_path / "over")]) == 2
+        assert "track.num_positions" in capsys.readouterr().err
+        assert not (tmp_path / "over").exists()
+        monkeypatch.setattr(mmwchan.cli, "CHUNK_BYTES_MAX", track_bytes(256))
+        assert main(["simulate-cir", "--config", path, "--out", str(tmp_path / "at")]) == 0
+        assert read_track(tmp_path / "at" / "track.csv").num_positions == 256
 
     def test_underflowed_paths_are_no_components(self, tmp_path, capsys):
         # fig4 with a cluster decay so short that the second cluster's

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     brute_force_autocorr,
     exponential_power_cdf,
+    reference_average_autocorr,
     reference_fit_autocorr_mmse,
     reference_ls_given_b,
 )
@@ -165,13 +167,71 @@ class TestAverageAutocorr:
         rng = np.random.default_rng(13)
         t = TrackMeasurement(amplitudes=rng.random((40, 9)), delta_x=0.5)
         whole = average_autocorr(t, min_overlap=2).values
-        monkeypatch.setattr(estimators, "_BATCH_BYTES", 1)  # one bin per group
+        monkeypatch.setattr(estimators, "_BATCH_BYTES", 1)  # one bin, and one lag, per group
         assert average_autocorr(t, min_overlap=2).values.tobytes() == whole.tobytes()
 
     def test_all_bins_dead_raises(self):
         t = track_from_columns(np.zeros(12), np.full(12, 2.0))
         with pytest.raises(ValueError):
             average_autocorr(t)
+
+    def test_track_without_bins_raises(self):
+        # every window of no bin is defined, but there is no bin to average
+        with pytest.raises(ValueError, match="no delay bin has a defined autocorrelation"):
+            average_autocorr(TrackMeasurement(amplitudes=np.ones((12, 0))))
+
+    @pytest.mark.parametrize("case", ["all-fading", "dead-bin", "deep-lags-undefined"])
+    def test_equals_double_loop_on_both_paths(self, case):
+        # every window defined takes the unmasked mean; any undefined one
+        # the masked mean, whose NaN bins drop out lag by lag
+        rng = np.random.default_rng(24)
+        amps = rng.random((40, 3)) + 0.1
+        if case == "dead-bin":
+            amps[:, 1] = 0.7
+        elif case == "deep-lags-undefined":
+            amps[25:, 2] = 0.4  # the y window is constant from lag 25 on
+        values, all_defined = estimators._autocorr_grid(amps, 8)
+        assert all_defined == (case == "all-fading")
+        if case == "deep-lags-undefined":
+            undefined = np.isnan(values[2])
+            assert undefined.any() and not undefined[:25].any()
+        t = TrackMeasurement(amplitudes=amps, delta_x=0.5)
+        want = reference_average_autocorr(amps, 8)
+        assert not np.isnan(want).any()
+        assert average_autocorr(t).values.tobytes() == want.tobytes()
+
+    def test_lag_groups_do_not_change_values(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        amps = rng.random((40, 3))
+        amps[:, 1] = 1.5  # a dead bin
+        amps[25:, 2] = 0.4  # undefined at its deep lags only
+        t = TrackMeasurement(amplitudes=amps, delta_x=0.5)
+        whole = [average_autocorr(t, min_overlap=m).values.tobytes() for m in (2, 8, 30)]
+        bins = [spatial_autocorrelation(t, b).values.tobytes() for b in range(3)]
+        # one lag, then three lags, of one bin per group
+        for budget in (1, 3 * 8 * 41):
+            monkeypatch.setattr(estimators, "_BATCH_BYTES", budget)
+            assert [average_autocorr(t, min_overlap=m).values.tobytes() for m in (2, 8, 30)] == whole
+            assert [spatial_autocorrelation(t, b).values.tobytes() for b in range(3)] == bins
+
+    def test_long_track_memory_stays_in_budget(self):
+        # one bin of 2000 positions: 1993 lags at the default min_overlap.
+        # Whole, its windows took 8 * 2001 * 1993 bytes (32 MB) per float
+        # array, and the kernel held about ten such arrays; in groups of
+        # lags each group holds about ten budget-sized ones
+        rng = np.random.default_rng(26)
+        t = track_from_columns(rng.random(2000))
+        tracemalloc.start()
+        try:
+            curve = average_autocorr(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * estimators._BATCH_BYTES
+        col = t.amplitudes[:, 0].tolist()
+        assert curve.values.size == 1993
+        for lag in (0, 1, 64, 65, 1000, 1992):  # both sides of the first group edge
+            assert curve.values[lag] == brute_force_autocorr(col, lag)
 
     @pytest.mark.parametrize(
         "abc, k_db, tol",
@@ -356,6 +416,38 @@ class TestFitAgainstScalarOracle:
                 seen["refit"] += want[1] == want[0] - 1.0
                 seen["nonpositive"] += want[1] == want[0] - 1e-6
         assert all(seen.values()), seen
+
+    @pytest.mark.parametrize(
+        "x, y, branch",
+        [
+            (np.ones(8), BRANCH_CURVES["rising"][1], lambda a, c, x: np.ptp(x) == 0.0 and x[0] == 1.0),
+            (np.exp(-10.0 * BRANCH_CURVES["far"][0]), BRANCH_CURVES["far"][1],
+             lambda a, c, x: np.ptp(x) == 0.0 and x[0] != 1.0),
+            (np.full(8, 0.5), BRANCH_CURVES["negative"][1], lambda a, c, x: np.ptp(x) == 0.0 and x[0] != 1.0),
+            (np.exp(-1.0 * _HALF), BRANCH_CURVES["rising"][1], lambda a, c, x: a == 1e-6),
+            (np.exp(-3.0 * _HALF), BRANCH_CURVES["edge"][1], lambda a, c, x: c == a - 1.0 and np.ptp(x) > 0.0),
+            # x = 1 everywhere: the refit's denominator is 0 and a is kept
+            (np.ones(8), np.full(8, 1.0 + 5e-10), lambda a, c, x: c == a - 1.0 and a == 1.0 + 5e-10),
+            (np.exp(-1.0 * _HALF), BRANCH_CURVES["negative"][1], lambda a, c, x: c == a - 1e-6),
+        ],
+        ids=["degenerate-x1", "degenerate-x0", "degenerate-half", "a-low", "refit", "refit-denom-0", "a-minus-c-low"],
+    )
+    def test_one_row_objective_matches_rows_and_scalar_on_each_branch(self, x, y, branch):
+        a, c, resid = estimators._ls_rows(x[None, :], y)
+        got = estimators._ls_row(x, y)
+        assert got == (float(a[0]), float(c[0]), float(resid[0])) == reference_ls_given_b(x, y)
+        assert branch(got[0], got[1], x)
+
+    @pytest.mark.parametrize("b", [0.0, 1e-9, 10.0, 1e300])
+    @pytest.mark.parametrize("name", sorted(BRANCH_CURVES))
+    def test_one_row_objective_matches_at_extreme_rates(self, name, b):
+        lags, y = BRANCH_CURVES[name]
+        with np.errstate(over="ignore"):
+            x = np.exp(-b * lags)
+        a, c, resid = estimators._ls_rows(x[None, :], y)
+        got = estimators._ls_row(x, y)
+        assert got == (float(a[0]), float(c[0]), float(resid[0])) == reference_ls_given_b(x, y)
+        assert all(type(v) is float for v in got)
 
     @pytest.mark.parametrize("name", sorted(BRANCH_CURVES))
     def test_branch_curves_bitwise(self, name):
@@ -546,6 +638,24 @@ class TestAutocorrCurveInvariants:
         with pytest.raises(ValueError, match=r"\[-1, 1\] or be NaN"):
             AutocorrCurve(lags=[0.0, 0.5, 1.0, 1.5, 2.0], values=[1.0, bad, 0.5, 0.3, 0.2])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, 1.0 + 2e-9, -1.0 - 2e-9, 7.0, -7.0])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_rejects_out_of_range_beside_nan(self, bad, where):
+        # a NaN elsewhere in the curve hides no out-of-range value
+        values = [math.nan, 0.5, math.nan, 0.3, math.nan]
+        values[where] = bad
+        with pytest.raises(ValueError) as exc:
+            AutocorrCurve(lags=[0.0, 0.5, 1.0, 1.5, 2.0], values=values)
+        assert str(exc.value) == "autocorrelation values must lie in [-1, 1] or be NaN"
+
+    @pytest.mark.parametrize(
+        "values",
+        [[math.nan] * 3, [1.0, -1.0, 0.0], [1.0 + 1e-9, -1.0 - 1e-9, math.nan], [], [-0.0, 0.5, math.nan]],
+    )
+    def test_accepts_nan_and_values_within_bounds(self, values):
+        curve = AutocorrCurve(lags=np.arange(len(values)) * 0.5, values=values)
+        assert curve.values.tobytes() == np.array(values, dtype=float).tobytes()
+
 
 class TestTrackMeasurementInvariants:
     def test_needs_two_positions(self):
@@ -573,3 +683,19 @@ class TestTrackMeasurementInvariants:
     def test_rejects_negative_amplitudes(self):
         with pytest.raises(ValueError):
             TrackMeasurement(amplitudes=np.array([[1.0, -0.1], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize(
+        "bads",
+        [(math.nan, math.inf), (math.nan, -1.0), (math.inf, -math.inf), (-math.inf, math.nan), (1e308, -0.5)],
+    )
+    def test_rejects_any_bad_amplitude_among_others(self, bads):
+        for first, second in ((0, -1), (-1, 0)):
+            amps = np.linspace(0.0, 2.0, 12).reshape(4, 3)
+            amps.flat[first], amps.flat[second] = bads
+            with pytest.raises(ValueError) as exc:
+                TrackMeasurement(amplitudes=amps)
+            assert str(exc.value) == "amplitudes must be finite and non-negative"
+
+    @pytest.mark.parametrize("amps", [np.zeros((3, 2)), np.full((2, 2), 1e308), np.ones((3, 0)), [[0.0], [-0.0]]])
+    def test_accepts_finite_non_negative_amplitudes(self, amps):
+        assert np.array_equal(TrackMeasurement(amplitudes=amps).amplitudes, amps)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from mmwchan.spatial import (
     pipeline_corr_matrices,
     realize_taps,
     repair_to_correlation,
+    simulate_amplitude_track,
     tap_matrices,
+    track_bytes,
 )
 
 NLOS_VV = AutocorrParams(0.9, 1.0, -0.1)
@@ -392,3 +395,17 @@ class TestCorrelationRealization:
                 vals.append(curve.values[1])
         target = expected_autocorr(0.9, 1.0, -0.1, 0.5)
         assert abs(float(np.mean(vals)) - target) < 0.1
+
+
+@pytest.mark.parametrize("num_positions", [100, 300])
+@pytest.mark.parametrize("fading", [FadingModel.rayleigh(), FadingModel.rician(5.0)], ids=["rayleigh", "rician"])
+def test_track_bytes_bounds_the_track_peak(num_positions, fading):
+    cir = cir_of(delays=(0.0, 5e-9, 9e-9), powers=(0.5, 0.3, 0.2))
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        simulate_amplitude_track(cir, NLOS_VV, num_positions, 0.5, fading, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.5 * track_bytes(num_positions) < peak <= track_bytes(num_positions)
