@@ -31,6 +31,7 @@ from .core import (
     Scenario,
     db_to_linear,
     require_count,
+    require_positive,
     require_seed,
 )
 from .spatial import (
@@ -57,14 +58,10 @@ class CapacityConfig:
     center_frequency_hz: float = 28e9
 
     def __post_init__(self) -> None:
-        for name in ("bandwidth_hz", "snr_db", "center_frequency_hz"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not SNR_DB_MIN <= self.snr_db <= SNR_DB_MAX:
+        require_positive("bandwidth_hz", self.bandwidth_hz)
+        require_positive("center_frequency_hz", self.center_frequency_hz)
+        if not SNR_DB_MIN <= self.snr_db <= SNR_DB_MAX:  # NaN fails
             raise ValueError(f"snr_db must lie in [{SNR_DB_MIN:g}, {SNR_DB_MAX:g}] dB, got {self.snr_db}")
-        for name in ("bandwidth_hz", "center_frequency_hz"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not math.isfinite(TWO_PI * (self.bandwidth_hz / 2.0)):  # the widest subcarrier phase angle
             raise ValueError(f"bandwidth_hz must keep 2*pi*bandwidth_hz/2 finite, got {self.bandwidth_hz!r}")
         require_count("num_subcarriers", self.num_subcarriers)

@@ -19,7 +19,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TWO_PI, ChannelImpulseResponse, ComponentError, Scenario, read_lines, write_rows
+from .core import (
+    TWO_PI,
+    ChannelImpulseResponse,
+    ComponentError,
+    Scenario,
+    check_header,
+    read_lines,
+    read_row,
+    require_count,
+    write_rows,
+)
 
 NS = 1e-9
 #: Standard normal angle offsets drawn per component: departure azimuth and
@@ -32,6 +42,14 @@ _LOBE_EL_SPAN = math.pi / 4 - _LOBE_EL_LOW
 
 class CirFileError(ValueError):
     """Raised when a CIR file does not match the expected schema."""
+
+
+def require_ns(name: str, value) -> None:
+    """Reject a time in ns that is not finite or, in seconds, not a normal
+    float > 0 (a subnormal one loses bits, one that underflows is 0 s)."""
+    if not (value < math.inf and value * NS >= sys.float_info.min):
+        raise ValueError(f"{name} must be finite and at least {sys.float_info.min / NS:g} ns, so that it stays "
+                         f"a normal float in seconds, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -55,23 +73,14 @@ class CirGenConfig:
     def __post_init__(self) -> None:
         for name in ("num_clusters_range", "paths_per_cluster_range", "num_lobes_range"):
             lo, hi = getattr(self, name)
-            if not (isinstance(lo, int) and isinstance(hi, int)):
-                raise ValueError(f"{name} bounds must be integers")
-            if lo < 1 or hi < lo:
-                raise ValueError(f"{name} must be a nonempty range of positive ints, got ({lo}, {hi})")
-        for name in ("intercluster_void_ns", "cluster_decay_ns", "intracluster_decay_ns",
-                     "lobe_angular_spread_deg"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.intercluster_void_ns < 0:
-            raise ValueError("intercluster_void_ns must be >= 0")
+            require_count(f"{name} lower bound", lo)
+            require_count(f"{name} upper bound", hi, least=lo)
+        for name in ("intercluster_void_ns", "lobe_angular_spread_deg"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
         for name in ("cluster_decay_ns", "intracluster_decay_ns"):
             # 0/0 in the path weights would leave a drop with no component
-            if not getattr(self, name) * NS >= sys.float_info.min:
-                raise ValueError(f"{name} must be at least {sys.float_info.min / NS:g} ns, so that it stays "
-                                 f"a normal float in seconds, got {getattr(self, name)!r}")
-        if not self.lobe_angular_spread_deg >= 0:
-            raise ValueError("lobe_angular_spread_deg must be >= 0")
+            require_ns(name, getattr(self, name))
 
 
 class DropLayout(NamedTuple):
@@ -321,36 +330,17 @@ def import_cir(path, scenario: Scenario) -> ChannelImpulseResponse:
                 raise CirFileError(f"{path}: line {lineno}: {exc}") from exc
     else:
         raise CirFileError(f"{path}: no header row found")
-    header = tuple(f.strip() for f in line.split(","))
-    if header != CIR_FILE_FIELDS:
-        raise CirFileError(
-            f"{path}: line {lineno}: header {header} does not match "
-            f"expected fields {CIR_FILE_FIELDS}"
-        )
+    check_header(f"{path}: line {lineno}", line, CIR_FILE_FIELDS, CirFileError)
 
     linenos: list[int] = []
     records: list[tuple[float, ...]] = []  # delay (s), power, phase, aod and aoa (rad)
     for lineno, line, _ in lines:
-        if not line:
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if len(cells) != len(CIR_FILE_FIELDS):
-            raise CirFileError(
-                f"{path}: line {lineno}: expected {len(CIR_FILE_FIELDS)} "
-                f"fields, got {len(cells)}"
+        if line:
+            delay_ns, power, phase, *degrees = read_row(
+                f"{path}: line {lineno}", line, len(CIR_FILE_FIELDS), CIR_FILE_FIELDS.__getitem__, CirFileError
             )
-        values = []
-        for name, cell in zip(CIR_FILE_FIELDS, cells):
-            try:
-                values.append(float(cell))
-            except ValueError as exc:
-                raise CirFileError(
-                    f"{path}: line {lineno}: field {name!r}: "
-                    f"not a number: {cell!r}"
-                ) from exc
-        delay_ns, power, phase, *degrees = values
-        linenos.append(lineno)
-        records.append((delay_ns * NS, power, phase, *map(math.radians, degrees)))
+            linenos.append(lineno)
+            records.append((delay_ns * NS, power, phase, *map(math.radians, degrees)))
 
     table = np.array(records, dtype=float).reshape(-1, len(CIR_FILE_FIELDS))
     try:

@@ -16,7 +16,6 @@ import ctypes
 import dataclasses
 import functools
 import gc
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ from .capacity import (
     chunk_bytes,
     run_monte_carlo,
 )
-from .cirgen import CirFileError, CirGenConfig, export_cir, generate_initial_cir, import_cir
+from .cirgen import CirFileError, CirGenConfig, export_cir, generate_initial_cir, import_cir, require_ns
 from .core import (
     ArrayGeometry,
     AutocorrParams,
@@ -43,6 +42,7 @@ from .core import (
     lookup_default_params,
     read_lines,
     require_count,
+    require_grid,
     require_seed,
     write_rows,
 )
@@ -116,20 +116,16 @@ class ScenarioConfig:
             max_workers = os.cpu_count() or 1
             if self.num_workers > max_workers:
                 raise ValueError(f"num_workers must be at most the CPU count, {max_workers}, got {self.num_workers}")
-        with _reading("track_positions"):
-            require_count("track_positions", self.track_positions)
-            if self.track_positions < 2:
-                raise ValueError(f"track_positions must be >= 2, got {self.track_positions}")
         with _reading("master_seed"):
             require_seed("master_seed", self.master_seed)
-        for name in ("track_delta_x", "track_delay_bin_ns"):
-            value = getattr(self, name)
-            with _reading(name):
-                if not (math.isfinite(value) and value > 0):
-                    raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        with _reading("output_dir"):
+            if not self.output_dir:
+                raise ValueError("output_dir must not be empty")
         with _reading("track_positions", "track_delta_x"):
-            if not math.isfinite((self.track_positions - 1) * self.track_delta_x):  # the farthest lag
-                raise ValueError(f"(num_positions - 1) * delta_x must be finite, got {self.track_delta_x!r}")
+            require_grid("track_positions", self.track_positions, "track_delta_x", self.track_delta_x, least=2)
+        with _reading("track_delay_bin_ns"):
+            # simulate-cir divides delays in seconds by the bin
+            require_ns("track_delay_bin_ns", self.track_delay_bin_ns)
         with _reading("fading_models"):
             if not self.fading_models:
                 raise ValueError("at least one fading model required")
@@ -140,14 +136,9 @@ class ScenarioConfig:
                     raise ValueError(f"fading model {label!r} is given more than once")
         with _reading("cir_gen.num_clusters_range", "cir_gen.paths_per_cluster_range", "cir_gen.num_lobes_range",
                       "rx_array.num_elements", "tx_array.num_elements", "capacity.num_subcarriers"):
-            size = chunk_bytes(self.cir_gen, self.rx_array.num_elements, self.tx_array.num_elements,
-                               self.capacity.num_subcarriers)
-            if size > CHUNK_BYTES_MAX:
-                raise ValueError(
-                    f"a chunk of {CHUNK_DROPS} drops would take about {size / 2**20:.6g} MiB, over the "
-                    f"{CHUNK_BYTES_MAX >> 20} MiB limit: lower the cluster, path or lobe maxima, the array sizes "
-                    "or the subcarrier count"
-                )
+            _require_bytes(f"a chunk of {CHUNK_DROPS} drops", chunk_bytes(
+                self.cir_gen, self.rx_array.num_elements, self.tx_array.num_elements, self.capacity.num_subcarriers
+            ))
 
     def resolved_autocorr(self) -> AutocorrParams:
         if self.autocorr is not None:
@@ -159,6 +150,13 @@ class ScenarioConfig:
                 "parameters; set 'autocorr = A B C' in the config"
             )
         return defaults.autocorr
+
+
+def _require_bytes(what: str, size: float) -> None:
+    """Reject ``what``, which would take ``size`` bytes, when that is over
+    ``CHUNK_BYTES_MAX``, the memory limit of every array a run sizes ahead."""
+    if size > CHUNK_BYTES_MAX:
+        raise ConfigError(f"{what} would take about {size / 2**20:.6g} MiB, over the {CHUNK_BYTES_MAX >> 20} MiB limit")
 
 
 def _parse_int_pair(value: str) -> tuple[int, int]:
@@ -201,37 +199,37 @@ def _parse_autocorr(value: str) -> AutocorrParams | None:
     return AutocorrParams(*map(float, vals))
 
 
-#: Config key -> (ScenarioConfig field, field of that section or None, parser).
-#: Keys absent from a config keep the dataclass defaults. A parser only
+#: Config key -> (ScenarioConfig field, or section.field, parser). Keys
+#: absent from a config keep the dataclass defaults. A parser only
 #: converts text; the dataclass that holds the value checks it.
 _CONFIG_KEYS = {
-    "scenario": ("scenario", None, Scenario.parse),
-    "cir.num_clusters_range": ("cir_gen", "num_clusters_range", _parse_int_pair),
-    "cir.paths_per_cluster_range": ("cir_gen", "paths_per_cluster_range", _parse_int_pair),
-    "cir.intercluster_void_ns": ("cir_gen", "intercluster_void_ns", float),
-    "cir.cluster_decay_ns": ("cir_gen", "cluster_decay_ns", float),
-    "cir.intracluster_decay_ns": ("cir_gen", "intracluster_decay_ns", float),
-    "cir.num_lobes_range": ("cir_gen", "num_lobes_range", _parse_int_pair),
-    "cir.lobe_angular_spread_deg": ("cir_gen", "lobe_angular_spread_deg", float),
-    "cir.import_path": ("cir_import_path", None, str),
-    "rx_array.num_elements": ("rx_array", "num_elements", int),
-    "rx_array.spacing": ("rx_array", "spacing", float),
-    "tx_array.num_elements": ("tx_array", "num_elements", int),
-    "tx_array.spacing": ("tx_array", "spacing", float),
-    "fading.models": ("fading_models", None, _parse_fading),
-    "autocorr": ("autocorr", None, _parse_autocorr),
-    "capacity.bandwidth_hz": ("capacity", "bandwidth_hz", float),
-    "capacity.num_subcarriers": ("capacity", "num_subcarriers", int),
-    "capacity.snr_db": ("capacity", "snr_db", float),
-    "capacity.center_frequency_hz": ("capacity", "center_frequency_hz", float),
-    "run.num_drops": ("num_drops", None, int),
-    "run.master_seed": ("master_seed", None, int),
-    "run.num_workers": ("num_workers", None, int),
-    "run.share_initial_cir": ("share_initial_cir", None, _parse_bool),
-    "run.output_dir": ("output_dir", None, str),
-    "track.num_positions": ("track_positions", None, int),
-    "track.delta_x": ("track_delta_x", None, float),
-    "track.delay_bin_ns": ("track_delay_bin_ns", None, float),
+    "scenario": ("scenario", Scenario.parse),
+    "cir.num_clusters_range": ("cir_gen.num_clusters_range", _parse_int_pair),
+    "cir.paths_per_cluster_range": ("cir_gen.paths_per_cluster_range", _parse_int_pair),
+    "cir.intercluster_void_ns": ("cir_gen.intercluster_void_ns", float),
+    "cir.cluster_decay_ns": ("cir_gen.cluster_decay_ns", float),
+    "cir.intracluster_decay_ns": ("cir_gen.intracluster_decay_ns", float),
+    "cir.num_lobes_range": ("cir_gen.num_lobes_range", _parse_int_pair),
+    "cir.lobe_angular_spread_deg": ("cir_gen.lobe_angular_spread_deg", float),
+    "cir.import_path": ("cir_import_path", str),
+    "rx_array.num_elements": ("rx_array.num_elements", int),
+    "rx_array.spacing": ("rx_array.spacing", float),
+    "tx_array.num_elements": ("tx_array.num_elements", int),
+    "tx_array.spacing": ("tx_array.spacing", float),
+    "fading.models": ("fading_models", _parse_fading),
+    "autocorr": ("autocorr", _parse_autocorr),
+    "capacity.bandwidth_hz": ("capacity.bandwidth_hz", float),
+    "capacity.num_subcarriers": ("capacity.num_subcarriers", int),
+    "capacity.snr_db": ("capacity.snr_db", float),
+    "capacity.center_frequency_hz": ("capacity.center_frequency_hz", float),
+    "run.num_drops": ("num_drops", int),
+    "run.master_seed": ("master_seed", int),
+    "run.num_workers": ("num_workers", int),
+    "run.share_initial_cir": ("share_initial_cir", _parse_bool),
+    "run.output_dir": ("output_dir", str),
+    "track.num_positions": ("track_positions", int),
+    "track.delta_x": ("track_delta_x", float),
+    "track.delay_bin_ns": ("track_delay_bin_ns", float),
 }
 
 #: Command-line flag -> (argparse destination, the config key it overrides).
@@ -245,50 +243,61 @@ _OVERRIDE_FLAGS = {
 
 def _set_values(cfg: ScenarioConfig, items) -> ScenarioConfig:
     """``cfg`` with each (name, key, text) of ``items`` parsed in through
-    :data:`_CONFIG_KEYS`; a later item for a field wins. Each value replaces
-    one field of the section that holds it, so the section checks it and an
-    error names ``name``, the key or the flag it came from. The config's own
-    checks, some of which read several keys, run once, on the final values
-    of all the items; an error names the items whose values its check
-    reads. Either becomes a :class:`ConfigError`."""
-    fields = {}
-    names = {}  # field, or section.field -> the name of the item that set it
-    for name, key, text in items:
-        field_name, sub_field, parse = _CONFIG_KEYS[key]
+    :data:`_CONFIG_KEYS`, a later item for a field winning, as a
+    :class:`ConfigError` naming ``name`` (the key or flag) on a parse
+    error. Each section is built once, from its final values, then the
+    config, so no check depends on the item order. A failed check names
+    the items it reads (for a section, those it sets) that fail alone on
+    top of ``cfg``, or, if none does, all of them."""
+    fields, sections = {}, {}  # field -> value, section -> {field of it: value}
+    names = {}  # field, or section.field -> the item that set it
+    for item in items:
+        name, key, text = item
+        path, parse = _CONFIG_KEYS[key]
         try:
             value = parse(text)
-            if sub_field is not None:
-                value = dataclasses.replace(fields.get(field_name, getattr(cfg, field_name)), **{sub_field: value})
         except ValueError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
-        fields[field_name] = value
-        names[field_name if sub_field is None else f"{field_name}.{sub_field}"] = name
+        section, _, sub = path.partition(".")
+        if sub:
+            sections.setdefault(section, {})[sub] = value
+        else:
+            fields[section] = value
+        names[path] = item
     try:
+        for section, subs in sections.items():
+            with _reading(*(f"{section}.{sub}" for sub in subs)):
+                fields[section] = dataclasses.replace(getattr(cfg, section), **subs)
         return dataclasses.replace(cfg, **fields)
     except _FieldsError as exc:
-        raise ConfigError(f"{', '.join(names[f] for f in exc.fields if f in names)}: {exc}") from exc
+        read = [names[path] for path in exc.fields if path in names]
+        alone = [item for item in read if len(read) > 1 and _fails(cfg, item)]  # a lone item is named anyway
+        raise ConfigError(f"{', '.join(item[0] for item in alone or read)}: {exc}") from exc
 
 
-def read_config_lines(path) -> dict[str, str]:
-    pairs: dict[str, str] = {}
-    for lineno, line, _ in read_lines(path, ConfigError, "config"):
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
-    return pairs
+def _fails(cfg: ScenarioConfig, item) -> bool:
+    """Whether ``cfg`` with the one item (name, key, text) fails a check."""
+    with contextlib.suppress(ConfigError):
+        _set_values(cfg, [item])
+        return False
+    return True
 
 
 def _config_items(path) -> list[tuple[str, str, str]]:
-    """The (name, key, text) items of :func:`_set_values` for the keys of a
-    config file, each named by its key."""
-    pairs = read_config_lines(path)
+    """The (name, key, text) items of :func:`_set_values` for the ``key =
+    value`` lines of a config file, each named by its key, a later line
+    winning, in the order of :data:`_CONFIG_KEYS` whatever the file's."""
+    pairs: dict[str, str] = {}
+    for lineno, line, _ in read_lines(path, ConfigError, "config"):
+        if line:
+            key, equals, value = line.partition("=")
+            if not equals:
+                raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
+            pairs[key.strip()] = value.strip()
     unknown = sorted(set(pairs) - set(_CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    return [(key, key, text) for key, text in pairs.items()]
+    return [(key, key, pairs[key]) for key in _CONFIG_KEYS if key in pairs]
 
 
 def parse_config(path) -> ScenarioConfig:
@@ -302,7 +311,10 @@ def _fixed_cir(cfg: ScenarioConfig) -> ChannelImpulseResponse | None:
     under ``run.share_initial_cir``, the CIR drawn from the master seed's
     (1, 0) stream."""
     if cfg.cir_import_path:
-        return import_cir(cfg.cir_import_path, cfg.scenario)
+        try:
+            return import_cir(cfg.cir_import_path, cfg.scenario)
+        except CirFileError as exc:
+            raise CirFileError(f"cir.import_path: {exc}") from exc
     if not cfg.share_initial_cir:
         return None
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(1, 0)))
@@ -324,15 +336,15 @@ def _bin_track_grid(amps: np.ndarray, delays_s, bin_ns: float) -> np.ndarray:
 def cmd_simulate_cir(cfg: ScenarioConfig, out_dir: str) -> int:
     params = cfg.resolved_autocorr()
     n = cfg.track_positions
-    size = track_bytes(n)
-    if size > CHUNK_BYTES_MAX:
-        raise ConfigError(f"track.num_positions: a track of {n} positions would take about {size / 2**20:.6g} MiB "
-                          f"for its {n} x {n} correlation, over the {CHUNK_BYTES_MAX >> 20} MiB limit")
-    os.makedirs(out_dir, exist_ok=True)
+    _require_bytes(f"track.num_positions: a track of {n} positions with its {n} x {n} correlation", track_bytes(n))
     # the CIR a capacity run of this config fixes, if it fixes one
     cir = _fixed_cir(cfg)
     if cir is None:
         cir = generate_initial_cir(cfg.cir_gen, cfg.scenario, np.random.default_rng(cfg.master_seed))
+    # as _bin_track_grid counts them; a float, as it may overflow
+    num_bins = float(cir.delays[-1]) // (cfg.track_delay_bin_ns * 1e-9) + 1.0
+    _require_bytes(f"track.delay_bin_ns: a grid of {n} positions x {num_bins:.6g} delay bins", 8 * n * num_bins)
+    os.makedirs(out_dir, exist_ok=True)
     cir_path = os.path.join(out_dir, "cir.csv")
     export_cir(cir, cir_path)
 
@@ -368,10 +380,9 @@ def cmd_simulate_capacity(cfg: ScenarioConfig, out_dir: str, dump_corr: bool = F
     initial_cir = _fixed_cir(cfg)
     if cfg.cir_import_path:  # its drops hold one batch of its components (capacity.chunk_bytes)
         n = initial_cir.num_components
-        size = batch_bytes(n, cfg.rx_array.num_elements, cfg.tx_array.num_elements, cfg.capacity.num_subcarriers)
-        if size > CHUNK_BYTES_MAX:
-            raise ConfigError(f"cir.import_path: a drop of its {n} components would take about {size / 2**20:.6g} "
-                              f"MiB, over the {CHUNK_BYTES_MAX >> 20} MiB limit")
+        _require_bytes(f"cir.import_path: a drop of its {n} components", batch_bytes(
+            n, cfg.rx_array.num_elements, cfg.tx_array.num_elements, cfg.capacity.num_subcarriers
+        ))
     os.makedirs(out_dir, exist_ok=True)
     if dump_corr:
         rr, rt = pipeline_corr_matrices(params, cfg.rx_array, cfg.tx_array)

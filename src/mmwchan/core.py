@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import re
 from dataclasses import dataclass
 
@@ -48,6 +47,30 @@ def read_lines(path, error: type[Exception], what: str) -> list[tuple[int, str, 
     return lines
 
 
+def check_header(where: str, line: str, names: tuple[str, ...], error: type[Exception]) -> None:
+    """Raise ``error`` at ``where`` (file and line) unless the header row's cells are ``names``."""
+    header = tuple(cell.strip() for cell in line.split(","))
+    if header != names:
+        raise error(f"{where}: header {header} does not match expected {names}")
+
+
+def read_row(where: str, line: str, count: int, field, error: type[Exception]) -> list[float]:
+    """The floats of the ``count`` comma-separated cells of a data line.
+    Another number of cells, or a cell that is not a number, raises
+    ``error`` naming ``where`` (the file and line) and, for a cell i
+    (from 0), its field ``field(i)``."""
+    cells = line.split(",")
+    if len(cells) != count:
+        raise error(f"{where}: expected {count} fields, got {len(cells)}")
+    values = []
+    for i, cell in enumerate(cells):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise error(f"{where}: {field(i)}: not a number: {cell.strip()!r}") from None
+    return values
+
+
 def write_rows(path, rows, head=()) -> None:
     """Write the ``head`` lines, then one line of comma-separated ``%s``
     cells per row (a float's ``%s`` is its shortest round-trip repr), at
@@ -70,21 +93,40 @@ def write_rows(path, rows, head=()) -> None:
 COUNT_MAX = 2**63 - 1
 
 
-def require_count(name: str, value) -> None:
+def require_count(name: str, value, least: int = 1) -> None:
     """Reject a count that is not an integer (a bool is not one) or lies
-    outside [1, ``COUNT_MAX``], naming the field. numpy integers pass."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    outside [``least``, ``COUNT_MAX``], naming the field. numpy integers
+    pass."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
     if value > COUNT_MAX:
         raise ValueError(f"{name} must be at most 2**63 - 1, got {value}")
+
+
+def require_positive(name: str, value) -> None:
+    """Reject a value that is not a finite number > 0 (NaN is not one),
+    naming the field."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def require_grid(count_name: str, count, step_name: str, step, least: int = 1) -> None:
+    """Reject a grid of ``count`` points ``step`` apart unless the count
+    passes :func:`require_count` with ``least``, the step
+    :func:`require_positive`, and the farthest lag, (count - 1) * step, is
+    finite."""
+    require_count(count_name, count, least)
+    require_positive(step_name, step)
+    if not math.isfinite((count - 1) * step):
+        raise ValueError(f"{step_name} must keep ({count_name} - 1) * {step_name} finite, got {step!r}")
 
 
 def require_seed(name: str, value) -> None:
     """Reject a seed that is not an integer >= 0 (a bool is not one),
     naming the field. numpy integers pass."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
         raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
@@ -203,51 +245,37 @@ class ArrayGeometry:
     spacing: float = 0.5
 
     def __post_init__(self) -> None:
-        require_count("num_elements", self.num_elements)
-        if not (self.spacing > 0 and math.isfinite(self.spacing)):
-            raise ValueError(f"spacing must be finite and > 0, got {self.spacing}")
-        if not math.isfinite((self.num_elements - 1) * self.spacing):  # the farthest lag
-            raise ValueError(f"spacing must keep (num_elements - 1) * spacing finite, got {self.spacing!r}")
+        require_grid("num_elements", self.num_elements, "spacing", self.spacing)
 
 
 @dataclass(frozen=True)
 class FadingModel:
-    """Small-scale fading law for the local-area copies.
+    """Small-scale fading law for the local-area copies: Rician with K
+    factor ``k_factor_db``, which lies in [K_DB_MIN, K_DB_MAX], or Rayleigh
+    when it is None."""
 
-    kind is "rayleigh" or "rician"; k_factor_db is present iff Rician and
-    lies in [K_DB_MIN, K_DB_MAX].
-    """
-
-    kind: str
     k_factor_db: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("rayleigh", "rician"):
-            raise ValueError(f"unknown fading kind {self.kind!r}")
-        if self.kind == "rician":
-            if self.k_factor_db is None or not K_DB_MIN <= self.k_factor_db <= K_DB_MAX:
-                raise ValueError(
-                    f"Rician fading needs k_factor_db in [{K_DB_MIN:g}, {K_DB_MAX:g}] dB, got {self.k_factor_db}"
-                )
-        elif self.k_factor_db is not None:
-            raise ValueError("k_factor_db is only meaningful for Rician fading")
+        if self.k_factor_db is not None and not K_DB_MIN <= self.k_factor_db <= K_DB_MAX:
+            raise ValueError(
+                f"Rician fading needs k_factor_db in [{K_DB_MIN:g}, {K_DB_MAX:g}] dB, got {self.k_factor_db}"
+            )
 
     @classmethod
     def rayleigh(cls) -> "FadingModel":
-        return cls(kind="rayleigh")
+        return cls()
 
     @classmethod
     def rician(cls, k_factor_db: float) -> "FadingModel":
-        return cls(kind="rician", k_factor_db=k_factor_db)
+        return cls(float(k_factor_db))  # float(None) raises: rician(None) is not Rayleigh
 
     @property
     def is_rician(self) -> bool:
-        return self.kind == "rician"
+        return self.k_factor_db is not None
 
     def label(self) -> str:
-        if self.is_rician:
-            return f"rician{self.k_factor_db:g}dB"
-        return "rayleigh"
+        return f"rician{self.k_factor_db:g}dB" if self.is_rician else "rayleigh"
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AutocorrParams, read_lines, write_rows
+from .core import (
+    AutocorrParams,
+    check_header,
+    read_lines,
+    read_row,
+    require_count,
+    require_grid,
+    require_positive,
+    write_rows,
+)
 
 #: Byte budget of one (positions x bins x lags) float array of the
 #: autocorrelation kernel, which holds about ten such arrays at once: the
@@ -54,19 +63,13 @@ class TrackMeasurement:
         a = np.array(self.amplitudes, dtype=float)
         if a.ndim != 2:
             raise ValueError("amplitudes must be a 2-D grid (positions x delay bins)")
-        if a.shape[0] < 2:
-            raise ValueError("a track needs at least 2 positions")
+        require_grid("num_positions", a.shape[0], "delta_x", self.delta_x, least=2)
+        require_positive("delay_bin_ns", self.delay_bin_ns)
         # two reductions and no temporaries: min and max propagate NaN, which
         # fails both comparisons; negatives and -inf fail the first, +inf
         # the second
         if not (a.min(initial=0.0) >= 0.0 and a.max(initial=0.0) < math.inf):
             raise ValueError("amplitudes must be finite and non-negative")
-        if not 0 < self.delta_x < math.inf:
-            raise ValueError("delta_x must be finite and > 0")
-        if not math.isfinite((a.shape[0] - 1) * self.delta_x):  # the farthest lag
-            raise ValueError(f"delta_x must keep (num_positions - 1) * delta_x finite, got {self.delta_x!r}")
-        if not 0 < self.delay_bin_ns < math.inf:
-            raise ValueError("delay_bin_ns must be finite and > 0")
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)
 
@@ -95,6 +98,9 @@ class AutocorrCurve:
         vals = np.array(self.values, dtype=float)
         if lags.shape != vals.shape or lags.ndim != 1:
             raise ValueError("lags and values must be matching 1-D arrays")
+        # as for TrackMeasurement's amplitudes: NaN fails both comparisons
+        if not (lags.min(initial=0.0) >= 0.0 and lags.max(initial=0.0) < math.inf):
+            raise ValueError("lags must be finite and >= 0")
         # two reductions and no temporaries: fmax and fmin skip NaN, so a
         # NaN hides no other value; +-inf and finite values outside
         # [-1, 1] pass one comparison
@@ -390,6 +396,16 @@ class KFactorEstimate:
         return self.status == "ok"
 
 
+def _power_samples(power_samples, least: int) -> np.ndarray:
+    """The samples as a flat float array of at least ``least``, each finite and > 0."""
+    p = np.asarray(power_samples, dtype=float).ravel()
+    if p.size < least:
+        raise ValueError(f"need {least} or more power samples, got {p.size}")
+    if not (p.min() > 0.0 and p.max() < math.inf):
+        raise ValueError("power samples must be finite and > 0")
+    return p
+
+
 def estimate_k_factor(power_samples) -> KFactorEstimate:
     """Moment-based K-factor estimate from normalized power samples.
 
@@ -398,11 +414,7 @@ def estimate_k_factor(power_samples) -> KFactorEstimate:
     radicand flags heavier-than-Rayleigh fading (K ~ 0); a nonpositive
     denominator flags vanishing fading (K -> inf).
     """
-    p = np.asarray(power_samples, dtype=float).ravel()
-    if p.size < MIN_K_SAMPLES:
-        raise ValueError(f"need at least {MIN_K_SAMPLES} power samples")
-    if np.any(p <= 0) or not np.all(np.isfinite(p)):
-        raise ValueError("power samples must be finite and > 0")
+    p = _power_samples(power_samples, MIN_K_SAMPLES)
     m2 = float(np.mean(p))
     m4 = float(np.mean(p * p))
     radicand = 2.0 * m2 * m2 - m4
@@ -433,11 +445,7 @@ def empirical_power_cdf(power_samples):
     Returns (power_db, cum_prob) arrays: sorted 10*log10(p / mean(p))
     against cumulative probability rank/N, duplicates collapsed.
     """
-    p = np.asarray(power_samples, dtype=float).ravel()
-    if p.size < 1:
-        raise ValueError("need at least one power sample")
-    if np.any(p <= 0) or not np.all(np.isfinite(p)):
-        raise ValueError("power samples must be finite and > 0")
+    p = _power_samples(power_samples, 1)
     norm = p / np.mean(p)
     vals, probs = _ecdf_dedup(10.0 * np.log10(norm))
     return vals, probs
@@ -455,23 +463,6 @@ def write_track(track: TrackMeasurement, path) -> None:
     write_rows(path, map(tuple, track.amplitudes.tolist()), head=head)
 
 
-def _header_value(path, lineno: int, name: str, cell: str, counts: bool):
-    """One value of a track file's header line, line ``lineno`` of the
-    file: a finite number > 0, or, for the ``counts`` fields, a whole
-    number >= 1."""
-    try:
-        value = float(cell)
-    except ValueError:
-        raise TrackFileError(f"{path}: line {lineno}: {name}: not a number: {cell!r}") from None
-    if counts:
-        if not (value.is_integer() and value >= 1):
-            raise TrackFileError(f"{path}: line {lineno}: {name} must be a whole number >= 1, got {cell!r}")
-        return int(value)
-    if not 0 < value < math.inf:
-        raise TrackFileError(f"{path}: line {lineno}: {name} must be finite and > 0, got {cell!r}")
-    return value
-
-
 def read_track(path) -> TrackMeasurement:
     """Parse and validate a track file; raises TrackFileError naming the
     file when it cannot be read or decoded, and with line/field
@@ -480,41 +471,21 @@ def read_track(path) -> TrackMeasurement:
     if len(lines) < 2:
         raise TrackFileError(f"{path}: expected a two-line header plus grid rows")
     (names_lineno, names_line), (values_lineno, values_line), *grid = lines
-    names = tuple(s.strip() for s in names_line.split(","))
-    if names != TRACK_HEADER_FIELDS:
-        raise TrackFileError(
-            f"{path}: line {names_lineno}: header {names} does not match expected {TRACK_HEADER_FIELDS}"
-        )
-    cells = [s.strip() for s in values_line.split(",")]
-    if len(cells) != 4:
-        raise TrackFileError(f"{path}: line {values_lineno}: expected 4 header values, got {len(cells)}")
-    delta_x, delay_bin_ns, num_positions, num_bins = (
-        _header_value(path, values_lineno, name, cell, counts=name.startswith("num_"))
-        for name, cell in zip(TRACK_HEADER_FIELDS, cells)
-    )
-    if not math.isfinite((num_positions - 1) * delta_x):  # the farthest lag
-        raise TrackFileError(f"{path}: line {values_lineno}: delta_x_wavelengths must keep (num_positions - 1) "
-                             f"* delta_x_wavelengths finite, got {cells[0]!r}")
-    rows = []
-    for lineno, line in grid:
-        vals = [s.strip() for s in line.split(",")]
-        if len(vals) != num_bins:
-            raise TrackFileError(
-                f"{path}: line {lineno}: expected {num_bins} amplitudes, got {len(vals)}"
-            )
-        try:
-            rows.append([float(v) for v in vals])
-        except ValueError as exc:
-            raise TrackFileError(f"{path}: line {lineno}: not a number: {exc}") from exc
-    if len(rows) != num_positions:
-        raise TrackFileError(
-            f"{path}: expected {num_positions} grid rows, got {len(rows)}"
-        )
+    check_header(f"{path}: line {names_lineno}", names_line, TRACK_HEADER_FIELDS, TrackFileError)
+    where = f"{path}: line {values_lineno}"
+    delta_x, delay_bin_ns, *counts = read_row(where, values_line, 4, TRACK_HEADER_FIELDS.__getitem__, TrackFileError)
+    # a whole number is a count, which require_count accepts
+    num_positions, num_bins = (int(count) if count.is_integer() else count for count in counts)
     try:
-        return TrackMeasurement(
-            amplitudes=np.asarray(rows, dtype=float),
-            delta_x=delta_x,
-            delay_bin_ns=delay_bin_ns,
-        )
+        require_grid("num_positions", num_positions, "delta_x_wavelengths", delta_x, least=2)
+        require_positive("delay_bin_ns", delay_bin_ns)
+        require_count("num_bins", num_bins)
+    except ValueError as exc:
+        raise TrackFileError(f"{where}: {exc}") from exc
+    rows = [read_row(f"{path}: line {n}", line, num_bins, "bin {}".format, TrackFileError) for n, line in grid]
+    if len(rows) != num_positions:
+        raise TrackFileError(f"{path}: expected {num_positions} grid rows, got {len(rows)}")
+    try:
+        return TrackMeasurement(amplitudes=np.asarray(rows, dtype=float), delta_x=delta_x, delay_bin_ns=delay_bin_ns)
     except ValueError as exc:
         raise TrackFileError(f"{path}: invalid track: {exc}") from exc

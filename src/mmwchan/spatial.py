@@ -37,6 +37,7 @@ from .core import (
     ChannelImpulseResponse,
     FadingModel,
     db_to_linear,
+    require_grid,
 )
 
 #: Hermitian / unit-diagonal tolerance for correlation matrices.
@@ -323,8 +324,7 @@ def simulate_amplitude_track(
     (wavelengths) steps and returns a (num_positions, num_components)
     amplitude grid; column j is component j observed over the local area.
     """
-    if num_positions < 2:
-        raise ValueError("a track needs at least 2 positions")
+    require_grid("num_positions", num_positions, "delta_x", delta_x, least=2)
     geom = ArrayGeometry(num_elements=num_positions, spacing=delta_x)
     corr = build_amplitude_matched_corr(params, geom, fading)
     white, psi = draw_tap_noise(rng, cir.num_components, num_positions, 1, fading.is_rician)

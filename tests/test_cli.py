@@ -18,7 +18,7 @@ from mmwchan.cli import (
     main,
     parse_config,
 )
-from mmwchan.core import FadingModel
+from mmwchan.core import ArrayGeometry, FadingModel
 from mmwchan.estimators import TRACK_HEADER_FIELDS, read_track
 from mmwchan.spatial import track_bytes
 
@@ -43,6 +43,38 @@ capacity.snr_db = 10
 run.num_drops = 8
 run.master_seed = 77
 """
+
+
+#: One malformed value for each config key but cir.import_path, whose
+#: malformed value is a file that does not exist.
+MALFORMED = {
+    "scenario": "NLOS X-Y",
+    "cir.num_clusters_range": "1",
+    "cir.paths_per_cluster_range": "3 2",
+    "cir.intercluster_void_ns": "-1",
+    "cir.cluster_decay_ns": "0",
+    "cir.intracluster_decay_ns": "nan",
+    "cir.num_lobes_range": "0 2",
+    "cir.lobe_angular_spread_deg": "inf",
+    "rx_array.num_elements": "0",
+    "rx_array.spacing": "-0.5",
+    "tx_array.num_elements": "2.5",
+    "tx_array.spacing": "inf",
+    "fading.models": "nakagami",
+    "autocorr": "0.5 1 0.5",
+    "capacity.bandwidth_hz": "0",
+    "capacity.num_subcarriers": "-1",
+    "capacity.snr_db": "nan",
+    "capacity.center_frequency_hz": "-1",
+    "run.num_drops": "0",
+    "run.master_seed": "-1",
+    "run.num_workers": "0",
+    "run.share_initial_cir": "maybe",
+    "run.output_dir": "",
+    "track.num_positions": "1",
+    "track.delta_x": "0",
+    "track.delay_bin_ns": "1e-320",
+}
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -126,6 +158,28 @@ class TestConfigParsing:
         assert cfgs[0] == cfgs[1]
         assert cfgs[0].cir_gen.paths_per_cluster_range == (1, 1500)
         assert cfgs[0].cir_gen.num_clusters_range == (1, 1)
+
+    def test_section_rules_read_final_values(self, tmp_path):
+        # the span rule reads both keys; checked after the spacing alone, with
+        # the default 20 elements, its farthest lag overflowed
+        lines = ["rx_array.spacing = 1e308", "rx_array.num_elements = 1"]
+        cfgs = [parse_config(write_cfg(tmp_path, "\n".join(order) + "\n", name=f"{i}.cfg"))
+                for i, order in enumerate((lines, lines[::-1]))]
+        assert cfgs[0] == cfgs[1] == ScenarioConfig(rx_array=ArrayGeometry(num_elements=1, spacing=1e308))
+
+    @pytest.mark.parametrize(
+        "lines, names",
+        [
+            # the spacing fails on its own, with the default 20 elements
+            (["rx_array.num_elements = 5", "rx_array.spacing = 0"], "rx_array.spacing"),
+            # each passes on its own; together the farthest lag overflows
+            (["rx_array.num_elements = 40", "rx_array.spacing = 5e306"], "rx_array.num_elements, rx_array.spacing"),
+        ],
+    )
+    def test_section_error_names_the_keys_that_fail(self, tmp_path, lines, names):
+        for i, order in enumerate((lines, lines[::-1])):
+            with pytest.raises(ConfigError, match=f"^{re.escape(names)}: "):
+                parse_config(write_cfg(tmp_path, "\n".join(order) + "\n", name=f"{i}.cfg"))
 
     def test_cross_key_error_names_the_keys_it_reads(self, tmp_path):
         path = write_cfg(tmp_path, "cir.paths_per_cluster_range = 1 1500\nrun.num_drops = 5\n")
@@ -345,6 +399,18 @@ class TestSimulateCirAndEstimate:
         assert "track.num_positions" in err and "256 MiB limit" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("bin_ns", ["1e-9", "1e-300", "1e-320"])
+    def test_delay_bin_grid_exit_2_before_writing(self, tmp_path, capsys, bin_ns):
+        # each wrote cir.csv, then exited 3: allocating 10.9 TiB for 1e-9 ns,
+        # past numpy's largest dimension for 1e-300, and dividing by 0 s for
+        # 1e-320; the last two are not normal floats in seconds
+        fig4 = os.path.join(os.path.dirname(__file__), "..", "configs", "fig4.cfg")
+        path = write_cfg(tmp_path, open(fig4).read() + f"\ntrack.delay_bin_ns = {bin_ns}\n")
+        out_dir = tmp_path / "cir"
+        assert main(["simulate-cir", "--config", path, "--out", str(out_dir)]) == 2
+        assert "track.delay_bin_ns" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_track_size_limit_is_the_chunk_limit(self, tmp_path, monkeypatch, capsys):
         # 256 positions: the track's bound (6 MiB) is above the config's
         # chunk size, which the same limit caps
@@ -530,6 +596,17 @@ class TestMainEntry:
             assert main([command, "--config", path, *flag, "--out", str(out_dir)]) == 2
             assert key in capsys.readouterr().err
             assert not out_dir.exists()  # no cir.csv, nor any other file
+
+    @pytest.mark.parametrize("key", list(mmwchan.cli._CONFIG_KEYS))
+    def test_every_key_rejects_a_malformed_value(self, tmp_path, capsys, key):
+        # a key added to the table without a malformed value here fails
+        value = str(tmp_path / "missing.csv") if key == "cir.import_path" else MALFORMED[key]
+        out_dir = tmp_path / "out"
+        path = write_cfg(tmp_path, BASE_CFG + f"\nrun.output_dir = {out_dir}\n{key} = {value}\n")
+        for command in ("simulate-cir", "simulate-capacity"):
+            assert main([command, "--config", path]) == 2
+            assert key in capsys.readouterr().err
+            assert os.listdir(tmp_path) == ["run.cfg"]
 
     def test_los_to_nlos_without_autocorr_exit_2(self, tmp_path, capsys):
         # LOS-to-NLOS scenarios have no fitted autocorrelation in the table

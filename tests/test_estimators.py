@@ -633,6 +633,13 @@ class TestTrackFiles:
 
 
 class TestAutocorrCurveInvariants:
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -0.5, -math.inf])
+    def test_rejects_lags_not_finite_and_non_negative(self, bad):
+        # inf made the fit warn on 0 * inf, NaN failed later in AutocorrParams,
+        # and -0.5 was fitted (a = 366886.1)
+        with pytest.raises(ValueError, match="lags must be finite and >= 0"):
+            AutocorrCurve(lags=[0.0, 0.5, bad, 1.5], values=[1.0, 0.6, 0.3, 0.2])
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf])
     def test_rejects_infinite_values(self, bad):
         with pytest.raises(ValueError, match=r"\[-1, 1\] or be NaN"):
