@@ -50,7 +50,6 @@ from .estimators import (
     write_track,
 )
 from .spatial import (
-    CorrelatedTap,
     build_amplitude_matched_corr,
     build_ula_corr_matrix,
     eval_autocorr,

@@ -98,14 +98,18 @@ def frequency_response(taps, config: CapacityConfig) -> FrequencyResponse:
     """DFT of the tapped delay line onto the subcarrier grid.
 
     H_f(f_n) = sum_l M_l * exp(-j*2*pi*f_n*tau_l), with tau_l the excess
-    delay from the first tap.
+    delay from the first tap. ``taps`` is a record array with one record
+    per tap, as :func:`spatial.realize_taps` returns: its ``delay`` (s) and
+    its 2-D tap ``matrix``, whose entries must be finite.
     """
-    taps = list(taps)
-    if not taps:
+    if len(taps) == 0:
         raise ValueError("need at least one tap")
-    delays = np.array([t.delay for t in taps])
-    stack = np.stack([t.matrix for t in taps])  # (L, N_r, N_t)
-    return FrequencyResponse(per_subcarrier=_response(_subcarrier_phases(delays, config), stack))
+    stack = np.ascontiguousarray(taps.matrix, dtype=complex)  # (L, N_r, N_t), unstrided from the records
+    if stack.ndim != 3:
+        raise ValueError("tap matrix must be 2-D")
+    if not np.isfinite(stack).all():
+        raise ValueError("tap matrix entries must be finite")
+    return FrequencyResponse(per_subcarrier=_response(_subcarrier_phases(taps.delay, config), stack))
 
 
 def wideband_capacity(fr: FrequencyResponse, config: CapacityConfig, n_t: int) -> float:

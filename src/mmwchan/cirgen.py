@@ -35,9 +35,10 @@ NS = 1e-9
 #: Standard normal angle offsets drawn per component: departure azimuth and
 #: elevation, then arrival azimuth and elevation.
 ANGLE_OFFSETS = 4
-#: Lobe centre elevations are uniform on [-pi/4, pi/4).
-_LOBE_EL_LOW = -math.pi / 4
-_LOBE_EL_SPAN = math.pi / 4 - _LOBE_EL_LOW
+#: Lobe centres are uniform in (azimuth, elevation) on [0, 2pi) x
+#: [-pi/4, pi/4): the low ends and the spans.
+_LOBE_LOW = np.array([0.0, -math.pi / 4])
+_LOBE_SPAN = np.array([TWO_PI, math.pi / 4 + math.pi / 4])
 
 
 class CirFileError(ValueError):
@@ -224,30 +225,24 @@ def lobe_choices(config: CirGenConfig, u: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _phases_and_angles(
-    config: CirGenConfig, u: np.ndarray, slots: list[int], offsets: np.ndarray
-) -> tuple[list[float], list[tuple[float, float]], list[tuple[float, float]]]:
-    """The phases, departure angles and arrival angles of the components in
-    ``slots`` of the one drop in ``u`` (1, width), with the standard normal
-    angle ``offsets`` (L, ANGLE_OFFSETS) of its L components. Each angle is
-    the chosen lobe's centre plus the angular spread times its offset. Lobe
-    centres are uniform in azimuth on [0, 2pi) and in elevation on
-    [-pi/4, pi/4); azimuths wrap to [0, 2pi) and elevations are clamped to
-    [-pi/2, pi/2]."""
+    config: CirGenConfig, u: np.ndarray, slots: np.ndarray, offsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The phases (L,), departure angles (L, 2) and arrival angles (L, 2)
+    of the components in ``slots`` (L,) of the one drop in ``u`` (1,
+    width), with the standard normal angle ``offsets`` (L, ANGLE_OFFSETS)
+    of its L components. Each angle is the chosen lobe's centre plus the
+    angular spread times its offset. Lobe centres are uniform in azimuth
+    on [0, 2pi) and in elevation on [-pi/4, pi/4); azimuths wrap to
+    [0, 2pi) and elevations are clamped to [-pi/2, pi/2]."""
     lay = drop_layout(config)
-    row = u[0].tolist()
-    centres = row[lay.lobes]  # (azimuth, elevation) pairs, departure lobes first
-    num_lobes = config.num_lobes_range[1]
-    lobes = lobe_choices(config, u)[1][0].tolist()  # (departure, arrival) per cluster
+    # (side, lobe, (azimuth, elevation)), departure lobes first
+    centres = _LOBE_LOW + _LOBE_SPAN * u[0, lay.lobes].reshape(2, -1, 2)
+    lobes = lobe_choices(config, u)[1][0][slots // config.paths_per_cluster_range[1]]  # (L, side)
     spread = math.radians(config.lobe_angular_spread_deg)
-    phases, sides = [], ([], [])
-    for slot, z in zip(slots, offsets.tolist()):
-        for side, lobe in enumerate(lobes[slot // config.paths_per_cluster_range[1]]):
-            centre = 2 * (side * num_lobes + lobe)
-            el = _LOBE_EL_LOW + _LOBE_EL_SPAN * centres[centre + 1] + spread * z[2 * side + 1]
-            sides[side].append(((TWO_PI * centres[centre] + spread * z[2 * side]) % TWO_PI,
-                                min(max(el, -math.pi / 2), math.pi / 2)))
-        phases.append(TWO_PI * row[lay.phases.start + slot])
-    return phases, *sides
+    angles = centres[[0, 1], lobes] + spread * offsets.reshape(-1, 2, 2)  # (L, side, 2)
+    angles[..., 0] %= TWO_PI
+    np.clip(angles[..., 1], -math.pi / 2, math.pi / 2, out=angles[..., 1])
+    return TWO_PI * u[0, lay.phases][slots], angles[:, 0], angles[:, 1]
 
 
 def generate_initial_cir(
@@ -262,7 +257,7 @@ def generate_initial_cir(
     rows = cir_rows(config, u)
     slots = np.flatnonzero(rows.valid[0])
     offsets = rng.standard_normal((slots.size, ANGLE_OFFSETS))
-    phases, aod, aoa = _phases_and_angles(config, u, slots.tolist(), offsets)
+    phases, aod, aoa = _phases_and_angles(config, u, slots, offsets)
     return ChannelImpulseResponse(delays=rows.delays[0, slots], powers=rows.powers[0, slots],
                                   phases=phases, aod=aod, aoa=aoa, scenario=scenario)
 

@@ -64,6 +64,18 @@ class ConfigError(ValueError):
     """Raised for unparseable or invalid run configuration."""
 
 
+class _OutDirError(Exception):
+    """Raised when the output directory cannot be made; :func:`main` names
+    the flag or key that set it."""
+
+
+def _make_out_dir(out_dir: str) -> None:
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise _OutDirError(f"cannot make output directory {out_dir!r}: {exc.strerror}") from exc
+
+
 class _FieldsError(ValueError):
     """A failed :class:`ScenarioConfig` check, with the fields it reads: a
     field of the config, or ``section.field`` for a field of one of its
@@ -321,15 +333,12 @@ def _fixed_cir(cfg: ScenarioConfig) -> ChannelImpulseResponse | None:
     return generate_initial_cir(cfg.cir_gen, cfg.scenario, rng)
 
 
-def _bin_track_grid(amps: np.ndarray, delays_s, bin_ns: float) -> np.ndarray:
-    """Collapse per-component amplitude columns into uniform delay bins
-    (incoherent power sum within a bin)."""
-    bin_s = bin_ns * 1e-9
-    idx = [int(d // bin_s) for d in delays_s]
-    n_bins = max(idx) + 1
-    power = np.zeros((amps.shape[0], n_bins))
-    for col, b in enumerate(idx):
-        power[:, b] += amps[:, col] ** 2
+def _bin_track_grid(amps: np.ndarray, bins: np.ndarray) -> np.ndarray:
+    """Collapse per-component amplitude columns into the delay bins
+    ``bins`` of the components, nondecreasing (incoherent power sum within
+    a bin)."""
+    power = np.zeros((amps.shape[0], bins[-1] + 1))
+    np.add.at(power, (slice(None), bins), amps**2)
     return np.sqrt(power)
 
 
@@ -341,10 +350,12 @@ def cmd_simulate_cir(cfg: ScenarioConfig, out_dir: str) -> int:
     cir = _fixed_cir(cfg)
     if cir is None:
         cir = generate_initial_cir(cfg.cir_gen, cfg.scenario, np.random.default_rng(cfg.master_seed))
-    # as _bin_track_grid counts them; a float, as it may overflow
-    num_bins = float(cir.delays[-1]) // (cfg.track_delay_bin_ns * 1e-9) + 1.0
+    # each component's delay bin; floats, as the last may overflow to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        bins = cir.delays // (cfg.track_delay_bin_ns * 1e-9)
+    num_bins = bins[-1] + 1.0
     _require_bytes(f"track.delay_bin_ns: a grid of {n} positions x {num_bins:.6g} delay bins", 8 * n * num_bins)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     cir_path = os.path.join(out_dir, "cir.csv")
     export_cir(cir, cir_path)
 
@@ -353,7 +364,7 @@ def cmd_simulate_cir(cfg: ScenarioConfig, out_dir: str) -> int:
     amps = simulate_amplitude_track(
         cir, params, cfg.track_positions, cfg.track_delta_x, fading, rng
     )
-    grid = _bin_track_grid(amps, cir.delays.tolist(), cfg.track_delay_bin_ns)
+    grid = _bin_track_grid(amps, bins.astype(np.intp))
     track = TrackMeasurement(
         amplitudes=grid, delta_x=cfg.track_delta_x, delay_bin_ns=cfg.track_delay_bin_ns
     )
@@ -383,7 +394,7 @@ def cmd_simulate_capacity(cfg: ScenarioConfig, out_dir: str, dump_corr: bool = F
         _require_bytes(f"cir.import_path: a drop of its {n} components", batch_bytes(
             n, cfg.rx_array.num_elements, cfg.tx_array.num_elements, cfg.capacity.num_subcarriers
         ))
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     if dump_corr:
         rr, rt = pipeline_corr_matrices(params, cfg.rx_array, cfg.tx_array)
         write_corr_matrix_csv(rr, os.path.join(out_dir, "corr_rx.csv"))
@@ -459,7 +470,7 @@ def cmd_estimate(track_path: str, out_dir: str) -> int:
         lines.append("k_factor_db = unavailable")
         lines.append(f"k_factor_status = insufficient_samples ({pooled.size} < {MIN_K_SAMPLES})")
 
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out_dir(out_dir)
     curve_path = os.path.join(out_dir, "autocorr_curve.csv")
     write_rows(curve_path, zip(map(float, curve.lags), map(float, curve.values)), head=("lag_wavelengths,rho",))
     fit_path = os.path.join(out_dir, "fit.txt")
@@ -578,6 +589,10 @@ def main(argv=None) -> int:
         if args.command == "simulate-capacity":
             return cmd_simulate_capacity(cfg, cfg.output_dir, dump_corr=args.dump_corr)
         raise ConfigError(f"unknown command {args.command!r}")
+    except _OutDirError as exc:
+        source = "--out" if args.command == "estimate" or args.out is not None else "run.output_dir"
+        print(f"error: {source}: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, CirFileError, TrackFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

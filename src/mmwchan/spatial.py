@@ -26,7 +26,6 @@ constant across elements and therefore bypasses the diffuse shaping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,24 +43,6 @@ from .core import (
 HERMITIAN_ATOL = 1e-12
 #: Eigenvalues above this (tiny negative) threshold count as nonnegative.
 EIGENVALUE_TOL = -1e-10
-
-
-@dataclass(frozen=True, eq=False)
-class CorrelatedTap:
-    """One local-area MIMO tap: an N_r x N_t matrix at a fixed delay."""
-
-    matrix: np.ndarray
-    delay: float
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2:
-            raise ValueError("tap matrix must be 2-D")
-        if not np.all(np.isfinite(m.view(float))):
-            raise ValueError("tap matrix entries must be finite")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
 
 def eval_autocorr(params: AutocorrParams, dr):
@@ -285,8 +266,10 @@ def realize_taps(
     r_t_sqrt: np.ndarray,
     fading: FadingModel,
     rng: np.random.Generator,
-) -> list[CorrelatedTap]:
-    """Generate the local-area MIMO taps for every component of a CIR.
+) -> np.recarray:
+    """Generate the local-area MIMO taps for every component of a CIR: one
+    record per component, with its ``delay`` (s) and its N_r x N_t tap
+    ``matrix``.
 
     Rayleigh taps are pure Kronecker-shaped diffuse draws. Rician taps add
     a rank-one dominant term, constant across the array with one random
@@ -295,11 +278,12 @@ def realize_taps(
     component power for every K. Draws come from :func:`draw_tap_noise`
     and matrices from :func:`tap_matrices`.
     """
-    white, psi = draw_tap_noise(
-        rng, cir.num_components, r_r_sqrt.shape[0], r_t_sqrt.shape[1], fading.is_rician
-    )
-    matrices = tap_matrices(white, psi, cir.powers, r_r_sqrt, r_t_sqrt, fading)
-    return [CorrelatedTap(matrix=m, delay=d) for m, d in zip(matrices, cir.delays.tolist())]
+    n_r, n_t = r_r_sqrt.shape[0], r_t_sqrt.shape[1]
+    white, psi = draw_tap_noise(rng, cir.num_components, n_r, n_t, fading.is_rician)
+    taps = np.recarray(cir.num_components, dtype=[("delay", float), ("matrix", complex, (n_r, n_t))])
+    taps.delay = cir.delays
+    taps.matrix = tap_matrices(white, psi, cir.powers, r_r_sqrt, r_t_sqrt, fading)
+    return taps
 
 
 def track_bytes(num_positions: int) -> int:

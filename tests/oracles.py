@@ -5,7 +5,7 @@ oracle is a literal double loop over the defining expectation, the Rician
 power CDF comes from the noncentral chi-square law, the MMSE fit scans its
 decay grid one rate at a time, the Rayleigh SIMO mean capacity is one
 quadrature, and the Monte Carlo reference runs one drop at a time with
-scalar arithmetic per component and one object per tap, seeded through
+scalar arithmetic per component and one matrix per tap, seeded through
 numpy's ``SeedSequence``. The one exception is the flat-drop capacity,
 which keeps the engine's own kernels on every subcarrier so that the
 engine's one-column shortcut can be held to it bit for bit.
@@ -18,11 +18,7 @@ from scipy import integrate, stats
 
 from mmwchan.capacity import _cross_gram, _logdet_packed, _pair_phases, _tap_phases
 from mmwchan.core import TWO_PI, ChannelImpulseResponse, FadingModel, db_to_linear
-from mmwchan.spatial import (
-    CorrelatedTap,
-    build_amplitude_matched_corr,
-    matrix_sqrt_psd,
-)
+from mmwchan.spatial import build_amplitude_matched_corr, matrix_sqrt_psd
 
 NS = 1e-9
 
@@ -341,14 +337,24 @@ def _normalized_cir(comps, scenario):
     )
 
 
+def tap_records(matrices, delays):
+    """Hand-built taps as ``frequency_response`` takes them: a record array
+    with one record per tap, its ``delay`` and its ``matrix``."""
+    matrices = np.asarray(matrices, dtype=complex)
+    taps = np.recarray(len(matrices), dtype=[("delay", float), ("matrix", complex, matrices.shape[1:])])
+    taps.delay = delays
+    taps.matrix = matrices
+    return taps
+
+
 def _reference_taps(cir, r_r_sqrt, r_t_sqrt, fading, whites, psi_uniforms):
-    """One CorrelatedTap per component from its (real, imaginary) white
+    """One tap record per component from its (real, imaginary) white
     draws; a Rician tap takes its dominant phase from ``psi_uniforms``."""
     n_r = r_r_sqrt.shape[0]
     n_t = r_t_sqrt.shape[1]
     ones = np.ones((n_r, n_t))
-    taps = []
-    for power, delay, (re, im), u in zip(cir.powers.tolist(), cir.delays.tolist(), whites, psi_uniforms):
+    matrices = []
+    for power, (re, im), u in zip(cir.powers.tolist(), whites, psi_uniforms):
         g = (re + 1j * im) / math.sqrt(2.0)
         diffuse = r_r_sqrt @ g @ r_t_sqrt
         if fading.is_rician:
@@ -356,8 +362,8 @@ def _reference_taps(cir, r_r_sqrt, r_t_sqrt, fading, whites, psi_uniforms):
             h = math.sqrt(k / (k + 1.0)) * np.exp(1j * (TWO_PI * u)) * ones + math.sqrt(1.0 / (k + 1.0)) * diffuse
         else:
             h = diffuse
-        taps.append(CorrelatedTap(matrix=math.sqrt(power) * h, delay=delay))
-    return taps
+        matrices.append(math.sqrt(power) * h)
+    return tap_records(matrices, cir.delays)
 
 
 def _reference_whites(cir, n_r, n_t, rng):
@@ -381,6 +387,19 @@ def reference_frequency_response(taps, cap_config):
     f = cap_config.baseband_frequencies()
     phase = np.exp(-2j * np.pi * np.outer(f, tau))
     return np.tensordot(phase, stack, axes=(1, 0))
+
+
+def reference_bin_track_grid(amps, delays_s, bin_ns):
+    """Amplitude columns (positions, components) collapsed into uniform
+    delay bins of ``bin_ns`` one component at a time: each bin holds the
+    square root of the summed powers of the components whose delays
+    floor-divide into it."""
+    bin_s = bin_ns * 1e-9
+    idx = [int(d // bin_s) for d in delays_s]
+    power = np.zeros((amps.shape[0], max(idx) + 1))
+    for col, b in enumerate(idx):
+        power[:, b] += amps[:, col] ** 2
+    return np.sqrt(power)
 
 
 def reference_wideband_capacity(hf, cap_config, n_t):

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from oracles import brute_force_autocorr
+from oracles import brute_force_autocorr, tap_records
 from mmwchan.capacity import CapacityConfig, capacity_quantiles, frequency_response, run_monte_carlo, wideband_capacity
 from mmwchan.cirgen import CirGenConfig, cir_rows, drop_layout, generate_initial_cir
 from mmwchan.cli import parse_config
@@ -32,7 +32,6 @@ from mmwchan.estimators import (
     spatial_autocorrelation,
 )
 from mmwchan.spatial import (
-    CorrelatedTap,
     build_amplitude_matched_corr,
     build_ula_corr_matrix,
     draw_tap_noise,
@@ -105,14 +104,12 @@ def test_criterion_2_mimo_capacity_ordering():
 
 def test_criterion_3_analytic_capacity_oracles():
     cfg = CapacityConfig(snr_db=10.0)
-    fr = frequency_response([CorrelatedTap(matrix=np.array([[1.0 + 0j]]), delay=0.0)], cfg)
+    fr = frequency_response(tap_records([[[1.0 + 0j]]], [0.0]), cfg)
     c_siso = wideband_capacity(fr, cfg, n_t=1)
     err_siso = abs(c_siso - math.log2(11.0))
 
     cfg0 = CapacityConfig(snr_db=0.0)
-    fr20 = frequency_response(
-        [CorrelatedTap(matrix=np.ones((20, 1), dtype=complex), delay=0.0)], cfg0
-    )
+    fr20 = frequency_response(tap_records([np.ones((20, 1), dtype=complex)], [0.0]), cfg0)
     c_simo = wideband_capacity(fr20, cfg0, n_t=1)
     err_simo = abs(c_simo - math.log2(21.0))
     ok = err_siso < 1e-9 and err_simo < 1e-9

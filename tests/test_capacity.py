@@ -14,6 +14,7 @@ from oracles import (
     rician_eigen_pair_cdf,
     rician_power_cdf,
     rician_two_tap_cdf,
+    tap_records,
 )
 from mmwchan.capacity import (
     CapacityConfig,
@@ -36,7 +37,7 @@ from mmwchan.core import (
     db_to_linear,
     lookup_default_params,
 )
-from mmwchan.spatial import CorrelatedTap, build_amplitude_matched_corr, pipeline_corr_matrices
+from mmwchan.spatial import build_amplitude_matched_corr, pipeline_corr_matrices
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -44,8 +45,10 @@ SCEN = Scenario.parse("NLOS V-V")
 PARAMS = lookup_default_params(SCEN).autocorr
 
 
-def tap(matrix, delay=0.0):
-    return CorrelatedTap(matrix=np.asarray(matrix, dtype=complex), delay=delay)
+def taps(*pairs):
+    """The record array of hand-built taps from their (matrix, delay) pairs."""
+    matrices, delays = zip(*pairs)
+    return tap_records(matrices, delays)
 
 
 def cir_of(delays, powers):
@@ -104,7 +107,7 @@ class TestSubcarrierPhases:
 class TestFrequencyResponse:
     def test_single_tap_flat(self):
         m = np.array([[1.0 + 2.0j], [0.5 - 0.5j]])
-        fr = frequency_response([tap(m, delay=13e-9)], CapacityConfig(num_subcarriers=16))
+        fr = frequency_response(taps((m, 13e-9)), CapacityConfig(num_subcarriers=16))
         assert fr.num_subcarriers == 16
         for k in range(16):
             assert np.allclose(fr.per_subcarrier[k], m)
@@ -115,8 +118,7 @@ class TestFrequencyResponse:
         bw = 800e6
         cfg = CapacityConfig(bandwidth_hz=bw, num_subcarriers=4)
         h = 0.7 + 0.2j
-        taps = [tap([[h]], delay=0.0), tap([[h]], delay=2.0 / bw)]
-        fr = frequency_response(taps, cfg)
+        fr = frequency_response(taps(([[h]], 0.0), ([[h]], 2.0 / bw)), cfg)
         mags = np.abs(fr.per_subcarrier[:, 0, 0])
         assert mags[0] == pytest.approx(2 * abs(h), abs=1e-12)
         assert mags[1] == pytest.approx(0.0, abs=1e-12)
@@ -124,60 +126,71 @@ class TestFrequencyResponse:
         assert mags[3] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_taps_zero_response(self):
-        fr = frequency_response([tap(np.zeros((2, 2))), tap(np.zeros((2, 2)), delay=10e-9)], CapacityConfig())
+        fr = frequency_response(taps((np.zeros((2, 2)), 0.0), (np.zeros((2, 2)), 10e-9)), CapacityConfig())
         assert np.all(fr.per_subcarrier == 0)
 
     def test_excess_delay_from_first_tap(self):
         # a common delay offset must not change the response magnitudes
         cfg = CapacityConfig(num_subcarriers=8)
-        taps_a = [tap([[1.0]], delay=0.0), tap([[0.5]], delay=30e-9)]
-        taps_b = [tap([[1.0]], delay=100e-9), tap([[0.5]], delay=130e-9)]
+        taps_a = taps(([[1.0]], 0.0), ([[0.5]], 30e-9))
+        taps_b = taps(([[1.0]], 100e-9), ([[0.5]], 130e-9))
         fa = frequency_response(taps_a, cfg)
         fb = frequency_response(taps_b, cfg)
         assert np.allclose(fa.per_subcarrier, fb.per_subcarrier, atol=1e-12)
 
     def test_empty_taps_rejected(self):
-        with pytest.raises(ValueError):
-            frequency_response([], CapacityConfig())
+        with pytest.raises(ValueError, match="at least one tap"):
+            frequency_response(tap_records(np.zeros((0, 2, 2)), []), CapacityConfig())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)])
+    def test_non_finite_tap_entry_rejected(self, bad):
+        m = np.ones((2, 2), dtype=complex)
+        m[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            frequency_response(taps((np.ones((2, 2)), 0.0), (m, 10e-9)), CapacityConfig())
+
+    def test_tap_matrix_not_2d_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            frequency_response(tap_records(np.ones((2, 3)), [0.0, 10e-9]), CapacityConfig())
 
 
 class TestWidebandCapacity:
     def test_siso_flat_closed_form(self):
         cfg = CapacityConfig(snr_db=10.0)
-        fr = frequency_response([tap([[1.0]])], cfg)
+        fr = frequency_response(taps(([[1.0]], 0.0)), cfg)
         cap = wideband_capacity(fr, cfg, n_t=1)
         assert cap == pytest.approx(math.log2(11.0), abs=1e-9)
 
     def test_simo_allones_closed_form(self):
         cfg = CapacityConfig(snr_db=0.0)
-        fr = frequency_response([tap(np.ones((20, 1)))], cfg)
+        fr = frequency_response(taps((np.ones((20, 1)), 0.0)), cfg)
         cap = wideband_capacity(fr, cfg, n_t=1)
         assert cap == pytest.approx(math.log2(21.0), abs=1e-9)
 
     def test_zero_channel_zero_capacity(self):
         cfg = CapacityConfig(snr_db=10.0)
-        fr = frequency_response([tap(np.zeros((3, 2)))], cfg)
+        fr = frequency_response(taps((np.zeros((3, 2)), 0.0)), cfg)
         assert wideband_capacity(fr, cfg, n_t=2) == 0.0
 
     def test_monotone_in_snr(self):
         rng = np.random.default_rng(3)
-        taps = [
-            tap(rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)), delay=d)
+        drawn = taps(*(
+            (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)), d)
             for d in (0.0, 20e-9, 55e-9)
-        ]
+        ))
         caps = []
         for snr in (-5.0, 0.0, 5.0, 10.0, 20.0):
             cfg = CapacityConfig(snr_db=snr)
-            caps.append(wideband_capacity(frequency_response(taps, cfg), cfg, n_t=2))
+            caps.append(wideband_capacity(frequency_response(drawn, cfg), cfg, n_t=2))
         assert all(b >= a for a, b in zip(caps, caps[1:]))
 
     def test_invariant_under_global_phase_rotation(self):
         rng = np.random.default_rng(4)
-        base = [
-            tap(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)), delay=d)
+        base = taps(*(
+            (rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)), d)
             for d in (0.0, 40e-9)
-        ]
-        rot = [tap(t.matrix * np.exp(1j * 1.234), delay=t.delay) for t in base]
+        ))
+        rot = taps(*((t.matrix * np.exp(1j * 1.234), t.delay) for t in base))
         cfg = CapacityConfig(snr_db=10.0)
         c0 = wideband_capacity(frequency_response(base, cfg), cfg, n_t=2)
         c1 = wideband_capacity(frequency_response(rot, cfg), cfg, n_t=2)
@@ -187,7 +200,7 @@ class TestWidebandCapacity:
         # n_t > n_r exercises the other Sylvester branch
         h = np.array([[0.6 + 0.2j, -0.3 + 0.9j]])
         cfg = CapacityConfig(snr_db=10.0)
-        cap = wideband_capacity(frequency_response([tap(h)], cfg), cfg, n_t=2)
+        cap = wideband_capacity(frequency_response(taps((h, 0.0)), cfg), cfg, n_t=2)
         direct = math.log2(1.0 + 10.0 / 2.0 * float(np.sum(np.abs(h) ** 2)))
         assert cap == pytest.approx(direct, abs=1e-9)
 
@@ -195,7 +208,7 @@ class TestWidebandCapacity:
         rng = np.random.default_rng(5)
         h = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         cfg = CapacityConfig(snr_db=7.0)
-        cap = wideband_capacity(frequency_response([tap(h)], cfg), cfg, n_t=2)
+        cap = wideband_capacity(frequency_response(taps((h, 0.0)), cfg), cfg, n_t=2)
         rho = 10 ** 0.7
         direct = math.log2(abs(np.linalg.det(np.eye(2) + rho / 2 * h.conj().T @ h)))
         assert cap == pytest.approx(direct, abs=1e-9)

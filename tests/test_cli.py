@@ -4,8 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mmwchan.cli
+from oracles import reference_bin_track_grid
 from mmwchan.capacity import RESULT_DTYPE, batch_bytes, capacity_cdf, run_monte_carlo
 from mmwchan.cirgen import CIR_FILE_FIELDS, export_cir, generate_initial_cir, import_cir
 from mmwchan.cli import (
@@ -19,7 +22,7 @@ from mmwchan.cli import (
     parse_config,
 )
 from mmwchan.core import ArrayGeometry, FadingModel
-from mmwchan.estimators import TRACK_HEADER_FIELDS, read_track
+from mmwchan.estimators import TRACK_HEADER_FIELDS, TrackMeasurement, read_track, write_track
 from mmwchan.spatial import track_bytes
 
 BASE_CFG = """
@@ -511,6 +514,33 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "missing.cfg" in err
 
+    @pytest.mark.parametrize("command,by_flag", [
+        ("simulate-capacity", True), ("simulate-capacity", False),
+        ("simulate-cir", True), ("simulate-cir", False), ("estimate", True), ("estimate", False),
+    ])
+    def test_output_dir_not_made_exit_2_names_source(self, tmp_path, monkeypatch, capsys, command, by_flag):
+        # each exited 3: "[Errno 20] Not a directory" where the directory's
+        # parent is a regular file, "[Errno 17] File exists" where the
+        # directory is one (estimate's default, the default of --out)
+        monkeypatch.chdir(tmp_path)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out_dir = str(blocker / "sub")
+        if command == "estimate":
+            track = str(tmp_path / "track.csv")
+            write_track(TrackMeasurement(np.random.default_rng(2015).rayleigh(size=(132, 2))), track)
+            args = [command, track]
+            if not by_flag:  # the default directory is taken by a regular file
+                out_dir = ScenarioConfig.output_dir
+                (tmp_path / out_dir).write_text("")
+        else:
+            args = [command, "--config", write_cfg(tmp_path, BASE_CFG + f"\nrun.output_dir = {out_dir}\n")]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(args + (["--out", out_dir] if by_flag else [])) == 2
+        source = "--out" if by_flag or command == "estimate" else "run.output_dir"
+        assert capsys.readouterr().err.startswith(f"error: {source}: cannot make output directory {out_dir!r}: ")
+        assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == ""
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, BASE_CFG + "\njunk line without equals\n")
         assert main(["simulate-capacity", "--config", path]) == 2
@@ -758,6 +788,26 @@ class TestMainEntry:
 
 
 class TestLocalAreaPdpGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bin_ns=st.floats(0.01, 50.0),
+        steps_ns=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(bin_ns=10.0, steps_ns=[37.0], seed=0)  # one component
+    @example(bin_ns=10.0, steps_ns=[21.0, 1.0, 2.5, 0.0], seed=1)  # several components in one bin
+    @example(bin_ns=2.5, steps_ns=[1.0, 40.0, 0.5, 30.0], seed=2)  # empty bins between components
+    def test_bin_track_grid_matches_reference(self, bin_ns, steps_ns, seed):
+        from mmwchan.cli import _bin_track_grid
+
+        delays = np.cumsum(steps_ns) * 1e-9
+        amps = np.random.default_rng(seed).rayleigh(size=(7, delays.size))
+        bins = delays // (bin_ns * 1e-9)  # as cmd_simulate_cir takes them
+        grid = _bin_track_grid(amps, bins.astype(np.intp))
+        want = reference_bin_track_grid(amps, delays.tolist(), bin_ns)
+        assert grid.shape == want.shape
+        assert np.array_equal(grid, want)
+
     def test_per_bin_power_stability_over_local_area(self):
         """The K=5 dB local-area recipe keeps each resolvable delay bin's
         power swing modest across the 11-position track: the ensemble median
@@ -779,7 +829,7 @@ class TestLocalAreaPdpGrid:
             amps = simulate_amplitude_track(
                 cir, params, cfg.track_positions, cfg.track_delta_x, fading, rng
             )
-            grid = _bin_track_grid(amps, cir.delays.tolist(), cfg.track_delay_bin_ns)
+            grid = _bin_track_grid(amps, (cir.delays // (cfg.track_delay_bin_ns * 1e-9)).astype(np.intp))
             assert grid.shape[0] == 11
             power = grid**2
             for b in range(power.shape[1]):
