@@ -449,8 +449,7 @@ def _batch_drops(num_taps: int, n_r: int, n_t: int, num_subcarriers: int) -> int
 def _batch_capacities(delays, powers, white, psi, campaign: _Campaign) -> np.ndarray:
     """Capacities (models, B) of drops that all have the same tap count L,
     under each fading model of the campaign: delays and powers (B, L), white
-    tap draws (B, L, 2, N_r, N_t) and dominant phases (B, L), or None when
-    no model is Rician.
+    tap draws (B, L, 2, N_r, N_t) and dominant phases (B, L).
 
     What does not depend on the model is made once and shared by every
     model: the phases of the batch's Gram route, which depend on the delays
@@ -472,7 +471,7 @@ def _batch_capacities(delays, powers, white, psi, campaign: _Campaign) -> np.nda
         phases = _subcarrier_phases(delays, cap_config)
     diffuse = _diffuse(white, campaign.rr_sqrt, campaign.rt_sqrt)
     amplitudes = np.sqrt(powers)
-    phasors = None if psi is None else np.exp(1j * psi)
+    phasors = np.exp(1j * psi)
     out = np.empty((len(campaign.fadings), len(delays)))
     for caps, fading in zip(out, campaign.fadings):
         taps = _mix(diffuse, phasors, amplitudes, fading)
@@ -490,8 +489,8 @@ def _batch_capacities(delays, powers, white, psi, campaign: _Campaign) -> np.nda
 def _drop_batches(campaign: _Campaign, rngs):
     """The draws of a chunk's drops, one batch of drops with equal tap count
     L at a time: (positions in the chunk, delays and powers (B, L), white
-    draws (B, L, 2, N_r, N_t), dominant phases (B, L) or None when no model
-    is Rician). Every fading model of the campaign uses these draws. A
+    draws (B, L, 2, N_r, N_t), dominant phases (B, L)). They do not depend
+    on the campaign's fading models, which all use them. A
     group of drops with equal L is cut into batches under ``BATCH_BYTES``,
     and a batch's normal draws are made when it comes up, so a chunk holds
     its streams, its uniform block and one batch.
@@ -506,17 +505,14 @@ def _drop_batches(campaign: _Campaign, rngs):
     """
     n_r, n_t = campaign.rr_sqrt.shape[0], campaign.rt_sqrt.shape[1]
     num_f = campaign.cap_config.num_subcarriers
-    # the phases are drawn either way; they are kept only for a Rician model
-    rician = any(fading.is_rician for fading in campaign.fadings)
     if campaign.shared_cir is not None:
         delays, powers = campaign.shared_cir
         step = _batch_drops(len(delays), n_r, n_t, num_f)
         for start in range(0, len(rngs), step):
             batch = rngs[start : start + step]
-            white, psi = zip(*(draw_tap_noise(rng, len(delays), n_r, n_t, rician) for rng in batch))
-            shape = (len(batch), len(delays))
-            yield (np.arange(start, start + len(batch)), np.broadcast_to(delays, shape),
-                   np.broadcast_to(powers, shape), np.stack(white), np.stack(psi) if rician else None)
+            white, psi = map(np.stack, zip(*(draw_tap_noise(rng, len(delays), n_r, n_t) for rng in batch)))
+            yield (np.arange(start, start + len(batch)), np.broadcast_to(delays, psi.shape),
+                   np.broadcast_to(powers, psi.shape), white, psi)
         return
     layout = drop_layout(campaign.gen_config)
     u = np.empty((len(rngs), layout.width))
@@ -530,7 +526,7 @@ def _drop_batches(campaign: _Campaign, rngs):
         taps = rows.valid[group]
         delays = rows.delays[group][taps].reshape(group.size, group_taps)
         powers = rows.powers[group][taps].reshape(group.size, group_taps)
-        psi = TWO_PI * u[group, layout.psi][:, :group_taps] if rician else None
+        psi = TWO_PI * u[group, layout.psi][:, :group_taps]
         step = _batch_drops(group_taps, n_r, n_t, num_f)
         for s in range(0, group.size, step):
             part = slice(s, s + step)
@@ -539,7 +535,7 @@ def _drop_batches(campaign: _Campaign, rngs):
             for i, row in zip(members.tolist(), normals):
                 rngs[i].standard_normal(out=row)
             white = normals[:, group_taps * ANGLE_OFFSETS :].reshape(members.size, group_taps, 2, n_r, n_t)
-            yield members, delays[part], powers[part], white, None if psi is None else psi[part]
+            yield members, delays[part], powers[part], white, psi[part]
 
 
 def _simulate_chunk(task) -> np.ndarray:

@@ -315,20 +315,13 @@ class ScenarioDefaults:
         return 0.5 * (lo + hi)
 
 
-_K_RANGES_DB: dict[tuple[Environment, Polarization], tuple[float, float]] = {
-    (Environment.LOS, Polarization.VV): (9.0, 15.0),
-    (Environment.LOS, Polarization.VH): (3.0, 7.0),
-    (Environment.NLOS, Polarization.VV): (5.0, 8.0),
-    (Environment.NLOS, Polarization.VH): (3.0, 7.0),
-    (Environment.LOS_TO_NLOS, Polarization.VV): (4.0, 7.0),
-    (Environment.LOS_TO_NLOS, Polarization.VH): (6.0, 10.0),
-}
-
-_AUTOCORR_PARAMS: dict[tuple[Environment, Polarization], AutocorrParams] = {
-    (Environment.LOS, Polarization.VV): AutocorrParams(0.99, 1.95, 0.0),
-    (Environment.LOS, Polarization.VH): AutocorrParams(1.0, 0.9, 0.05),
-    (Environment.NLOS, Polarization.VV): AutocorrParams(0.9, 1.0, -0.1),
-    (Environment.NLOS, Polarization.VH): AutocorrParams(1.0, 2.6, 0.0),
+_DEFAULTS: dict[tuple[Environment, Polarization], ScenarioDefaults] = {
+    (Environment.LOS, Polarization.VV): ScenarioDefaults(AutocorrParams(0.99, 1.95, 0.0), (9.0, 15.0)),
+    (Environment.LOS, Polarization.VH): ScenarioDefaults(AutocorrParams(1.0, 0.9, 0.05), (3.0, 7.0)),
+    (Environment.NLOS, Polarization.VV): ScenarioDefaults(AutocorrParams(0.9, 1.0, -0.1), (5.0, 8.0)),
+    (Environment.NLOS, Polarization.VH): ScenarioDefaults(AutocorrParams(1.0, 2.6, 0.0), (3.0, 7.0)),
+    (Environment.LOS_TO_NLOS, Polarization.VV): ScenarioDefaults(None, (4.0, 7.0)),
+    (Environment.LOS_TO_NLOS, Polarization.VH): ScenarioDefaults(None, (6.0, 10.0)),
 }
 
 
@@ -339,11 +332,7 @@ def lookup_default_params(scenario: Scenario) -> ScenarioDefaults:
     range in dB. LOS-to-NLOS scenarios carry a K range only; their
     autocorrelation constants were never fitted and come back as None.
     """
-    key = (scenario.environment, scenario.polarization)
-    return ScenarioDefaults(
-        autocorr=_AUTOCORR_PARAMS.get(key),
-        k_range_db=_K_RANGES_DB[key],
-    )
+    return _DEFAULTS[scenario.environment, scenario.polarization]
 
 
 def all_scenarios() -> list[Scenario]:

@@ -199,21 +199,17 @@ def pipeline_corr_matrices(
     )
 
 
-def draw_tap_noise(
-    rng: np.random.Generator, num_taps: int, n_r: int, n_t: int, rician: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
+def draw_tap_noise(rng: np.random.Generator, num_taps: int, n_r: int, n_t: int) -> tuple[np.ndarray, np.ndarray]:
     """The fading draws of ``num_taps`` local-area taps, as a drop with a
-    fixed CIR draws them: the white draws, for each tap the real then the
-    imaginary standard normals of its N_r x N_t matrix, then one uniform
-    per tap for its dominant-term phase, drawn for Rayleigh too. After
+    fixed CIR draws them, whatever its fading model: the white draws, for
+    each tap the real then the imaginary standard normals of its N_r x N_t
+    matrix, then one uniform per tap for its dominant-term phase. After
     :func:`cirgen.generate_initial_cir` on a drop's stream, the white draws
     are those the drop engine gave that drop. Returns the white draws,
-    shape (num_taps, 2, N_r, N_t), and the phases 2pi * u (num_taps,), or
-    None for Rayleigh.
+    shape (num_taps, 2, N_r, N_t), and the phases 2pi * u (num_taps,).
     """
     white = rng.standard_normal((num_taps, 2, n_r, n_t))
-    psi = TWO_PI * rng.random(num_taps)
-    return white, psi if rician else None
+    return white, TWO_PI * rng.random(num_taps)
 
 
 def _diffuse(white: np.ndarray, r_r_sqrt: np.ndarray, r_t_sqrt: np.ndarray) -> np.ndarray:
@@ -279,7 +275,7 @@ def realize_taps(
     and matrices from :func:`tap_matrices`.
     """
     n_r, n_t = r_r_sqrt.shape[0], r_t_sqrt.shape[1]
-    white, psi = draw_tap_noise(rng, cir.num_components, n_r, n_t, fading.is_rician)
+    white, psi = draw_tap_noise(rng, cir.num_components, n_r, n_t)
     taps = np.recarray(cir.num_components, dtype=[("delay", float), ("matrix", complex, (n_r, n_t))])
     taps.delay = cir.delays
     taps.matrix = tap_matrices(white, psi, cir.powers, r_r_sqrt, r_t_sqrt, fading)
@@ -311,6 +307,6 @@ def simulate_amplitude_track(
     require_grid("num_positions", num_positions, "delta_x", delta_x, least=2)
     geom = ArrayGeometry(num_elements=num_positions, spacing=delta_x)
     corr = build_amplitude_matched_corr(params, geom, fading)
-    white, psi = draw_tap_noise(rng, cir.num_components, num_positions, 1, fading.is_rician)
+    white, psi = draw_tap_noise(rng, cir.num_components, num_positions, 1)
     taps = tap_matrices(white, psi, cir.powers, matrix_sqrt_psd(corr), np.ones((1, 1)), fading)
     return np.abs(taps[:, :, 0]).T

@@ -129,7 +129,7 @@ def test_criterion_4_kronecker_identity():
     a = matrix_sqrt_psd(rr)
     b = matrix_sqrt_psd(rt)
     n = 100_000
-    white, _ = draw_tap_noise(rng, n, 4, 3, False)
+    white, _ = draw_tap_noise(rng, n, 4, 3)
     taps = tap_matrices(white, None, np.ones(n), a, b, FadingModel.rayleigh())
     vecs = taps.transpose(0, 2, 1).reshape(n, 12)  # each tap flattened column-major
     cov = vecs.T @ vecs.conj() / n
@@ -200,7 +200,7 @@ def test_criterion_6_k_factor_round_trip():
         fading = FadingModel.rician(k_db)
         hits = 0
         for _ in range(n_trials):
-            white, psi = draw_tap_noise(rng, 1, 250, 400, True)  # 1e5 entries
+            white, psi = draw_tap_noise(rng, 1, 250, 400)  # 1e5 entries
             h = tap_matrices(white, psi, np.ones(1), np.eye(250), np.eye(400), fading)[0]
             p = (np.abs(h) ** 2).ravel()
             est = estimate_k_factor(p / p.mean())

@@ -13,6 +13,7 @@ from oracles import (
     rayleigh_simo_mean_capacity,
     rician_eigen_pair_cdf,
     rician_power_cdf,
+    rician_simo_mean_capacities,
     rician_two_tap_cdf,
     tap_records,
 )
@@ -27,7 +28,7 @@ from mmwchan.capacity import (
     run_monte_carlo,
     wideband_capacity,
 )
-from mmwchan.cirgen import CirGenConfig
+from mmwchan.cirgen import CirGenConfig, cir_rows, drop_layout
 from mmwchan.cli import ScenarioConfig, _fixed_cir, parse_config
 from mmwchan.core import (
     ArrayGeometry,
@@ -37,6 +38,7 @@ from mmwchan.core import (
     db_to_linear,
     lookup_default_params,
 )
+from mmwchan.seeding import drop_streams
 from mmwchan.spatial import build_amplitude_matched_corr, pipeline_corr_matrices
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -354,22 +356,32 @@ class TestExactCapacityLaw:
 
 
 class TestExactSimoWidebandMean:
-    """Rayleigh SIMO drops over the full band. At each subcarrier h_f =
-    R_r^(1/2) sum_l sqrt(p_l) e^(j theta_lf) g_l with sum p_l = 1 is
-    CN(0, R_r) whatever the delays and component phases, so the mean
-    wideband capacity is the narrowband E[log2(1 + rho X)], X = g^H R_r g,
-    which :func:`oracles.rayleigh_simo_mean_capacity` gives exactly. A
-    two-sided z-test at alpha = 0.01 on a fixed seed checks the tap powers
-    and the correlation root across the 100 subcarriers of both Gram
-    routes. The drops of a run are independent, so the sample standard
-    deviation gives the standard error."""
+    """SIMO drops over the full band, z-tested two-sided at alpha = 0.01 on
+    a fixed seed against exact means, across the 100 subcarriers of both
+    Gram routes. The drops of a run are independent, so the sample standard
+    deviation gives the standard error.
+
+    * Rayleigh: at each subcarrier h_f = R_r^(1/2) sum_l sqrt(p_l)
+      e^(j theta_lf) g_l with sum p_l = 1 is CN(0, R_r) whatever the delays
+      and component phases, so the mean wideband capacity is the narrowband
+      E[log2(1 + rho X)], X = g^H R_r g, which
+      :func:`oracles.rayleigh_simo_mean_capacity` gives exactly. This
+      checks the tap powers and the correlation root.
+    * Rician: the dominant term of subcarrier f adds up the drop's uniform
+      phases psi_l, so its power has the law of |sum_l sqrt(p_l)
+      e^(j theta_l)|^2 for every f, and
+      :func:`oracles.rician_simo_mean_capacities` gives each drop's mean
+      from the tap powers the engine read from its stream. This checks the
+      K split and the law of the phases psi, which a drop draws whatever
+      the models of its run.
+    """
 
     ALPHA = 0.01
     DROPS = 4000
     SEED = 12345
 
-    @pytest.mark.parametrize("rich", [False, True])
-    def test_mean_capacity_matches_exact(self, rich):
+    @staticmethod
+    def _setup(rich):
         cfg = parse_config(os.path.join(CONFIG_DIR, "fig5.cfg"))
         gen = cfg.cir_gen
         if rich:  # 2-12 taps: drops of L >= 9 take the response route
@@ -378,15 +390,34 @@ class TestExactSimoWidebandMean:
         params = cfg.resolved_autocorr()
         rr, _ = pipeline_corr_matrices(params, cfg.rx_array, cfg.tx_array)
         rho = db_to_linear(cfg.capacity.snr_db) / cfg.tx_array.num_elements
-        exact = rayleigh_simo_mean_capacity(rho, np.linalg.eigvalsh(rr))
         assert cfg.rx_array.num_elements == 20 and cfg.capacity.num_subcarriers == 100
-        assert exact == pytest.approx(7.4862, abs=1e-4)
+        return cfg, gen, params, rr, rho
+
+    def _z(self, cfg, gen, params, fading, exact):
         samples = run_monte_carlo(
-            cfg.scenario, gen, cfg.rx_array, cfg.tx_array, FadingModel.rayleigh(), cfg.capacity,
-            self.DROPS, self.SEED, params,
+            cfg.scenario, gen, cfg.rx_array, cfg.tx_array, fading, cfg.capacity, self.DROPS, self.SEED, params,
         )
         caps = np.array([s.capacity for s in samples])
-        z = (caps.mean() - exact) / (caps.std(ddof=1) / math.sqrt(caps.size))
+        return (caps.mean() - exact) / (caps.std(ddof=1) / math.sqrt(caps.size))
+
+    @pytest.mark.parametrize("rich", [False, True])
+    def test_mean_capacity_matches_exact(self, rich):
+        cfg, gen, params, rr, rho = self._setup(rich)
+        exact = rayleigh_simo_mean_capacity(rho, np.linalg.eigvalsh(rr))
+        assert exact == pytest.approx(7.4862, abs=1e-4)
+        z = self._z(cfg, gen, params, FadingModel.rayleigh(), exact)
+        assert abs(z) < stats.norm.ppf(1.0 - self.ALPHA / 2.0)
+
+    @pytest.mark.parametrize("rich,k_db", [(False, 5.0), (False, 15.0), (True, 5.0)])
+    def test_rician_mean_capacity_matches_exact(self, rich, k_db):
+        cfg, gen, params, rr, rho = self._setup(rich)
+        # each drop's tap powers, as the engine reads them from its uniform block
+        rngs, _ = drop_streams(self.SEED, 0, self.DROPS)
+        u = np.array([rng.random(drop_layout(gen).width) for rng in rngs])
+        rows = cir_rows(gen, u)
+        powers = [p[valid] for p, valid in zip(rows.powers, rows.valid)]
+        exact = rician_simo_mean_capacities(rho, rr, db_to_linear(k_db), powers).mean()
+        z = self._z(cfg, gen, params, FadingModel.rician(k_db), exact)
         assert abs(z) < stats.norm.ppf(1.0 - self.ALPHA / 2.0)
 
 

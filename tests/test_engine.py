@@ -30,6 +30,7 @@ from mmwchan.capacity import (
     CapacityConfig,
     _batch_capacities,
     _Campaign,
+    _drop_batches,
     _drop_bytes,
     _logdet_packed,
     _pack,
@@ -59,6 +60,7 @@ from mmwchan.core import (
     Scenario,
     lookup_default_params,
 )
+from mmwchan.seeding import drop_streams
 from mmwchan.spatial import build_amplitude_matched_corr, matrix_sqrt_psd, realize_taps, tap_matrices
 
 SCEN = Scenario.parse("NLOS V-V")
@@ -478,8 +480,30 @@ def _batch(n_r, n_t, num_taps, batch, models, num_f=100):
     delays = np.sort(rng.uniform(0.0, 200e-9, (batch, num_taps)), axis=1)
     powers = rng.dirichlet(np.ones(num_taps), batch)
     white = rng.standard_normal((batch, num_taps, 2, n_r, n_t))
-    psi = rng.uniform(0.0, 2 * math.pi, (batch, num_taps)) if any(m.is_rician for m in models) else None
+    psi = rng.uniform(0.0, 2 * math.pi, (batch, num_taps))
     return campaign, delays, powers, white, psi
+
+
+@pytest.mark.parametrize("cir", ["drawn", "fixed-4-tap"])
+def test_drop_draws_do_not_depend_on_the_fading_models(cir):
+    # a drop keeps its dominant phases psi whatever the models of its run:
+    # RAGGED's drawn CIRs (2-12 taps, both Gram routes) and a fixed 4-tap
+    # CIR yield the same batches, bit for bit, for each set of models
+    rr, rt = (matrix_sqrt_psd(build_amplitude_matched_corr(PARAMS, RAGGED[side], FadingModel.rayleigh()))
+              for side in ("rx_geometry", "tx_geometry"))
+    shared = None if cir == "drawn" else (np.arange(4) * 5e-9, np.array([0.4, 0.3, 0.2, 0.1]))
+    runs = []
+    for models in ("rayleigh", "rician", "three"):
+        campaign = _Campaign(RAGGED["gen_config"], rr, rt, CAMPAIGN_MODELS[models], RAGGED["cap_config"], 7, shared)
+        rngs, _ = drop_streams(7, 0, 300)
+        runs.append([[np.asarray(part) for part in batch] for batch in _drop_batches(campaign, rngs)])
+    want = runs[0]
+    assert sum(len(batch[0]) for batch in want) == 300
+    for got in runs[1:]:
+        assert len(got) == len(want)
+        for got_batch, want_batch in zip(got, want):  # members, delays, powers, white, psi
+            for g, w in zip(got_batch, want_batch):
+                assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -492,7 +516,7 @@ def test_batch_equals_its_drops_one_at_a_time(arrays, route, models):
     together = _batch_capacities(delays, powers, white, psi, campaign)
     for i in range(len(delays)):
         one = slice(i, i + 1)
-        alone = _batch_capacities(delays[one], powers[one], white[one], None if psi is None else psi[one], campaign)
+        alone = _batch_capacities(delays[one], powers[one], white[one], psi[one], campaign)
         assert np.array_equal(alone[:, 0], together[:, i])
 
 
@@ -515,7 +539,7 @@ def test_engine_taps_equal_tap_matrices_per_model(monkeypatch, arrays, route):
     _batch_capacities(delays, powers, white, psi, campaign)
     assert len(mixed) == len(models)
     for taps, model in zip(mixed, models):
-        want = tap_matrices(white, psi if model.is_rician else None, powers, campaign.rr_sqrt, campaign.rt_sqrt, model)
+        want = tap_matrices(white, psi, powers, campaign.rr_sqrt, campaign.rt_sqrt, model)
         assert taps.dtype == want.dtype and np.array_equal(taps, want)
 
 
@@ -528,7 +552,7 @@ def test_one_tap_batch_equals_mean_over_subcarriers(n_r, n_t, num_f):
     campaign, delays, powers, white, psi = _batch(n_r, n_t, 1, 33, models, num_f)
     got = _batch_capacities(delays, powers, white, psi, campaign)
     for caps, model in zip(got, models):
-        taps = tap_matrices(white, psi if model.is_rician else None, powers, campaign.rr_sqrt, campaign.rt_sqrt, model)
+        taps = tap_matrices(white, psi, powers, campaign.rr_sqrt, campaign.rt_sqrt, model)
         want = reference_flat_capacities(taps, campaign.cap_config, n_t)
         assert np.array_equal(caps, want)
 

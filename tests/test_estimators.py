@@ -34,7 +34,7 @@ from mmwchan.spatial import draw_tap_noise, tap_matrices
 def unit_tap(n_r, n_t, fading, seed):
     """One unit-power N_r x N_t tap with identity correlation roots, drawn as
     the pipelines draw a tap; its entries' powers are i.i.d."""
-    white, psi = draw_tap_noise(np.random.default_rng(seed), 1, n_r, n_t, fading.is_rician)
+    white, psi = draw_tap_noise(np.random.default_rng(seed), 1, n_r, n_t)
     return tap_matrices(white, psi, np.ones(1), np.eye(n_r), np.eye(n_t), fading)[0]
 
 

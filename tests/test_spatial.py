@@ -209,7 +209,7 @@ def unit_tap(n_r, n_t, fading, seed):
     """One unit-power N_r x N_t tap with identity correlation roots, drawn as
     the pipelines draw a tap. Its entries share one dominant phase, so their
     powers are i.i.d. with the model's marginal law."""
-    white, psi = draw_tap_noise(np.random.default_rng(seed), 1, n_r, n_t, fading.is_rician)
+    white, psi = draw_tap_noise(np.random.default_rng(seed), 1, n_r, n_t)
     return tap_matrices(white, psi, np.ones(1), np.eye(n_r), np.eye(n_t), fading)[0]
 
 
